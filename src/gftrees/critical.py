@@ -117,7 +117,7 @@ def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
         step[big] *= (0.25 * span / norms[big])[:, None]
         Z = Z - step
         if field.periodic:
-            Z = np.mod(Z, 1.0)
+            Z = _wrap_unit(Z)
         ok = np.all(np.isfinite(Z), axis=1)
         ok &= np.all(np.abs(Z - mid) < 3.0 * half + 1.0, axis=1)
         Z = Z[ok]
@@ -129,17 +129,30 @@ def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
     return Z[good & inside]
 
 
+def _wrap_unit(Z):
+    """Z mod 1 in [0, 1): np.mod(-1e-17, 1.0) rounds up to 1.0."""
+    Z = np.mod(Z, 1.0)
+    Z[Z >= 1.0] = 0.0
+    return Z
+
+
+def _cluster_mean(P, periodic):
+    """Mean of one cluster; on the torus, coordinates whose members straddle
+    the 0/1 seam are unrolled first (other clusters keep the plain mean)."""
+    if periodic:
+        seam = P.max(axis=0) - P.min(axis=0) > 0.5
+        if seam.any():
+            P = P.copy()
+            P[:, seam] += P[:, seam] < 0.5
+            return _wrap_unit(P.mean(axis=0))
+    return P.mean(axis=0)
+
+
 def _dedup(points, tol, periodic):
     if len(points) == 0:
         return points
-    if periodic:
-        pts = np.mod(points, 1.0)
-        # mirror near-0 coordinates so the tree sees wrapped neighbours
-        tree_pts = pts
-    else:
-        pts = points
-        tree_pts = pts
-    tree = cKDTree(tree_pts, boxsize=1.0 if periodic else None)
+    pts = _wrap_unit(points) if periodic else points
+    tree = cKDTree(pts, boxsize=1.0 if periodic else None)
     pairs = tree.query_pairs(tol)
     parent = list(range(len(pts)))
 
@@ -156,7 +169,7 @@ def _dedup(points, tol, periodic):
     reps = {}
     for i in range(len(pts)):
         reps.setdefault(find(i), []).append(i)
-    return np.array([pts[idx].mean(axis=0) for idx in
+    return np.array([_cluster_mean(pts[idx], periodic) for idx in
                      sorted(reps.values(), key=lambda idx: idx[0])])
 
 

@@ -17,8 +17,10 @@ with +Q(e_k) for k < i or k > j and -Q(e_k) for i < k < j.
 
 Stabilization appends a fiber coordinate carrying a pure +-(e')^2 term.
 That term is kept as an explicit quadratic block rather than folded into
-the compiled expression: its gradient flow decouples from everything else,
-and the flow engine exploits that.
+the compiled expression: its gradient flow decouples from everything else.
+The critical-point search uses that (one seed, 0, per block coordinate),
+and so does the tree solver's time grid, which ignores the blocks' rates.
+The flow integrator does not: it steps block coordinates like any other.
 """
 
 from __future__ import annotations

@@ -119,16 +119,34 @@ def _segment_dist(z0, z1, c, periodic):
 
 
 def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
-                    inspector=None, record=None, periodic=False):
-    """Returns (reason, t, z) with reason "cap" | ("stop", payload)."""
+                    inspector=None, record=None, periodic=False, keep=None):
+    """Returns (reason, t, z, payload) with reason "cap" | "stop".
+
+    `keep`, a list holding at most one loop state (cap, t, z, k1, h), lets
+    a later run from the same start resume instead of starting at t = 0.
+    The kept state is the last loop top before the time cap first shortened
+    a step (or the final state when it never did).  Every step before it is
+    the same for any larger cap, so a run resumed from it to a cap >= the
+    kept cap is bit-identical to a fresh run; smaller caps run fresh.  The
+    run then overwrites `keep` with its own state.
+    """
     D = len(z0)
-    z = list(z0)
-    t = 0.0
-    if record is not None:
-        record.append((0.0, tuple(z)))
-    k1 = f(z)
-    h = min(h0, h_max, t_cap) if t_cap > 0 else h0
+    if keep and keep[0][0] <= t_cap:
+        _, t, z, k1, h = keep[0]
+    else:
+        z = list(z0)
+        t = 0.0
+        if record is not None:
+            record.append((0.0, tuple(z)))
+        k1 = f(z)
+        # the loop clamps to t_cap, so a kept t = 0 state carries no cap
+        h = min(h0, h_max)
+    updating = keep is not None
     while t < t_cap * (1.0 - 1e-15):
+        if updating:
+            keep[:] = [(t_cap, t, z, k1, h)]
+            # retries of a cap-shortened step are specific to this cap
+            updating = t_cap - t >= min(h, h_max)
         h = min(h, t_cap - t, h_max)
         if h < 1e-13:
             raise StiffnessError("step size underflow at t=%.6g near %s"
@@ -174,16 +192,22 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
         if verdict is not None:
             return ("stop", t, z, verdict[1])
         h *= 5.0 if err < 1e-10 else min(5.0, 0.9 * err ** -0.2)
+    if updating:
+        keep[:] = [(t_cap, t, z, k1, h)]
     return ("cap", t, z, None)
 
 
 def integrate(field, start, direction="forward", stops=None, tolerances=None,
-              terminal_t=None, record_samples=True, chart_info=None):
+              terminal_t=None, record_samples=True, chart_info=None,
+              resume=None):
     """Integrate z' = +-grad(field) from `start`.
 
     Event mode (stops given): run until capture at a critical point, exit
     from the escape box, or stops.t_max.  Terminal mode (terminal_t given):
-    run for exactly that much time.
+    run for exactly that much time.  In terminal mode without samples,
+    `resume` is a list owned by one (field, start, direction, tolerances)
+    path: it keeps one step state between calls, so a later call with a
+    time at least as large continues from it (see `_integrate_core`).
     """
     tol = dict(FLOW_TOLERANCES)
     if tolerances:
@@ -197,10 +221,12 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
     record = [] if record_samples else None
     periodic = field.periodic
 
+    if resume is not None and (terminal_t is None or record_samples):
+        raise ValueError("resume needs terminal mode without samples")
     if terminal_t is not None:
         reason, t, z, _ = _integrate_core(
             f, list(start), terminal_t, tol["rtol"], tol["atol"], tol["h0"],
-            tol["h_max"], record=record, periodic=periodic)
+            tol["h_max"], record=record, periodic=periodic, keep=resume)
         return Trajectory(field.tag, record or [], Termination("time"),
                           t, np.array(z), chart=chart_info)
 
@@ -282,9 +308,10 @@ def build_chart(field, p, side, r0=1e-3):
     return ManifoldChart(p, side, float(r0), frame, rates, field)
 
 
-def chart_point(chart, u, t, tolerances=None):
+def chart_point(chart, u, t, tolerances=None, resume=None):
     """Flow image of p + r0*u: forward time t on the unstable side,
-    backward on the stable side.  t = 0 returns p + r0*u exactly."""
+    backward on the stable side.  t = 0 returns p + r0*u exactly.
+    `resume` is the step-state slot of `integrate`, one per (chart, u)."""
     if t < 0:
         raise ValueError("chart time must be >= 0")
     u = np.asarray(u, dtype=float)
@@ -293,7 +320,7 @@ def chart_point(chart, u, t, tolerances=None):
         return np.array(start)
     direction = "forward" if chart.side == "unstable" else "backward"
     traj = integrate(chart.field, list(start), direction, terminal_t=t,
-                     tolerances=tolerances, record_samples=False)
+                     tolerances=tolerances, record_samples=False, resume=resume)
     return traj.final
 
 
@@ -344,6 +371,10 @@ def _flow_stops(field, criticals, source_value, tol):
     return Stops(tracked, esc, tol["t_max"], tol["r_conv"], tol["value_window"])
 
 
+def _point_key(c):
+    return (c.id, float(c.value), np.asarray(c.coords, dtype=float).tobytes())
+
+
 def _launch(field, chart, u, stops, tol, record=False):
     start = chart.point.coords + chart.r0 * (chart.frame @ np.asarray(u))
     return integrate(field, list(start), "forward", stops=stops,
@@ -355,7 +386,8 @@ def _launch(field, chart, u, stops, tol, record=False):
 def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
     """Integrate from a dense sample of p's unstable sphere; record each
     seed's outcome and its closest approach to every higher critical point.
-    Cached on the field object."""
+    Cached on the field object, keyed by every input that shapes a scan:
+    the source point, r0, m, the flow tolerances and the tracked points."""
     tol = dict(FLOW_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -363,13 +395,14 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
     k = chart.k
     if m is None:
         m = {1: 2, 2: 512}.get(k, 800)
-    key = (p.id, r0, m, tol["rtol"], tol["r_conv"])
+    stops = _flow_stops(field, criticals, p.value, tol)
+    key = (_point_key(p), r0, m, tuple(tol[name] for name in FLOW_TOLERANCES),
+           tuple(_point_key(c) for c in stops.criticals))
     cache = getattr(field, "_scan_cache", None)
     if cache is None:
         cache = field._scan_cache = {}
     if key in cache:
         return cache[key], chart
-    stops = _flow_stops(field, criticals, p.value, tol)
     ids = [c.id for c in stops.criticals]
     dirs = _sphere_dirs(k, m)
     outcomes = []

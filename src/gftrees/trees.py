@@ -16,6 +16,14 @@ three sphere constraints to the 2D matching equations gives a square
 system exactly when the expected dimension |p0| - |p1| - |p2| is 0; it is
 solved by damped Newton with finite-difference Jacobians from seeds ranked
 over a coarse product grid of chart endpoints.
+
+Chart endpoints are memoized per (edge, u, t), and each (edge, u) path
+keeps one integrator step state (see `flow.integrate`'s `resume`).  A
+later time on the same path continues from that state instead of from
+t = 0, with a bit-identical result.  So the tabulation's ascending time
+grid integrates each direction once, plus one cap-shortened step per grid
+time, and each finite-difference time column continues the line-search
+run it perturbs.
 """
 
 from __future__ import annotations
@@ -97,6 +105,7 @@ class TreeProblem:
                 % (self.k, sum(self.k), 2 * self.D))
         self.periodic = self.h1.periodic
         self._memo = {}
+        self._slots = {}
 
     # -- theta packing --------------------------------------------------
 
@@ -112,13 +121,16 @@ class TreeProblem:
 
     def endpoint(self, which, u, t):
         chart = (self.chart1, self.chart2, self.chart3)[which]
-        key = (which, np.asarray(u).tobytes(), float(t))
+        path = (which, np.asarray(u).tobytes())
+        key = path + (float(t),)
         got = self._memo.get(key)
         if got is None:
-            got = fl.chart_point(chart, u, max(0.0, float(t)),
-                                 tolerances=self.tolerances)
             if len(self._memo) > 4096:
                 self._memo.clear()
+                self._slots.clear()
+            got = fl.chart_point(chart, u, max(0.0, float(t)),
+                                 tolerances=self.tolerances,
+                                 resume=self._slots.setdefault(path, []))
             self._memo[key] = got
         return got
 

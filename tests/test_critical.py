@@ -127,6 +127,33 @@ def test_zero_value_filter_is_optional():
     assert len(kept) == 1 and kept[0].morse_index == 1
 
 
+def test_periodic_dedup_averages_across_the_seam():
+    got = cr._dedup(np.array([[1e-9, 0.3], [1 - 1e-9, 0.3]]), 1e-6, True)
+    assert got.shape == (1, 2)
+    assert 0.0 <= got[0, 0] < 1.0
+    assert min(got[0, 0], 1.0 - got[0, 0]) < 1e-8
+    assert got[0, 1] == 0.3
+    # a cluster away from the seam keeps its plain mean, bit for bit
+    inner = np.array([[0.25, 0.3], [0.25 + 1e-7, 0.3 + 1e-7]])
+    assert np.array_equal(cr._dedup(inner, 1e-6, True), [inner.mean(axis=0)])
+
+
+def test_periodic_dedup_accepts_points_just_below_zero():
+    got = cr._dedup(np.array([[-1e-17, 0.3]]), 1e-6, True)
+    assert got.tolist() == [[0.0, 0.3]]
+
+
+def test_periodic_newton_polish_stays_below_one():
+    from gftrees import expr as ex
+    # the maximum sits at x = -1e-17, which np.mod rounds up to 1.0
+    node = ex.parse("cos(2*pi*(x1 + 1e-17))", ex.VarLayout(1, 0))
+    field = fa.ScalarField(1, node, inner_box=[[0, 1]], outer_box=[[0, 1]],
+                           periodic=True)
+    got = cr._newton_polish(field, np.array([[-1e-3], [0.99]]), [[0, 1]])
+    assert len(got) == 2
+    assert np.all((got >= 0.0) & (got < 1.0))
+
+
 def embed_parts(config):
     fam = fa.family_from_config(config["family"])
     w = fam.difference()

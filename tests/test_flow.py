@@ -141,6 +141,67 @@ def test_descending_targets_count_zero(torus_field):
     assert "value" in count.note
 
 
+def test_scan_cache_tells_apart_every_scan_input(well1d):
+    crits = cr.find_critical_points(well1d)
+    lo, hi = crits
+    first, _ = fl.sphere_scan(well1d, lo, crits)
+    assert ("converged", hi.id) in first.outcomes
+    assert fl.sphere_scan(well1d, lo, crits)[0] is first
+    short, _ = fl.sphere_scan(well1d, lo, crits, tolerances={"t_max": 1e-3})
+    assert short.outcomes == [("timeout", "")] * 2
+    untracked, _ = fl.sphere_scan(well1d, lo, [lo])
+    assert untracked.approach_ids == []
+
+
+# A cap below h0, an ascending run with an FD-style 1e-5 nudge, then a
+# smaller time after a larger one (which must run fresh) and a climb again.
+RESUME_LADDER = [5e-4, 0.3, 0.3 + 1e-5, 1.1, 2.5, 2.5 + 1e-5, 0.7,
+                 0.7 + 1e-5, 4.0]
+
+
+def assert_resumes_bit_identically(chart, u, monkeypatch):
+    field = chart.field
+    calls = []
+    monkeypatch.setattr(field, "grad",
+                        lambda z: calls.append(1) or fa.ScalarField.grad(field, z))
+    slot = []
+    resumed_calls = fresh_calls = 0
+    for t in RESUME_LADDER:
+        n0 = len(calls)
+        got = fl.chart_point(chart, u, t, resume=slot)
+        n1 = len(calls)
+        want = fl.chart_point(chart, u, t)
+        resumed_calls += n1 - n0
+        fresh_calls += len(calls) - n1
+        assert np.array_equal(got, want), (chart.side, t)
+        assert slot[0][0] == t      # the slot holds the latest run's state
+    assert resumed_calls < fresh_calls
+
+
+def test_resumed_chart_points_are_bit_identical_on_the_torus(torus_field, monkeypatch):
+    crits = cr.find_critical_points(torus_field)
+    saddle, peak = crits[2], crits[3]
+    for p, side, u in ((saddle, "unstable", [1.0]), (saddle, "stable", [-1.0]),
+                       (peak, "stable", [math.cos(0.4), math.sin(0.4)])):
+        chart = fl.build_chart(torus_field, p, side)
+        assert_resumes_bit_identically(chart, np.array(u), monkeypatch)
+
+
+def test_resumed_chart_points_are_bit_identical_off_the_torus(multi_config, monkeypatch):
+    from gftrees import pipeline as pl
+    run = pl.GFRun(multi_config).prepare()
+    field = run.ext[(1, 3)]
+    assert not field.periodic
+    for p in run.chords:
+        q = run.images[(1, 3)][p.id]
+        for side in ("unstable", "stable"):
+            chart = fl.build_chart(field, q, side)
+            if chart.k == 0:
+                continue
+            u = np.linspace(1.0, 2.0, chart.k)
+            assert_resumes_bit_identically(chart, u / np.linalg.norm(u), monkeypatch)
+
+
 def test_escape_box_margins():
     assert fl.escape_box([[-2.0, 2.0], [0.0, 1.0]]) == \
         [[-3.0, 3.0], [-0.25, 1.25]]

@@ -48,7 +48,7 @@ CONFIG_SCHEMA = {
                 "slope": {"type": "array", "items": {"type": "number"}},
                 "inner_box": _BOX,
                 "outer_box": _BOX,
-                "base": {"enum": ["euclidean", "torus"]},
+                "base": {"enum": ["euclidean"]},
                 "stabilize": {"type": "array",
                               "items": {"enum": ["+", "-", 1, -1]}},
                 "fpd": {"type": "object", "additionalProperties": False,
@@ -252,6 +252,9 @@ def cmd_compare(args):
 
 
 def cmd_morse_torus(args):
+    if args.jobs > 1:
+        raise ConfigError("morse-torus counts in one process; --jobs %d is "
+                          "not supported in Morse mode" % args.jobs)
     if args.config:
         cfg = load_config(args.config)
         if cfg.get("mode", "gf") != "morse-torus":

@@ -5,11 +5,17 @@ by 1 (counting isolated flow lines); m2 pairs two generators into one of
 grading equal to the sum (counting trees).  Cohomology is plain Z2
 Gaussian elimination per grading; the induced product mu2 acts on classes
 by evaluating m2 on representatives and reducing modulo coboundaries.
+
+Every map of chains -- delta, a continuation matrix, a generator
+bijection -- goes one way: `table_matrix` turns it into a Z2 matrix,
+`CohomologyRing.coords` solves for class coordinates, and `induced_map` /
+`push` carry class coordinates across; `product_squares` feeds both ring
+comparisons and the continuation product diagram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +27,17 @@ class Generator:
     id: str
     grading: int
     value: float
+
+
+def table_matrix(table, src, dst):
+    """uint8 matrix of a {id: target ids} map from the generators `src` to
+    the generators `dst`; rows index `dst`, repeated targets cancel."""
+    pos = {g.id: i for i, g in enumerate(dst)}
+    M = np.zeros((len(dst), len(src)), dtype=np.uint8)
+    for j, g in enumerate(src):
+        for t in table.get(g.id, ()):
+            M[pos[t], j] ^= 1
+    return M
 
 
 class ChordComplex:
@@ -54,35 +71,11 @@ class ChordComplex:
 
     def delta_matrix(self, grading):
         """Matrix of delta: C^grading -> C^{grading+1}; rows index targets."""
-        src = self.basis(grading)
-        dst = self.basis(grading + 1)
-        M = np.zeros((len(dst), len(src)), dtype=np.uint8)
-        pos = {g.id: i for i, g in enumerate(dst)}
-        for j, g in enumerate(src):
-            for t in self.delta.get(g.id, ()):
-                M[pos[t], j] = 1
-        return M
+        return table_matrix(self.delta, self.basis(grading), self.basis(grading + 1))
 
     def delta_of(self, vec, grading):
         """Image under delta of a Z2 vector in the grading basis."""
         return gf2.asmat(self.delta_matrix(grading) @ vec % 2)[0]
-
-    def m2_of(self, vec_a, grade_a, vec_b, grade_b):
-        """Bilinear extension of m2 to Z2 chains; result in grade_a+grade_b."""
-        A = self.basis(grade_a)
-        B = self.basis(grade_b)
-        out_basis = self.basis(grade_a + grade_b)
-        pos = {g.id: i for i, g in enumerate(out_basis)}
-        out = np.zeros(len(out_basis), dtype=np.uint8)
-        for i, ga in enumerate(A):
-            if not vec_a[i]:
-                continue
-            for j, gb in enumerate(B):
-                if not vec_b[j]:
-                    continue
-                for t in self.m2.get((ga.id, gb.id), ()):
-                    out[pos[t]] ^= 1
-        return out
 
     def as_dict(self):
         return {
@@ -149,6 +142,39 @@ class CohomologyRing:
     def total_rank(self):
         return sum(self.ranks.values())
 
+    def reps(self, grading):
+        """Class representatives of one grading as the columns of a matrix."""
+        cs = self.classes.get(grading, [])
+        M = np.zeros((len(self.complex.basis(grading)), len(cs)), dtype=np.uint8)
+        for i, c in enumerate(cs):
+            M[:, i] = c.vector
+        return M
+
+    def coords(self, grading, vec):
+        """Coordinates of a cochain in the class basis, modulo coboundaries;
+        None when it is not a cocycle."""
+        C = self.complex
+        if C.delta_of(vec, grading).any():
+            return None
+        reps = self.reps(grading)
+        x = gf2.solve(np.hstack([reps, C.delta_matrix(grading - 1)]), vec)
+        if x is None:
+            raise RuntimeError("internal error: a cocycle of grading %d is not "
+                               "expressible in the class basis" % grading)
+        return x[:reps.shape[1]]
+
+    def multiply(self, ga, x, gb, y):
+        """mu2 on class coordinates x (grading ga) and y (grading gb)."""
+        cs = self.classes.get(ga + gb, [])
+        index = {c.label: i for i, c in enumerate(cs)}
+        out = np.zeros(len(cs), dtype=np.uint8)
+        for ca, bit_a in zip(self.classes.get(ga, []), x):
+            for cb, bit_b in zip(self.classes.get(gb, []), y):
+                if bit_a and bit_b:
+                    for lb in self.products.get((ca.label, cb.label), ()):
+                        out[index[lb]] ^= 1
+        return out
+
     def as_dict(self):
         return {
             "ranks": {str(k): v for k, v in sorted(self.ranks.items())},
@@ -165,80 +191,29 @@ def cohomology(C):
     if report["delta_squared_defects"]:
         raise ValueError("delta^2 != 0; cohomology is undefined: %r"
                          % report["delta_squared_defects"][:3])
-    grades = C.gradings()
     ranks = {}
     classes = {}
-    im_data = {}
-    for g in grades:
+    for g in C.gradings():
         basis = C.basis(g)
-        ker = gf2.nullspace(C.delta_matrix(g))
-        im_cols = C.delta_matrix(g - 1).T if (g - 1) in grades else \
-            np.zeros((0, len(basis)), dtype=np.uint8)
-        im_rref, im_piv = gf2.row_space(im_cols)
-        im_data[g] = (im_rref, im_piv)
+        # keep each kernel vector that is independent of the coboundaries
+        # and of the vectors kept before it
+        span = C.delta_matrix(g - 1).T
+        rank = gf2.rank(span)
         picked = []
-        span_rows = [r.copy() for r in im_rref]
-        span_piv = list(im_piv)
-        for k in range(ker.shape[1]):
-            v = gf2.reduce_mod(ker[:, k], np.array(span_rows, dtype=np.uint8).reshape(-1, len(basis)), span_piv)
-            if v.any():
-                picked.append(ker[:, k])
-                # extend the spanning set so later reps are independent mod im
-                pc = int(np.nonzero(v)[0][0])
-                for i, row in enumerate(span_rows):
-                    if row[pc]:
-                        span_rows[i] = row ^ v
-                span_rows.append(v)
-                span_piv.append(pc)
-                order = np.argsort(span_piv, kind="stable")
-                span_rows = [span_rows[i] for i in order]
-                span_piv = [span_piv[i] for i in order]
+        for v in gf2.nullspace(C.delta_matrix(g)).T:
+            grown = np.vstack([span, v])
+            if gf2.rank(grown) > rank:
+                picked.append(v)
+                span, rank = grown, rank + 1
         ranks[g] = len(picked)
-        cs = []
-        for i, vec in enumerate(picked):
-            support = [basis[j].id for j in range(len(basis)) if vec[j]]
-            cs.append(CohomologyClass("h%d#%d" % (g, i), g, vec.astype(np.uint8), support))
-        classes[g] = cs
+        classes[g] = [CohomologyClass("h%d#%d" % (g, i), g, vec.astype(np.uint8),
+                                      [basis[j].id for j in np.nonzero(vec)[0]])
+                      for i, vec in enumerate(picked)]
 
-    products = {}
-    for ga, cas in classes.items():
-        for gb, cbs in classes.items():
-            gt = ga + gb
-            if gt not in classes or not classes[gt]:
-                continue
-            target_basis = C.basis(gt)
-            for ca in cas:
-                for cb in cbs:
-                    prod = C.m2_of(ca.vector, ga, cb.vector, gb)
-                    if C.delta_of(prod, gt).any():
-                        raise RuntimeError(
-                            "internal error: product of cocycle representatives "
-                            "%s * %s is not a cocycle" % (ca.label, cb.label))
-                    coords = _class_coordinates(prod, classes[gt], im_data[gt],
-                                                len(target_basis))
-                    if coords is None:
-                        raise RuntimeError(
-                            "internal error: cocycle %s * %s not expressible in "
-                            "class basis + coboundaries" % (ca.label, cb.label))
-                    labels = [classes[gt][i].label for i in range(len(coords)) if coords[i]]
-                    if labels:
-                        products[(ca.label, cb.label)] = labels
-    return CohomologyRing(ranks, classes, products, C)
-
-
-def _class_coordinates(vec, class_list, im_datum, dim):
-    """Express vec = sum(coeff_i rep_i) + coboundary; return coeffs or None."""
-    im_rref, im_piv = im_datum
-    cols = [c.vector for c in class_list]
-    cols += [im_rref[r] for r in range(len(im_piv))]
-    if cols:
-        A = np.column_stack(cols).astype(np.uint8)
-    else:
-        A = np.zeros((dim, 0), dtype=np.uint8)
-    x = gf2.solve(A, vec)
-    if x is None:
-        return None
-    return x[:len(class_list)]
+    ring = CohomologyRing(ranks, classes, {}, C)
+    ring.products = {k: v for k, v in
+                     cross_product_classes(ring, ring, ring, C.m2).items() if v}
+    return ring
 
 
 def cross_product_classes(R1, R2, R3, m2_table, computed=None):
@@ -257,34 +232,72 @@ def cross_product_classes(R1, R2, R3, m2_table, computed=None):
             if not basis3:
                 continue
             pos = {g.id: i for i, g in enumerate(basis3)}
-            im_datum = gf2.row_space(C3.delta_matrix(gt - 1).T)
             for ca in cas:
                 for cb in cbs:
-                    missing = False
-                    vec = np.zeros(len(basis3), dtype=np.uint8)
-                    for a in ca.support:
-                        for b in cb.support:
-                            if computed is not None and (a, b) not in computed:
-                                missing = True
-                            for t in m2_table.get((a, b), ()):
-                                vec[pos[t]] ^= 1
-                    if missing:
+                    pairs = [(a, b) for a in ca.support for b in cb.support]
+                    if computed is not None and any(p not in computed for p in pairs):
                         out[(ca.label, cb.label)] = None
                         continue
-                    if C3.delta_of(vec, gt).any():
+                    vec = np.zeros(len(basis3), dtype=np.uint8)
+                    for pair in pairs:
+                        for t in m2_table.get(pair, ()):
+                            vec[pos[t]] ^= 1
+                    coords = R3.coords(gt, vec)
+                    if coords is None:
                         raise RuntimeError(
                             "internal error: chain product of %s and %s is "
                             "not a cocycle" % (ca.label, cb.label))
-                    coords = _class_coordinates(vec, R3.classes.get(gt, []),
-                                                im_datum, len(basis3))
-                    if coords is None:
-                        raise RuntimeError(
-                            "internal error: product of %s and %s not "
-                            "expressible in the class basis" % (ca.label, cb.label))
                     out[(ca.label, cb.label)] = [
-                        R3.classes[gt][i].label
-                        for i in range(len(coords)) if coords[i]]
+                        c.label for c, bit in zip(R3.classes[gt], coords) if bit]
     return out
+
+
+# ---------------------------------------------------------------------------
+# Induced maps on cohomology
+
+def induced_map(ring0, ring1, table):
+    """The map a chain table {id0: target ids in ring1} induces on
+    cohomology: {grading: (matrix on class coordinates, mask of the classes
+    whose image is a cocycle)}.  Columns outside the mask are zero."""
+    out = {}
+    for g in sorted(set(ring0.classes) | set(ring1.classes)):
+        images = table_matrix(table, ring0.complex.basis(g),
+                              ring1.complex.basis(g)) @ ring0.reps(g) % 2
+        M = np.zeros((len(ring1.classes.get(g, [])), images.shape[1]),
+                     dtype=np.uint8)
+        ok = np.zeros(images.shape[1], dtype=bool)
+        for i in range(images.shape[1]):
+            coords = ring1.coords(g, images[:, i])
+            if coords is not None:
+                M[:, i], ok[i] = coords, True
+        out[g] = (M, ok)
+    return out
+
+
+def push(fmap, grading, coords):
+    """Class coordinates pushed through an induced map; None when they
+    touch a class whose image is not a cocycle."""
+    M, ok = fmap[grading]
+    if np.any(coords.astype(bool) & ~ok):
+        return None
+    return M @ coords % 2
+
+
+def product_squares(ring0, ring1, f_a, f_b, f_t):
+    """(ca, cb, f_t(mu0(a, b)), mu1(f_a a, f_b b)) over pairs of classes of
+    ring0 whose product grading exists in ring1; None stands for an image
+    that is not a cocycle class."""
+    for ga, cas in ring0.classes.items():
+        for gb, cbs in ring0.classes.items():
+            if ga + gb not in ring1.classes:
+                continue
+            for x, ca in zip(np.eye(len(cas), dtype=np.uint8), cas):
+                for y, cb in zip(np.eye(len(cbs), dtype=np.uint8), cbs):
+                    lhs = push(f_t, ga + gb, ring0.multiply(ga, x, gb, y))
+                    fa, fb = push(f_a, ga, x), push(f_b, gb, y)
+                    rhs = None if fa is None or fb is None else \
+                        ring1.multiply(ga, fa, gb, fb)
+                    yield ca, cb, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +318,27 @@ def _match_generators(C1, C2, tol_value):
                 "correspondence" % (g.id, g.grading, g.value, len(hits)))
         mapping[g.id] = hits[0].id
         used.add(hits[0].id)
+    return mapping
+
+
+def _check_bijection(C1, C2, mapping):
+    """Refuse any generator map that is not a grading-preserving bijection."""
+    extra = sorted(set(mapping) - set(C1.by_id))
+    if extra:
+        raise ValueError("correspondence maps %s, which is not a generator"
+                         % extra[0])
+    used = set()
+    for g in C1.generators:
+        h = C2.by_id.get(mapping.get(g.id))
+        if h is None or h.grading != g.grading or h.id in used:
+            raise ValueError(
+                "correspondence must be a grading-preserving bijection: "
+                "generator %s (grading %d) maps to %r"
+                % (g.id, g.grading, mapping.get(g.id)))
+        used.add(h.id)
     if len(C2.generators) != len(C1.generators):
         raise ValueError("generator counts differ: %d vs %d"
                          % (len(C1.generators), len(C2.generators)))
-    return mapping
 
 
 def _is_cochain_map(C1, C2, mapping):
@@ -321,22 +351,6 @@ def _is_cochain_map(C1, C2, mapping):
                             "phi(delta(g))": sorted(img_of_delta),
                             "delta(phi(g))": sorted(delta_of_img)})
     return defects
-
-
-def _push_class(R1, R2, mapping, cls):
-    """Image of a class of R1 in the class basis of R2; None if not a class."""
-    C2 = R2.complex
-    basis2 = C2.basis(cls.grading)
-    pos = {g.id: i for i, g in enumerate(basis2)}
-    vec = np.zeros(len(basis2), dtype=np.uint8)
-    for gid in cls.support:
-        vec[pos[mapping[gid]]] ^= 1
-    if C2.delta_of(vec, cls.grading).any():
-        return None
-    im_cols = C2.delta_matrix(cls.grading - 1).T
-    im_datum = gf2.row_space(im_cols)
-    return _class_coordinates(vec, R2.classes.get(cls.grading, []), im_datum,
-                              len(basis2))
 
 
 def compare_rings(R1, R2, correspondence="by grading+value", tol_value=1e-6):
@@ -353,54 +367,20 @@ def compare_rings(R1, R2, correspondence="by grading+value", tol_value=1e-6):
         mapping = _match_generators(C1, C2, tol_value)
     else:
         mapping = dict(correspondence)
+    _check_bijection(C1, C2, mapping)
 
     rank_ok = R1.ranks == R2.ranks
     chain_defects = _is_cochain_map(C1, C2, mapping)
 
-    product_defects = []
-    pushed = {}
-    for g, cs in R1.classes.items():
-        for c in cs:
-            coords = _push_class(R1, R2, mapping, c)
-            if coords is None:
-                product_defects.append({"class": c.label,
-                                        "problem": "image is not a cocycle class"})
-            pushed[c.label] = coords
-    label_index = {g: {c.label: i for i, c in enumerate(cs)}
-                   for g, cs in R2.classes.items()}
-
-    def push_labels(labels, grading):
-        out = np.zeros(len(R2.classes.get(grading, [])), dtype=np.uint8)
-        for lb in labels:
-            coords = pushed.get(lb)
-            if coords is None:
-                return None
-            out ^= coords
-        return out
-
-    for ga, cas in R1.classes.items():
-        for gb, cbs in R1.classes.items():
-            for ca in cas:
-                for cb in cbs:
-                    lhs = push_labels(R1.products.get((ca.label, cb.label), []), ga + gb)
-                    a2, b2 = pushed.get(ca.label), pushed.get(cb.label)
-                    if lhs is None or a2 is None or b2 is None:
-                        continue
-                    rhs = np.zeros_like(lhs)
-                    cs2a = R2.classes.get(ga, [])
-                    cs2b = R2.classes.get(gb, [])
-                    for i, cia in enumerate(cs2a):
-                        if not a2[i]:
-                            continue
-                        for j, cjb in enumerate(cs2b):
-                            if not b2[j]:
-                                continue
-                            for lb in R2.products.get((cia.label, cjb.label), []):
-                                rhs[label_index[ga + gb][lb]] ^= 1
-                    if not np.array_equal(lhs, rhs):
-                        product_defects.append({
-                            "pair": [ca.label, cb.label],
-                            "phi(mu2)": lhs.tolist(), "mu2(phi,phi)": rhs.tolist()})
+    f = induced_map(R1, R2, {a: (b,) for a, b in mapping.items()})
+    product_defects = [{"class": c.label, "problem": "image is not a cocycle class"}
+                       for g, cs in R1.classes.items()
+                       for c, ok in zip(cs, f[g][1]) if not ok]
+    for ca, cb, lhs, rhs in product_squares(R1, R2, f, f, f):
+        if lhs is not None and rhs is not None and not np.array_equal(lhs, rhs):
+            product_defects.append({
+                "pair": [ca.label, cb.label],
+                "phi(mu2)": lhs.tolist(), "mu2(phi,phi)": rhs.tolist()})
 
     verdict = {
         "rank_equal": rank_ok,

@@ -21,8 +21,8 @@ from . import expr as ex
 from . import flow as fl
 from . import gf2
 from .expr import Add, Call, Mul, Num, Pow, Sub, Var
-from .family import FamilyError, ScalarField
-from .pipeline import GFRun, PAIRS, _plain, canonical_json, resolve_config
+from .family import ScalarField
+from .pipeline import GFRun, PAIRS, _plain, canonical_json
 
 
 class PathError(ValueError):
@@ -79,9 +79,9 @@ class FamilyPath:
         f0, f1 = run0.family, run1.family
         if (f0.n, f0.N) != (f1.n, f1.N):
             raise PathError("endpoint families have different dimensions")
-        if f0.quad_tail != f1.quad_tail or f0.base != f1.base:
+        if f0.quad_tail != f1.quad_tail:
             raise PathError("endpoint families have different shapes "
-                            "(stabilization tails or base)")
+                            "(stabilization tails)")
         if not np.array_equal(f0.slope, f1.slope):
             raise PathError("endpoint families have different fiber slopes; "
                             "convex interpolation would not stay linear at "
@@ -243,102 +243,49 @@ def continuation_matrix(path, which="w", r0=None, scan_density=None):
     return phi, diag
 
 
-def matrix_as_array(phi, gens0, gens1):
-    M = np.zeros((len(gens1), len(gens0)), dtype=np.uint8)
-    for j, p in enumerate(gens0):
-        for i, q in enumerate(gens1):
-            M[i, j] = phi.get((p.id, q.id), 0)
-    return M
+def phi_table(phi):
+    """{src: [dst, ...]} from a matrix dict {(src, dst): parity}."""
+    table = {}
+    for (src, dst), bit in phi.items():
+        if bit:
+            table.setdefault(src, []).append(dst)
+    return table
 
 
 def is_identity(phi, run0, run1):
     """Phi equals the identity under the positional generator matching."""
     if len(run0.chords) != len(run1.chords):
         return False
-    M = matrix_as_array(phi, run0.chords, run1.chords)
+    M = cx.table_matrix(phi_table(phi), run0.chords, run1.chords)
     return np.array_equal(M, np.eye(len(run0.chords), dtype=np.uint8))
 
 
 def invertible_by_grading(phi, run0, run1):
     """Whether each graded block of Phi is invertible over Z2."""
     out = {}
+    table = phi_table(phi)
     gradings = sorted({p.grading for p in run0.chords}
                       | {q.grading for q in run1.chords})
     for g in gradings:
         g0 = [p for p in run0.chords if p.grading == g]
         g1 = [q for q in run1.chords if q.grading == g]
-        M = matrix_as_array(phi, g0, g1)
+        M = cx.table_matrix(table, g0, g1)
         out[g] = (len(g0) == len(g1) and gf2.rank(M) == len(g0))
     return out
 
 
 def cochain_map_defects(phi, run0, run1):
     """delta1 . Phi + Phi . delta0 over Z2, listed entry-by-entry."""
+    P = cx.table_matrix(phi_table(phi), run0.chords, run1.chords)
+    d0 = cx.table_matrix(run0.complex.delta, run0.chords, run0.chords)
+    d1 = cx.table_matrix(run1.complex.delta, run1.chords, run1.chords)
+    D = (d1.astype(int) @ P + P.astype(int) @ d0) % 2
     defects = []
-    for p in run0.chords:
-        acc = {}
-        for t in run0.complex.delta.get(p.id, ()):
-            for (src, dst), bit in phi.items():
-                if src == t and bit:
-                    acc[dst] = acc.get(dst, 0) ^ 1
-        for (src, dst), bit in phi.items():
-            if src == p.id and bit:
-                for t in run1.complex.delta.get(dst, ()):
-                    acc[t] = acc.get(t, 0) ^ 1
-        bad = sorted(t for t, b in acc.items() if b)
+    for p, col in zip(run0.chords, D.T):
+        bad = sorted(q.id for q, bit in zip(run1.chords, col) if bit)
         if bad:
             defects.append({"generator": p.id, "defect": bad})
     return defects
-
-
-# ---------------------------------------------------------------------------
-# Induced maps on cohomology
-
-def class_map(phi, ring0, ring1):
-    """Matrix of Phi* per grading in the class bases; None entries mean the
-    image of a class failed to be a cocycle class (a defect upstream)."""
-    C1 = ring1.complex
-    out = {}
-    for g, classes0 in ring0.classes.items():
-        basis1 = C1.basis(g)
-        pos = {gen.id: i for i, gen in enumerate(basis1)}
-        im_datum = gf2.row_space(C1.delta_matrix(g - 1).T)
-        cols = []
-        for c in classes0:
-            vec = np.zeros(len(basis1), dtype=np.uint8)
-            for gid in c.support:
-                for (src, dst), bit in phi.items():
-                    if src == gid and bit:
-                        vec[pos[dst]] ^= 1
-            if C1.delta_of(vec, g).any():
-                cols.append(None)
-                continue
-            cols.append(cx._class_coordinates(vec, ring1.classes.get(g, []),
-                                              im_datum, len(basis1)))
-        out[g] = cols
-    return out
-
-
-def _apply_class_map(cmap, ring0, grading, coeffs):
-    """Push a class-coefficient vector through the induced map."""
-    cols = cmap.get(grading, [])
-    width = len(ring0.classes.get(grading, []))
-    acc = None
-    for i in range(width):
-        if not coeffs[i]:
-            continue
-        col = cols[i]
-        if col is None:
-            return None
-        if acc is None:
-            acc = np.zeros(len(col), dtype=np.uint8)
-        acc ^= col
-    if acc is None:
-        for col in cols:
-            if col is not None:
-                return np.zeros(len(col), dtype=np.uint8)
-        return np.zeros(0, dtype=np.uint8)
-    return acc
 
 
 def diagram_check(run0, run1, phi12, phi23, phi13):
@@ -350,53 +297,18 @@ def diagram_check(run0, run1, phi12, phi23, phi13):
             "endpoint rings have different graded ranks (%r vs %r): the "
             "continuation map cannot be an isomorphism; a count upstream "
             "failed" % (r0, r1))
-    cmap12 = class_map(phi12, run0.ring, run1.ring)
-    cmap23 = class_map(phi23, run0.ring, run1.ring)
-    cmap13 = class_map(phi13, run0.ring, run1.ring)
-    label_index = {g: {c.label: i for i, c in enumerate(cs)}
-                   for g, cs in run1.ring.classes.items()}
+    f12, f23, f13 = (cx.induced_map(run0.ring, run1.ring, phi_table(phi))
+                     for phi in (phi12, phi23, phi13))
     defects = []
-    for ga, cas in run0.ring.classes.items():
-        for gb, cbs in run0.ring.classes.items():
-            gt = ga + gb
-            if gt not in run1.ring.classes:
-                continue
-            for ia, ca in enumerate(cas):
-                for ib, cb in enumerate(cbs):
-                    prod0 = run0.ring.products.get((ca.label, cb.label), [])
-                    coeffs0 = np.zeros(len(run0.ring.classes.get(gt, [])),
-                                       dtype=np.uint8)
-                    for lb in prod0:
-                        coeffs0[[c.label for c in
-                                 run0.ring.classes[gt]].index(lb)] ^= 1
-                    lhs = _apply_class_map(cmap13, run0.ring, gt, coeffs0)
-                    ea = np.zeros(len(cas), dtype=np.uint8)
-                    ea[ia] = 1
-                    eb = np.zeros(len(cbs), dtype=np.uint8)
-                    eb[ib] = 1
-                    fa = _apply_class_map(cmap12, run0.ring, ga, ea)
-                    fb = _apply_class_map(cmap23, run0.ring, gb, eb)
-                    if lhs is None or fa is None or fb is None:
-                        defects.append({"pair": [ca.label, cb.label],
-                                        "problem": "image not a cocycle class"})
-                        continue
-                    rhs = np.zeros(len(run1.ring.classes.get(gt, [])),
-                                   dtype=np.uint8)
-                    cs1a = run1.ring.classes.get(ga, [])
-                    cs1b = run1.ring.classes.get(gb, [])
-                    for i, c1 in enumerate(cs1a):
-                        if not fa[i]:
-                            continue
-                        for j, c2 in enumerate(cs1b):
-                            if not fb[j]:
-                                continue
-                            for lb in run1.ring.products.get(
-                                    (c1.label, c2.label), []):
-                                rhs[label_index[gt][lb]] ^= 1
-                    if not np.array_equal(lhs, rhs):
-                        defects.append({"pair": [ca.label, cb.label],
-                                        "phi13(mu2)": lhs.tolist(),
-                                        "mu2(phi12,phi23)": rhs.tolist()})
+    for ca, cb, lhs, rhs in cx.product_squares(run0.ring, run1.ring,
+                                               f12, f23, f13):
+        if lhs is None or rhs is None:
+            defects.append({"pair": [ca.label, cb.label],
+                            "problem": "image not a cocycle class"})
+        elif not np.array_equal(lhs, rhs):
+            defects.append({"pair": [ca.label, cb.label],
+                            "phi13(mu2)": lhs.tolist(),
+                            "mu2(phi12,phi23)": rhs.tolist()})
     return defects
 
 
@@ -484,22 +396,20 @@ def isotopy_compare(config0, config1, jobs=1, eps=None):
 def reversal_check(path, jobs=1):
     """Phi_reverse . Phi induces the identity on cohomology."""
     phi, _ = continuation_matrix(path, "w")
-    rpath = path.reversed()
-    rphi, _ = continuation_matrix(rpath, "w")
-    cmap = class_map(phi, path.run0.ring, path.run1.ring)
-    rmap = class_map(rphi, path.run1.ring, path.run0.ring)
+    rphi, _ = continuation_matrix(path.reversed(), "w")
+    ring0, ring1 = path.run0.ring, path.run1.ring
+    fwd = cx.induced_map(ring0, ring1, phi_table(phi))
+    back = cx.induced_map(ring1, ring0, phi_table(rphi))
     defects = []
-    for g, classes in path.run0.ring.classes.items():
-        for i in range(len(classes)):
-            e = np.zeros(len(classes), dtype=np.uint8)
-            e[i] = 1
-            mid = _apply_class_map(cmap, path.run0.ring, g, e)
-            if mid is None:
+    for g, classes in ring0.classes.items():
+        M, ok = fwd[g]
+        for i, e in enumerate(np.eye(len(classes), dtype=np.uint8)):
+            if not ok[i]:
                 defects.append({"grading": g, "class": i,
                                 "problem": "not a cocycle class"})
                 continue
-            back = _apply_class_map(rmap, path.run1.ring, g, mid)
-            if back is None or not np.array_equal(back, e):
+            got = cx.push(back, g, M[:, i])
+            if got is None or not np.array_equal(got, e):
                 defects.append({"grading": g, "class": i,
-                                "got": None if back is None else back.tolist()})
+                                "got": None if got is None else got.tolist()})
     return {"defects": defects, "pass": not defects}

@@ -281,14 +281,3 @@ def rho_and_perturbation_bound(crits, fields, K, grid_density=4,
         L = 1.0
     return RhoBound(rho=float(rho), lipschitz_L=L, delta_pert=float(rho / (4.0 * L)))
 
-
-def chord_table(crits, shift):
-    """Aligned text table of chords; grading printed in both shift
-    conventions (shift and shift+1) for easier external comparison."""
-    lines = ["%-4s %-32s %12s %6s %9s %11s" %
-             ("id", "coords", "value", "index", "grading", "grading(+1)")]
-    for p in crits:
-        cs = "(" + ", ".join("%.6g" % c for c in p.coords) + ")"
-        lines.append("%-4s %-32s %12.8f %6d %9d %11d" %
-                     (p.id, cs, p.value, p.morse_index, p.grading, p.grading - 1))
-    return "\n".join(lines)

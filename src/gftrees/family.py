@@ -228,7 +228,7 @@ def _check_boxes(inner, outer, dim):
 
 
 class GeneratingFamily:
-    """Linear-at-infinity generating family on R^n x R^N (or T^n x R^N).
+    """Linear-at-infinity generating family on R^n x R^N.
 
     Fiber layout: the first `N - len(quad_tail)` fiber coordinates carry the
     compiled expression; `quad_tail` lists the signs of appended pure
@@ -239,9 +239,12 @@ class GeneratingFamily:
                  base="euclidean", quad_tail=(), field=None, label="family"):
         self.n = int(n)
         self.N = int(N)
-        self.base = base
-        if base not in ("euclidean", "torus"):
-            raise FamilyError("base must be 'euclidean' or 'torus'")
+        if base != "euclidean":
+            raise FamilyError(
+                "base %r is not supported: difference functions need a "
+                "euclidean base (the flow machinery wraps every coordinate "
+                "of a periodic field); use the Morse validation mode for "
+                "torus examples" % (base,))
         self.quad_tail = tuple(int(s) for s in quad_tail)
         if any(s not in (-1, 1) for s in self.quad_tail):
             raise FamilyError("stabilization signs must be +1 or -1")
@@ -270,34 +273,21 @@ class GeneratingFamily:
         lin = Num(0.0)
         for k in range(self.N0):
             lin = Add(lin, Mul(Num(self.slope[k]), Var(self.n + k)))
-        # cutoff over base coords only if the base is noncompact
-        cut_coords = range(self.dim - len(self.quad_tail)) if self.base == "euclidean" \
-            else range(self.n, self.n + self.N0)
         chi = Num(1.0)
-        for i in cut_coords:
+        for i in range(self.dim - len(self.quad_tail)):
             (il, ih), (ol, oh) = self.inner_box[i], self.outer_box[i]
             chi = Mul(chi, Call("bump", Warp(Var(i), il, ih, ol, oh)))
         assembled = Add(Mul(chi, Sub(core, lin)), lin)
         quads = [(self.n + self.N0 + j, float(s)) for j, s in enumerate(self.quad_tail)]
         return ScalarField(self.dim, assembled, quads, tag="F",
-                           inner_box=self.inner_box, outer_box=self.outer_box,
-                           periodic=(self.base == "torus"))
+                           inner_box=self.inner_box, outer_box=self.outer_box)
 
     # -- invariants -----------------------------------------------------
 
     def check_exterior_linearity(self, samples=10000, seed=0, tol=1e-12):
         """F - A.e vanishes outside the outer box (exactly, up to round-off)."""
-        if self.base == "torus":
-            box = self.outer_box[self.n:]
-            offset = self.n
-        else:
-            box = self.outer_box
-            offset = 0
         rng = np.random.default_rng(seed)
-        pts = _sample_exterior(box, samples, rng)
-        if offset:
-            xs = rng.uniform(0.0, 1.0, (samples, self.n))
-            pts = np.column_stack([xs, pts])
+        pts = _sample_exterior(self.outer_box, samples, rng)
         lin = np.zeros(samples)
         for k in range(self.N0):
             lin += self.slope[k] * pts[:, self.n + k]
@@ -356,11 +346,6 @@ def _sample_exterior(box, count, rng):
 
 def difference(fam):
     """w(x, e, e') = F(x, e) - F(x, e') on R^{n+2N}."""
-    if fam.base == "torus":
-        raise FamilyError(
-            "difference functions over a torus base are not supported by the "
-            "flow machinery (it wraps every coordinate); use the Morse "
-            "validation mode for torus examples")
     n, N, D = fam.n, fam.N, fam.n + 2 * fam.N
     ident = {i: i for i in range(fam.dim)}
     shift2 = {i: (i if i < n else i + N) for i in range(fam.dim)}
@@ -448,7 +433,7 @@ def stabilize(fam, sign):
     inner = fam.inner_box + [[-1.0, 1.0]]
     outer = fam.outer_box + [[-2.0, 2.0]]
     out = GeneratingFamily(fam.n, fam.N + 1, fam.core, fam.slope,
-                           inner, outer, base=fam.base,
+                           inner, outer,
                            quad_tail=fam.quad_tail + (s,),
                            field=None if fam.field is None else _append_quad(fam, s),
                            label="%s%s" % (fam.label, "+" if s > 0 else "-"))
@@ -512,7 +497,7 @@ def precompose_fpd(fam, components, samples=500, seed=0):
                         inner_box=fam.inner_box, outer_box=fam.outer_box,
                         periodic=fam.field.periodic)
     return GeneratingFamily(n, N, fam.core, fam.slope, fam.inner_box,
-                            fam.outer_box, base=fam.base, quad_tail=(),
+                            fam.outer_box, quad_tail=(),
                             field=field, label=fam.label + "~fpd")
 
 

@@ -69,18 +69,3 @@ def solve(A, b):
     for r, pc in enumerate(pivots):
         x[pc] = R[r, cols]
     return x
-
-
-def reduce_mod(v, basis_rref, pivots):
-    """Canonical form of v modulo the row space described by (rref, pivots)."""
-    v = np.asarray(v, dtype=np.uint8).copy() % 2
-    for r, pc in enumerate(pivots):
-        if v[pc]:
-            v ^= basis_rref[r]
-    return v
-
-
-def row_space(A):
-    """(rref rows without zero rows, pivots) for use with reduce_mod."""
-    R, pivots = rref(A)
-    return R[:len(pivots)], pivots

@@ -86,15 +86,12 @@ def choose_lambda(fam, rho):
 
 def lipschitz_box(fam):
     """Sampling box for the gradient bound: the escape region of the
-    extended domain (base coordinates stay on the torus when periodic)."""
+    extended domain."""
     _, outer = fam.extended_boxes()
     K = []
-    for i, (lo, hi) in enumerate(outer):
-        if fam.base == "torus" and i < fam.n:
-            K.append([0.0, 1.0])
-        else:
-            mid, half = 0.5 * (lo + hi), 0.75 * (hi - lo)
-            K.append([mid - half, mid + half])
+    for lo, hi in outer:
+        mid, half = 0.5 * (lo + hi), 0.75 * (hi - lo)
+        K.append([mid - half, mid + half])
     return K
 
 

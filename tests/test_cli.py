@@ -75,6 +75,12 @@ def test_schema_violations_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "chords", write_config(tmp_path, bad))
     assert code == 2
     assert "familyy" in err
+    torus = json.loads(json.dumps(UNKNOT))
+    torus["family"]["base"] = "torus"
+    code, _, err = run_cli(capsys, "chords",
+                           write_config(tmp_path, torus, "torus.json"))
+    assert code == 2
+    assert "family/base" in err
 
 
 def test_bad_expression_exits_2(tmp_path, capsys):
@@ -119,6 +125,13 @@ def test_reseed_comparison_passes(tmp_path, capsys):
     assert rep["comparison"]["kind"] == "perturbation-reseed"
     assert rep["comparison"]["seeds"] == [0, 5]
     assert "PASS" in err
+
+
+def test_morse_torus_refuses_a_process_pool(capsys):
+    code, out, err = run_cli(capsys, "morse-torus", "--jobs", "2")
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
 
 
 def test_morse_torus_demo_passes(capsys):

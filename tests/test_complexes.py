@@ -158,6 +158,34 @@ def test_compare_rings_requires_an_unambiguous_matching():
     assert verdict["pass"]
 
 
+def test_compare_rings_refuses_a_correspondence_that_is_not_a_bijection():
+    gens1 = chain(("x", 1, 1.0), ("y", 1, 1.0))
+    gens2 = chain(("u", 1, 1.0), ("v", 1, 1.0))
+    R1 = cx.cohomology(cx.ChordComplex(gens1, {}, {}))
+    R2 = cx.cohomology(cx.ChordComplex(gens2, {}, {}))
+    with pytest.raises(ValueError, match="generator y"):
+        cx.compare_rings(R1, R2, correspondence={"x": "u"})
+    with pytest.raises(ValueError, match="generator y"):
+        cx.compare_rings(R1, R2, correspondence={"x": "u", "y": "u"})
+
+
+def test_compare_rings_refuses_a_correspondence_across_gradings():
+    gens1 = chain(("x", 1, 1.0), ("y", 1, 1.0))
+    gens2 = chain(("u", 2, 1.0), ("v", 2, 1.0))
+    R1 = cx.cohomology(cx.ChordComplex(gens1, {}, {}))
+    R2 = cx.cohomology(cx.ChordComplex(gens2, {}, {}))
+    with pytest.raises(ValueError, match="grading-preserving.*generator x"):
+        cx.compare_rings(R1, R2, correspondence={"x": "u", "y": "v"})
+
+
+def test_compare_rings_accepts_the_edge_swap_of_the_cell_torus():
+    R = t2_ring()
+    swap = {"a": "b", "b": "a", "L": "U", "U": "L", "p": "p", "c": "c"}
+    verdict = cx.compare_rings(R, R, correspondence=swap)
+    assert verdict["pass"], verdict
+    assert verdict["generator_map"] == swap
+
+
 def test_matrix_conventions():
     gens = chain(("a", 1, 1.0), ("b", 2, 2.0), ("b2", 2, 2.5))
     C = cx.ChordComplex(gens, {"a": {"b2"}}, {})

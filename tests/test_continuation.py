@@ -1,9 +1,12 @@
 """Deformation invariance: interpolation paths and continuation maps."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from gftrees import continuation as ct
 from gftrees import pipeline as pl
+from t2_oracle import t2_ring
 
 
 def prepared(config):
@@ -124,3 +127,45 @@ def test_diagram_check_requires_equal_graded_ranks(unknot_config,
     b = pl.gf_run(twowell_config)
     with pytest.raises(ct.PathError, match="rank"):
         ct.diagram_check(a, b, {}, {}, {})
+
+
+# The two-triangle torus stands in for a run: its ring has a nonzero
+# product, which no generating-family workload sends through a chain map.
+T2_SWAP = {"a": "b", "b": "a", "L": "U", "U": "L", "p": "p", "c": "c"}
+
+
+def t2_run():
+    R = t2_ring()
+    return SimpleNamespace(ring=R, complex=R.complex,
+                           chords=R.complex.generators)
+
+
+def t2_phi(mapping):
+    return {(src, dst): 1 for src, dst in mapping.items()}
+
+
+def test_diagram_check_passes_on_identity_and_swap_triples():
+    run = t2_run()
+    ident = t2_phi({g: g for g in T2_SWAP})
+    swap = t2_phi(T2_SWAP)
+    assert ct.diagram_check(run, run, ident, ident, ident) == []
+    assert ct.diagram_check(run, run, swap, swap, swap) == []
+
+
+def test_diagram_check_reports_a_mixed_triple_entry_by_entry():
+    run = t2_run()
+    ident = t2_phi({g: g for g in T2_SWAP})
+    swap = t2_phi(T2_SWAP)
+    assert ct.diagram_check(run, run, ident, swap, ident) == [
+        {"pair": ["h0#0", "h1#1"], "phi13(mu2)": [0, 1],
+         "mu2(phi12,phi23)": [1, 1]},
+        {"pair": ["h1#1", "h1#1"], "phi13(mu2)": [0],
+         "mu2(phi12,phi23)": [1]},
+    ]
+
+
+def test_cochain_map_defects_name_the_dropped_target():
+    run = t2_run()
+    phi = t2_phi({g: g for g in T2_SWAP if g != "U"})
+    assert ct.cochain_map_defects(phi, run, run) == [
+        {"generator": g, "defect": ["U"]} for g in "abc"]

@@ -157,10 +157,10 @@ def test_config_applies_twist_before_stabilizing(unknot_config):
 
 
 def test_torus_base_difference_is_rejected():
-    tor = fa.GeneratingFamily(
-        1, 1, "e1^3/3 + (cos(2*pi*x1) - 0.5)*e1", [1],
-        [[0.0, 1.0], [-2, 2]], [[-0.5, 1.5], [-3, 3]], base="torus")
     with pytest.raises(fa.FamilyError, match="torus"):
+        tor = fa.GeneratingFamily(
+            1, 1, "e1^3/3 + (cos(2*pi*x1) - 0.5)*e1", [1],
+            [[0.0, 1.0], [-2, 2]], [[-0.5, 1.5], [-3, 3]], base="torus")
         tor.difference()
 
 

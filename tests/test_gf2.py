@@ -39,16 +39,6 @@ def test_solve_finds_a_witness_or_reports_none():
     assert gf2.solve(B, [1, 0]) is None
 
 
-def test_reduce_mod_gives_canonical_coset_forms():
-    basis, pivots = gf2.row_space([[1, 0, 1], [0, 1, 1]])
-    assert np.array_equal(gf2.reduce_mod([1, 1, 0], basis, pivots), [0, 0, 0])
-    assert np.array_equal(gf2.reduce_mod([1, 0, 0], basis, pivots), [0, 0, 1])
-    # same coset -> same form
-    a = gf2.reduce_mod([1, 1, 1], basis, pivots)
-    b = gf2.reduce_mod([0, 0, 1], basis, pivots)
-    assert np.array_equal(a, b)
-
-
 @st.composite
 def small_matrix(draw):
     rows = draw(st.integers(1, 6))

@@ -178,17 +178,12 @@ def cmd_chords(args):
 def cmd_differential(args):
     cfg = _apply_overrides(load_config(args.config), args)
     run = pl.GFRun(cfg, jobs=args.jobs).prepare()
-    tasks = run.delta_tasks()
-    results = run.run_tasks(tasks)
-    delta = {}
-    for t in tasks:
-        if results[t]["parity"]:
-            delta.setdefault(t[1], []).append(t[2])
+    counts = {t[2:]: res for t, res in run.run_tasks(run.delta_tasks()).items()}
     report = {
         "label": run.family.label,
         "chords": [p.as_dict() for p in run.chords],
-        "delta": {k: sorted(v) for k, v in delta.items()},
-        "delta_counts": {"%s->%s" % (t[1], t[2]): results[t] for t in tasks},
+        "delta": {k: sorted(v) for k, v in pl.parity_table(counts).items()},
+        "delta_counts": {"%s->%s" % k: v for k, v in counts.items()},
         "config": run.config,
     }
     return _finish(pl._plain(report), args)
@@ -202,17 +197,21 @@ def cmd_cohomology(args):
 
 def cmd_product(args):
     cfg = _apply_overrides(load_config(args.config), args)
-    run = pl.GFRun(cfg, jobs=args.jobs, keep_trees=args.dump_trees).execute()
+    run = pl.GFRun(cfg, jobs=args.jobs).execute()
     report = run.report()
     if args.dump_trees:
-        report["trees"] = {
-            "%s,%s->%s" % k: [{"meeting": [float(v) for v in t.meeting],
+        report["trees"] = tree_section(run.trees)
+    return _finish(report, args, passed=run.algebra["pass"])
+
+
+def tree_section(trees):
+    """The `--dump-trees` report section for {(p1, p2, p0): [FlowTree]}."""
+    return {"%s,%s->%s" % k: [{"meeting": [float(v) for v in t.meeting],
                                "theta": [float(v) for v in t.theta],
                                "residual_norm": float(t.residual_norm),
                                "condition": float(t.condition)}
                               for t in ts]
-            for k, ts in sorted(run.trees.items())}
-    return _finish(report, args, passed=run.algebra["pass"])
+            for k, ts in sorted(trees.items())}
 
 
 def cmd_verify(args):
@@ -252,9 +251,6 @@ def cmd_compare(args):
 
 
 def cmd_morse_torus(args):
-    if args.jobs > 1:
-        raise ConfigError("morse-torus counts in one process; --jobs %d is "
-                          "not supported in Morse mode" % args.jobs)
     if args.config:
         cfg = load_config(args.config)
         if cfg.get("mode", "gf") != "morse-torus":
@@ -262,17 +258,10 @@ def cmd_morse_torus(args):
                               % args.config)
     else:
         cfg = {"mode": "morse-torus"}
-    cfg = _apply_overrides(cfg, args)
-    m = cfg.get("morse", {})
-    run = pl.MorseRun(f=m.get("f", pl.DEMO_F), g=m.get("g", pl.DEMO_G),
-                      n=m.get("n", 2), seed=cfg.get("seeds", {}).get("rng", 0),
-                      grid_density=cfg.get("seeds", {}).get("grid_density", 7),
-                      solver=cfg.get("solver"),
-                      tolerances=cfg.get("tolerances")).execute()
+    run = pl.MorseRun(_apply_overrides(cfg, args), jobs=args.jobs).execute()
     report = run.report()
-    is_demo = (run.f_text, run.g_text, run.n) == (pl.DEMO_F, pl.DEMO_G, 2)
     passed = None
-    if is_demo:
+    if run.config["morse"] == pl.DEMO_MORSE:
         report["demo_checks"] = pl.morse_demo_check(run)
         passed = report["demo_checks"]["pass"]
     return _finish(pl._plain(report), args, passed=passed)

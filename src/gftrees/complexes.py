@@ -87,10 +87,8 @@ class ChordComplex:
         }
 
 
-def verify_algebra(C):
-    """delta^2 = 0 and the Leibniz identity
-    delta(m2(a,b)) + m2(delta a, b) + m2(a, delta b) = 0, over Z2.
-    Violations are returned as data, not raised."""
+def delta_squared_defects(C):
+    """Entries of delta^2 that do not vanish over Z2."""
     dd = []
     for g in C.generators:
         acc = {}
@@ -100,7 +98,14 @@ def verify_algebra(C):
         for tt, bit in sorted(acc.items()):
             if bit:
                 dd.append({"source": g.id, "target": tt})
+    return dd
 
+
+def verify_algebra(C):
+    """delta^2 = 0 and the Leibniz identity
+    delta(m2(a,b)) + m2(delta a, b) + m2(a, delta b) = 0, over Z2.
+    Violations are returned as data, not raised."""
+    dd = delta_squared_defects(C)
     leib = []
     for a in C.generators:
         for b in C.generators:
@@ -186,11 +191,11 @@ class CohomologyRing:
 
 
 def cohomology(C):
-    """Cohomology ring of the complex; requires delta^2 = 0."""
-    report = verify_algebra(C)
-    if report["delta_squared_defects"]:
-        raise ValueError("delta^2 != 0; cohomology is undefined: %r"
-                         % report["delta_squared_defects"][:3])
+    """Cohomology ring of the complex; requires delta^2 = 0.  A Leibniz
+    failure is not checked here: the products it breaks are left out."""
+    dd = delta_squared_defects(C)
+    if dd:
+        raise ValueError("delta^2 != 0; cohomology is undefined: %r" % dd[:3])
     ranks = {}
     classes = {}
     for g in C.gradings():
@@ -222,7 +227,8 @@ def cross_product_classes(R1, R2, R3, m2_table, computed=None):
 
     `computed`, when given, lists the (id1, id2) pairs whose chain counts
     actually ran; a class product needing an uncomputed pair comes out as
-    None instead of a wrong value."""
+    None instead of a wrong value.  So does a chain product that is not a
+    cocycle, which only a Leibniz failure of the table can cause."""
     C3 = R3.complex
     out = {}
     for ga, cas in R1.classes.items():
@@ -243,11 +249,7 @@ def cross_product_classes(R1, R2, R3, m2_table, computed=None):
                         for t in m2_table.get(pair, ()):
                             vec[pos[t]] ^= 1
                     coords = R3.coords(gt, vec)
-                    if coords is None:
-                        raise RuntimeError(
-                            "internal error: chain product of %s and %s is "
-                            "not a cocycle" % (ca.label, cb.label))
-                    out[(ca.label, cb.label)] = [
+                    out[(ca.label, cb.label)] = None if coords is None else [
                         c.label for c, bit in zip(R3.classes[gt], coords) if bit]
     return out
 

@@ -37,11 +37,11 @@ def resolve_config(config):
     """Fill every default so the resolved dict alone reproduces the run."""
     cfg = json.loads(json.dumps(config))  # deep copy, JSON-clean
     cfg.setdefault("mode", "gf")
+    if cfg["mode"] == "morse-torus":
+        cfg["morse"] = {**DEMO_MORSE, **cfg.get("morse", {})}
     cfg["seeds"] = {**DEFAULT_SEEDS, **cfg.get("seeds", {})}
     cfg["solver"] = {**DEFAULT_SOLVER, **cfg.get("solver", {})}
-    tol = {}
-    tol.update(cr.TOLERANCES)
-    tol.update(fl.FLOW_TOLERANCES)
+    tol = {**cr.TOLERANCES, **fl.FLOW_TOLERANCES}
     for k, v in cfg.get("tolerances", {}).items():
         if k not in tol:
             raise ValueError("unknown tolerance %r (known: %s)"
@@ -96,24 +96,30 @@ def lipschitz_box(fam):
 
 
 class GFRun:
-    """One family's chords, differential, product and ring."""
+    """One family's chords, differential, product and ring.  Tasks name
+    spaces, each a (field, {id: critical point}, generators) triple:
+    ("delta", space, p, q) counts flow lines in one space, and
+    ("m2", p1, p2, p0) counts trees over the three TREE_SPACES."""
 
-    def __init__(self, config, jobs=1, keep_trees=False):
+    MODE = "gf"
+    DELTA_SPACES = ("w",)
+    TREE_SPACES = PAIRS
+
+    def __init__(self, config, jobs=1):
         self.config = resolve_config(config)
-        if self.config["mode"] != "gf":
-            raise ValueError("GFRun requires mode 'gf', got %r" % self.config["mode"])
+        if self.config["mode"] != self.MODE:
+            raise ValueError("%s requires mode %r, got %r" % (
+                type(self).__name__, self.MODE, self.config["mode"]))
         self.jobs = int(jobs)
-        self.keep_trees = keep_trees
-        self.trees = {}
+        self.seed = int(self.config["seeds"]["rng"])
+        self.tol = self.config["tolerances"]
+        self.solver = self.config["solver"]
         self.prepared = False
 
     # -- cheap stages ---------------------------------------------------
 
     def prepare(self):
         cfg = self.config
-        self.seed = int(cfg["seeds"]["rng"])
-        self.tol = cfg["tolerances"]
-        self.solver = cfg["solver"]
         self.family = family_from_config(cfg["family"])
         self.w = self.family.difference()
         self.criticals = cr.find_critical_points(
@@ -137,101 +143,96 @@ class GFRun:
                             for p in self.criticals} for pq in PAIRS}
         self.s = tr.PerturbationTriple.sample(
             self.family.n + 3 * self.family.N, self.bound.delta_pert, self.seed)
+        self.spaces = {"w": (self.w, {p.id: p for p in self.criticals},
+                             self.chords)}
+        self.spaces.update({pq: (self.ext[pq], self.images[pq], self.chords)
+                            for pq in PAIRS})
+        self.meeting_floor = self.rho / 4.0
         self.prepared = True
         return self
 
     # -- task enumeration and execution ---------------------------------
 
     def delta_tasks(self):
-        out = []
-        for p in self.chords:
-            for q in self.chords:
-                if q.grading - p.grading == 1 and q.value > p.value:
-                    out.append(("delta", p.id, q.id))
-        return out
+        return [("delta", key, p.id, q.id) for key in self.DELTA_SPACES
+                for p in self.spaces[key][2] for q in self.spaces[key][2]
+                if q.grading - p.grading == 1 and q.value > p.value]
 
     def m2_tasks(self):
-        out = []
-        for p1 in self.chords:
-            for p2 in self.chords:
-                for p0 in self.chords:
-                    if p0.grading == p1.grading + p2.grading:
-                        out.append(("m2", p1.id, p2.id, p0.id))
-        return out
+        g1, g2, g0 = (self.spaces[key][2] for key in self.TREE_SPACES)
+        return [("m2", p1.id, p2.id, p0.id) for p1 in g1 for p2 in g2
+                for p0 in g0 if p0.grading == p1.grading + p2.grading]
 
     def transfer_tasks(self):
-        return [("ext_delta", i, j, p, q)
-                for (kind, p, q) in self.delta_tasks() for (i, j) in PAIRS]
+        return [("delta", pq, p, q)
+                for (_, _, p, q) in self.delta_tasks() for pq in PAIRS]
 
     def run_task(self, task):
-        """One counting task; returns plain data so it can cross processes."""
+        """One counting task; returns picklable data (counts, and the found
+        FlowTrees of an m2 task) so it can cross processes."""
         if not self.prepared:
             self.prepare()
-        byid = {p.id: p for p in self.criticals}
         kind = task[0]
         if kind == "delta":
-            _, pid, qid = task
-            c = fl.count_lines(byid[pid], byid[qid], self.w, self.criticals,
-                               r0=self.solver["r0"], m=self.solver["scan_density"],
-                               tolerances=self.tol)
-            return {"parity": c.parity, "clusters": c.clusters, "note": c.note}
-        if kind == "ext_delta":
-            _, i, j, pid, qid = task
-            pq = (i, j)
-            ext_crits = [self.images[pq][p.id] for p in self.criticals]
-            c = fl.count_lines(self.images[pq][pid], self.images[pq][qid],
-                               self.ext[pq], ext_crits,
-                               r0=self.solver["r0"], m=self.solver["scan_density"],
-                               tolerances=self.tol)
+            _, key, pid, qid = task
+            field, crits, _ = self.spaces[key]
+            c = fl.count_lines(crits[pid], crits[qid], field,
+                               list(crits.values()), r0=self.solver["r0"],
+                               m=self.solver["scan_density"], tolerances=self.tol)
             return {"parity": c.parity, "clusters": c.clusters, "note": c.note}
         if kind == "m2":
-            _, i1, i2, i0 = task
-            fields = tuple(self.ext[pq] for pq in PAIRS)
+            spaces = [self.spaces[key] for key in self.TREE_SPACES]
+            ends = [crits[i] for (_, crits, _), i in zip(spaces, task[1:])]
             kw = {k: self.solver[k] for k in _TREE_KW}
             parity, trees = tr.count_trees(
-                self.images[(1, 2)][i1], self.images[(2, 3)][i2],
-                self.images[(1, 3)][i0], self.s, fields, self.rho,
-                r0=self.solver["r0"], labels=(i1, i2, i0),
-                tolerances=self.tol, meeting_floor=self.rho / 4.0, **kw)
-            if self.keep_trees:
-                self.trees[(i1, i2, i0)] = trees
-            return {"parity": parity, "trees": len(trees),
-                    "meetings": [[float(v) for v in t.meeting] for t in trees]}
+                *ends, self.s, tuple(field for field, _, _ in spaces), self.rho,
+                r0=self.solver["r0"], labels=task[1:], tolerances=self.tol,
+                meeting_floor=self.meeting_floor, **kw)
+            return {"parity": parity, "trees": trees}
         raise ValueError("unknown task %r" % (task,))
 
     def run_tasks(self, tasks):
         """Deterministic map task -> result, inline or over a process pool."""
         if self.jobs <= 1 or len(tasks) <= 1:
-            if not self.prepared:
-                self.prepare()
             return {t: self.run_task(t) for t in tasks}
-        key = canonical_json(self.config)
+        # line counts from one source share its scan, which the worker that
+        # runs them caches, so they travel together
+        groups = {}
+        for t in tasks:
+            groups.setdefault(t[:3] if t[0] == "delta" else t, []).append(t)
+        key = json.dumps(self.config, sort_keys=True)  # canonical_json rounds
         results = {}
         with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            futs = {t: pool.submit(_pool_task, key, t) for t in tasks}
-            for t, fut in futs.items():
-                results[t] = fut.result()
+            futs = [(g, pool.submit(_pool_tasks, key, g))
+                    for g in groups.values()]
+            for g, fut in futs:
+                results.update(zip(g, fut.result()))
         return results
 
-    # -- assembly -------------------------------------------------------
-
-    def execute(self):
+    def count(self):
+        """Run every delta and m2 task.  Keeps the found trees and the m2
+        counts by (p1, p2, p0); returns the delta results by task."""
         if not self.prepared:
             self.prepare()
         dt = self.delta_tasks()
         mt = self.m2_tasks()
         results = self.run_tasks(dt + mt)
-        self.delta_counts = {(t[1], t[2]): results[t] for t in dt}
-        self.m2_counts = {(t[1], t[2], t[3]): results[t] for t in mt}
-        delta = {}
-        for (pid, qid), res in sorted(self.delta_counts.items()):
-            if res["parity"]:
-                delta.setdefault(pid, set()).add(qid)
-        m2 = {}
-        for (i1, i2, i0), res in sorted(self.m2_counts.items()):
-            if res["parity"]:
-                m2.setdefault((i1, i2), set()).add(i0)
-        self.complex = cx.ChordComplex(self.chords, delta, m2,
+        self.trees = {t[1:]: results[t]["trees"] for t in mt}
+        self.m2_counts = {
+            t[1:]: {"parity": results[t]["parity"],
+                    "trees": len(results[t]["trees"]),
+                    "meetings": [[float(v) for v in tree.meeting]
+                                 for tree in results[t]["trees"]]}
+            for t in mt}
+        return {t: results[t] for t in dt}
+
+    # -- assembly -------------------------------------------------------
+
+    def execute(self):
+        self.delta_counts = {t[2:]: res for t, res in self.count().items()}
+        self.complex = cx.ChordComplex(self.chords,
+                                       parity_table(self.delta_counts),
+                                       parity_table(self.m2_counts),
                                        label=self.family.label)
         self.algebra = cx.verify_algebra(self.complex)
         self.ring = cx.cohomology(self.complex)
@@ -266,19 +267,30 @@ class GFRun:
         return _plain(rep)
 
 
+def parity_table(counts):
+    """Chain table of the odd counts: {p: {q}} from delta counts keyed
+    (p, q), {(p1, p2): {p0}} from m2 counts keyed (p1, p2, p0)."""
+    table = {}
+    for k, res in sorted(counts.items()):
+        if res["parity"]:
+            table.setdefault(k[0] if len(k) == 2 else k[:2], set()).add(k[-1])
+    return table
+
+
 _POOL_RUNS = {}
 
 
-def _pool_task(config_json, task):
+def _pool_tasks(config_json, tasks):
     run = _POOL_RUNS.get(config_json)
     if run is None:
-        run = GFRun(json.loads(config_json)).prepare()
-        _POOL_RUNS[config_json] = run
-    return run.run_task(task)
+        cfg = json.loads(config_json)
+        run = (MorseRun if cfg["mode"] == MorseRun.MODE else GFRun)(cfg)
+        _POOL_RUNS[config_json] = run.prepare()
+    return [run.run_task(t) for t in tasks]
 
 
-def gf_run(config, jobs=1, keep_trees=False):
-    return GFRun(config, jobs=jobs, keep_trees=keep_trees).execute()
+def gf_run(config, jobs=1):
+    return GFRun(config, jobs=jobs).execute()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +335,7 @@ def transfer_check(run):
     results = run.run_tasks(tasks)
     lines = []
     for t in tasks:
-        _, i, j, pid, qid = t
+        _, (i, j), pid, qid = t
         base = run.delta_counts[(pid, qid)]["parity"]
         ext = results[t]["parity"]
         lines.append({"pair": [i, j], "line": "%s->%s" % (pid, qid),
@@ -405,8 +417,8 @@ def reseed_compare(config, seed_a, seed_b, jobs=1):
 # ---------------------------------------------------------------------------
 # Morse validation mode
 
-DEMO_F = "cos(2*pi*x1) + 0.3*cos(2*pi*x2)"
-DEMO_G = "cos(2*pi*x2) + 0.3*cos(2*pi*x1)"
+DEMO_MORSE = {"f": "cos(2*pi*x1) + 0.3*cos(2*pi*x2)",
+              "g": "cos(2*pi*x2) + 0.3*cos(2*pi*x1)", "n": 2}
 
 
 def morse_rho(crit_lists):
@@ -419,95 +431,76 @@ def morse_rho(crit_lists):
     return min(gaps)
 
 
-class MorseRun:
+class MorseRun(GFRun):
     """Three Morse fields (f, g, f+g) on the torus: three complexes and the
-    cross product H(f) x H(g) -> H(f+g) counted by trees."""
+    cross product H(f) x H(g) -> H(f+g) counted by trees.  The spaces are
+    the field indices 0, 1, 2, and every critical point is a generator.
+    With no config this is the built-in demo."""
 
-    def __init__(self, f=DEMO_F, g=DEMO_G, n=2, seed=0, grid_density=7,
-                 solver=None, tolerances=None):
-        self.f_text, self.g_text, self.n = f, g, n
-        self.seed = int(seed)
-        self.grid_density = grid_density
-        self.solver = {**DEFAULT_SOLVER, **(solver or {})}
-        self.tol = {}
-        self.tol.update(cr.TOLERANCES)
-        self.tol.update(fl.FLOW_TOLERANCES)
-        self.tol.update(tolerances or {})
+    MODE = "morse-torus"
+    DELTA_SPACES = TREE_SPACES = (0, 1, 2)
 
-    def execute(self):
-        self.fields = morse_mode_fields(self.f_text, self.g_text, self.n)
+    def __init__(self, config=None, jobs=1):
+        super().__init__({"mode": self.MODE} if config is None else config,
+                         jobs=jobs)
+
+    def prepare(self):
+        m = self.config["morse"]
+        n = m["n"]
+        self.fields = morse_mode_fields(m["f"], m["g"], n)
         self.crits = [cr.find_critical_points(
-            h, grid_density=self.grid_density, tolerances=self.tol,
-            exclude_zero_value=False) for h in self.fields]
+            h, grid_density=self.config["seeds"]["grid_density"],
+            tolerances=self.tol, exclude_zero_value=False) for h in self.fields]
         self.rho = morse_rho(self.crits)
         rng = np.random.default_rng(self.seed)
-        P = rng.uniform(0.0, 1.0, (20000, self.n))
+        P = rng.uniform(0.0, 1.0, (20000, n))
         L = max(float(np.max(np.linalg.norm(h.grad_vec(P), axis=1)))
                 for h in self.fields)
         self.bound = cr.RhoBound(rho=self.rho, lipschitz_L=L,
                                  delta_pert=self.rho / (4.0 * L))
-        self.s = tr.PerturbationTriple.sample(self.n, self.bound.delta_pert,
+        self.s = tr.PerturbationTriple.sample(n, self.bound.delta_pert,
                                               self.seed)
-        self.deltas = []
-        self.delta_counts = []
-        for h, crits in zip(self.fields, self.crits):
-            delta = {}
-            counts = {}
-            for p in crits:
-                for q in crits:
-                    if q.grading - p.grading == 1 and q.value > p.value:
-                        c = fl.count_lines(p, q, h, crits,
-                                           r0=self.solver["r0"],
-                                           m=self.solver["scan_density"],
-                                           tolerances=self.tol)
-                        counts[(p.id, q.id)] = {"parity": c.parity,
-                                                "clusters": c.clusters}
-                        if c.parity:
-                            delta.setdefault(p.id, set()).add(q.id)
-            self.deltas.append(delta)
-            self.delta_counts.append(counts)
-        self.complexes = [cx.ChordComplex(crits, delta, {}, label=h.tag)
-                          for h, crits, delta in
-                          zip(self.fields, self.crits, self.deltas)]
-        self.rings = [cx.cohomology(C) for C in self.complexes]
+        self.spaces = {k: (h, {p.id: p for p in crits}, crits)
+                       for k, (h, crits) in enumerate(zip(self.fields, self.crits))}
+        self.meeting_floor = None
+        self.prepared = True
+        return self
 
-        self.m2_counts = {}
-        self.skipped = []
-        for p1 in self.crits[0]:
-            for p2 in self.crits[1]:
-                for p0 in self.crits[2]:
-                    if p0.grading != p1.grading + p2.grading:
-                        continue
-                    k = (self.n - p1.morse_index, self.n - p2.morse_index,
-                         p0.morse_index)
-                    if min(k) == 0 or min(p1.morse_index, p2.morse_index) == 0:
-                        # products against an index-0 source force the tree
-                        # meeting point onto a saddle of an edge field, where
-                        # single shooting loses all angular resolution; on
-                        # cohomology those rows are the unit action anyway
-                        self.skipped.append([p1.id, p2.id, p0.id])
-                        continue
-                    kw = {kk: self.solver[kk] for kk in _TREE_KW}
-                    parity, trees = tr.count_trees(
-                        p1, p2, p0, self.s, tuple(self.fields), self.rho,
-                        r0=self.solver["r0"], labels=(p1.id, p2.id, p0.id),
-                        tolerances=self.tol, meeting_floor=None, **kw)
-                    self.m2_counts[(p1.id, p2.id, p0.id)] = {
-                        "parity": parity, "trees": len(trees)}
-        m2_table = {}
-        for (i1, i2, i0), res in sorted(self.m2_counts.items()):
-            if res["parity"]:
-                m2_table.setdefault((i1, i2), set()).add(i0)
-        self.m2_table = m2_table
+    def m2_tasks(self):
+        """GFRun's triples less those with an index-0 source or a
+        0-dimensional chart, which are listed in `skipped`: they force the
+        tree meeting point onto a saddle of an edge field, where single
+        shooting loses all angular resolution; on cohomology those rows
+        are the unit action anyway."""
+        n = self.config["morse"]["n"]
+        index = [{p.id: p.morse_index for p in crits} for crits in self.crits]
+        tasks, self.skipped = [], []
+        for t in super().m2_tasks():
+            i1, i2, i0 = (ix[i] for ix, i in zip(index, t[1:]))
+            if min(n - i1, n - i2, i0, i1, i2) == 0:
+                self.skipped.append(list(t[1:]))
+            else:
+                tasks.append(t)
+        return tasks
+
+    def execute(self):
+        delta = self.count()
+        self.delta_counts = [{t[2:]: res for t, res in delta.items()
+                              if t[1] == k} for k in self.DELTA_SPACES]
+        self.deltas = [parity_table(c) for c in self.delta_counts]
+        self.rings = [cx.cohomology(cx.ChordComplex(crits, d, {}, label=h.tag))
+                      for h, crits, d in
+                      zip(self.fields, self.crits, self.deltas)]
+        self.m2_table = parity_table(self.m2_counts)
         self.class_products = cx.cross_product_classes(
-            self.rings[0], self.rings[1], self.rings[2], m2_table,
-            computed={(a, b) for (a, b, _) in self.m2_counts})
+            *self.rings, self.m2_table,
+            computed={k[:2] for k in self.m2_counts})
         return self
 
     def report(self):
         rep = {
             "mode": "morse-torus",
-            "f": self.f_text, "g": self.g_text, "n": self.n,
+            **self.config["morse"],
             "seed": self.seed,
             "rho": self.rho,
             "lipschitz_L": self.bound.lipschitz_L,
@@ -518,11 +511,15 @@ class MorseRun:
             "critical_points": {h.tag: [p.as_dict() for p in crits]
                                 for h, crits in zip(self.fields, self.crits)},
             "delta": [{p: sorted(v) for p, v in d.items()} for d in self.deltas],
-            "delta_counts": [{"%s->%s" % k: v for k, v in c.items()}
+            "delta_counts": [{"%s->%s" % k: {"parity": v["parity"],
+                                             "clusters": v["clusters"]}
+                              for k, v in c.items()}
                              for c in self.delta_counts],
             "ranks": [{str(g): r for g, r in sorted(R.ranks.items())}
                       for R in self.rings],
-            "m2_counts": {"%s,%s->%s" % k: v for k, v in sorted(self.m2_counts.items())},
+            "m2_counts": {"%s,%s->%s" % k: {"parity": v["parity"],
+                                            "trees": v["trees"]}
+                          for k, v in sorted(self.m2_counts.items())},
             "m2": {"%s,%s" % k: sorted(v) for k, v in sorted(self.m2_table.items())},
             "skipped_products": sorted(self.skipped),
             "class_products": {"%s,%s" % k: v for k, v in

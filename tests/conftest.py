@@ -120,8 +120,7 @@ def unknot_run():
 
 @pytest.fixture(scope="session")
 def multi_run():
-    # keep_trees so the in-bounds audit can replay every recorded tree
-    return pl.gf_run(_copy(MULTI), keep_trees=True)
+    return pl.gf_run(_copy(MULTI))
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from gftrees import cli
+from gftrees import pipeline as pl
 
-from conftest import UNKNOT
+from conftest import MULTI, UNKNOT
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -127,11 +128,30 @@ def test_reseed_comparison_passes(tmp_path, capsys):
     assert "PASS" in err
 
 
-def test_morse_torus_refuses_a_process_pool(capsys):
-    code, out, err = run_cli(capsys, "morse-torus", "--jobs", "2")
+def test_morse_torus_pool_matches_the_inline_run(morse_run, capsys):
+    code, out, _ = run_cli(capsys, "morse-torus", "--jobs", "2")
+    assert code == 0
+    want = {**morse_run.report(), "demo_checks": pl.morse_demo_check(morse_run)}
+    assert out == pl.canonical_json(want) + "\n"
+
+
+def test_morse_torus_rejects_unknown_tolerances(tmp_path, capsys):
+    bad = {"mode": "morse-torus", "tolerances": {"tol_bogus": 1}}
+    code, out, err = run_cli(capsys, "morse-torus", write_config(tmp_path, bad))
     assert code == 2
     assert out == ""
-    assert "--jobs" in err
+    assert "unknown tolerance 'tol_bogus'" in err
+
+
+def test_pooled_tree_dump_matches_the_inline_run(multi_run, tmp_path, capsys):
+    path = write_config(tmp_path, MULTI)
+    code, out, _ = run_cli(capsys, "product", path, "--dump-trees",
+                           "--jobs", "2")
+    assert code == 0
+    trees = json.loads(out)["trees"]
+    assert trees == json.loads(pl.canonical_json(
+        cli.tree_section(multi_run.trees)))
+    assert sorted(trees) == sorted(multi_run.report()["m2_counts"])
 
 
 def test_morse_torus_demo_passes(capsys):

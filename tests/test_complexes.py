@@ -46,6 +46,24 @@ def test_leibniz_defects_are_reported_as_data():
     assert not report["pass"]
 
 
+def test_a_leibniz_failure_leaves_its_class_product_out():
+    # a and b are cocycles, but m2(a, b) = t is not: delta t = s
+    gens = chain(("a", 1, 1.0), ("b", 1, 1.5), ("t", 2, 2.0), ("s", 3, 3.0))
+    bad = cx.ChordComplex(gens, {"t": {"s"}}, {("a", "b"): {"t"}})
+    report = cx.verify_algebra(bad)
+    assert report["delta_squared_defects"] == []
+    assert report["leibniz_defects"] == [{"pair": ["a", "b"], "target": "s"}]
+    assert not report["pass"]
+    ring = cx.cohomology(bad)
+    assert ring.ranks == {1: 2, 2: 0, 3: 0}
+    assert ring.products == {}
+    ha, hb = ring.classes[1]
+    assert (ha.support, hb.support) == (["a"], ["b"])
+    products = cx.cross_product_classes(ring, ring, ring, bad.m2)
+    assert products[(ha.label, hb.label)] is None
+    assert products[(hb.label, ha.label)] == []
+
+
 def test_acyclic_pair_has_no_cohomology():
     gens = chain(("a", 1, 1.0), ("b", 2, 2.0))
     C = cx.ChordComplex(gens, {"a": {"b"}}, {})

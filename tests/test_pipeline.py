@@ -95,6 +95,16 @@ def test_worker_pool_and_inline_execution_agree(multi_run, multi_config):
         pl.canonical_json(multi_run.report())
 
 
+def test_pool_workers_rebuild_the_exact_config(unknot_config, monkeypatch):
+    # a float rounded on its way to the workers could change a count
+    unknot_config["tolerances"] = {"rtol": 1.0000000000001e-8}
+    monkeypatch.setattr(pl.GFRun, "run_task",
+                        lambda self, task: self.tol["rtol"])
+    run = pl.GFRun(unknot_config, jobs=2)
+    assert run.run_tasks([("a",), ("b",)]) == \
+        {("a",): 1.0000000000001e-8, ("b",): 1.0000000000001e-8}
+
+
 def test_family_checks_pass_on_the_unknot(unknot_run):
     rep = pl.family_checks(unknot_run)
     assert rep["pass"]

@@ -9,7 +9,7 @@ product.  The `gftrees` command line wraps the pipeline.
 
 __version__ = "0.1.0"
 
-from .expr import parse, differentiate, ParseError, DomainError
+from .expr import parse, ParseError, DomainError
 from .family import (
     GeneratingFamily,
     QuadraticLike,
@@ -27,7 +27,7 @@ from .complexes import ChordComplex, CohomologyRing, verify_algebra, cohomology,
 from .continuation import FamilyPath, continuation_matrix, isotopy_compare
 
 __all__ = [
-    "parse", "differentiate", "ParseError", "DomainError",
+    "parse", "ParseError", "DomainError",
     "GeneratingFamily", "QuadraticLike", "ScalarField",
     "difference", "extend", "stabilize", "precompose_fpd", "morse_mode_fields",
     "CriticalPoint", "RhoBound", "find_critical_points", "iota", "rho_and_perturbation_bound",

@@ -31,6 +31,12 @@ _BOX = {"type": "array", "minItems": 1,
 
 _NUM_OR_NULL = {"type": ["number", "null"]}
 
+# "integer" admits no float: 2.0 would reach numpy as a float count
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
+
 CONFIG_SCHEMA = {
     "type": "object",
     "additionalProperties": False,
@@ -84,7 +90,7 @@ CONFIG_SCHEMA = {
                 "scan_density": {"type": ["integer", "null"], "minimum": 8},
                 "lambda": _NUM_OR_NULL,
                 "max_seeds": {"type": "integer", "minimum": 1},
-                "seed_scale": {"type": "number", "minimum": 1},
+                "seed_scale": {"type": "integer", "minimum": 1},
                 "max_iter": {"type": "integer", "minimum": 1},
                 "time_points": {"type": "integer", "minimum": 2},
                 "tol_match": {"type": "number", "exclusiveMinimum": 0},
@@ -109,7 +115,7 @@ def load_config(path):
     except OSError as e:
         raise ConfigError("cannot read config %s: %s" % (path, e))
     try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        jsonschema.validate(cfg, CONFIG_SCHEMA, cls=_Validator)
     except jsonschema.ValidationError as e:
         where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
         raise ConfigError("%s: config rejected at %s: %s"

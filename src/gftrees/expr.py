@@ -837,24 +837,3 @@ def compile_hess(node, dim, wrt=None, vector=False):
         src = "def _hess(z):\n" + "".join("    %s\n" % ln for ln in body)
     return _compile(src, "_hess", vector, em.strings)
 
-
-_DIFF_CACHE = {}
-
-
-def differentiate(f, p):
-    """Evaluate f with exact first and second derivatives at point p.
-
-    Returns (value, grad, hess) with grad shape (D,) and hess (D, D);
-    D is inferred from len(p).  Compiled evaluators are cached per
-    (expression, D).
-    """
-    p = np.asarray(p, dtype=float)
-    dim = p.shape[0]
-    cache_key = (f.key(), dim)
-    fns = _DIFF_CACHE.get(cache_key)
-    if fns is None:
-        fns = (compile_value(f, dim), compile_grad(f, dim), compile_hess(f, dim))
-        _DIFF_CACHE[cache_key] = fns
-    fv, fg, fh = fns
-    z = list(p)
-    return fv(z), np.array(fg(z)), np.array(fh(z))

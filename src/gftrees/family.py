@@ -96,11 +96,6 @@ class ScalarField:
         return ScalarField(dim, total, quads, **kw)
 
     @property
-    def coupled_indices(self):
-        """Coordinates the expression part actually depends on."""
-        return sorted(ex.free_vars(self.expr_part))
-
-    @property
     def quad_indices(self):
         return [i for i, _ in self.quad_blocks]
 
@@ -313,11 +308,6 @@ class GeneratingFamily:
         inner = self.inner_box + self.inner_box[self.n:] + self.inner_box[self.n:]
         outer = self.outer_box + self.outer_box[self.n:] + self.outer_box[self.n:]
         return inner, outer
-
-    def fiber_slice(self, copy):
-        """Global index range of fiber copy 1, 2 or 3 in the extended layout."""
-        lo = self.n + (copy - 1) * self.N
-        return range(lo, lo + self.N)
 
     def __repr__(self):
         return "GeneratingFamily(%r, n=%d, N=%d, tail=%r)" % (

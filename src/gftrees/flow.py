@@ -6,13 +6,16 @@ adaptive Dormand-Prince 4(5) pair.  A trajectory stops when it enters the
 r_conv-ball of a known critical point with a matching value window, when it
 leaves the escape box, or at a time cap.
 
-Counting M(p, q) works on the unit sphere of p's unstable frame.  Targets
-of coindex 0 are sinks and capture open arcs of seeds, so counting clusters
-of converged seeds is enough.  Targets of positive coindex are only hit by
-a measure-zero set of seeds; those connections show up as sharp local
-minima of the closest-approach distance to q as a function of the seed
-direction, and are pinned down by one-dimensional (or spherical)
-minimization until the trajectory actually enters the convergence ball.
+Counting M(p, q) scans the unit sphere of p's unstable frame: one
+trajectory per seed direction, recording where it ended and how close it
+came to every higher critical point.  The seeds that q captured form
+clusters on the seed neighbor graph (single seeds for k = 1, runs on the
+circle, kd-tree components for k >= 3), and each cluster is one line.  A
+target of positive coindex captures only a measure-zero set of directions;
+a scan that passes close to q without capture shows such a line as a wall
+it cannot resolve, and the count is refused with AmbiguousCountError
+rather than returned without it.  A seed that neither converged nor
+escaped is refused the same way.
 """
 
 from __future__ import annotations
@@ -335,20 +338,22 @@ class LineCount:
     note: str = ""
 
 
-def _sphere_dirs(k, m):
+def sphere_dirs(k, m, seed):
+    """m directions on the unit sphere S^{k-1}: both of them for k = 1, the
+    equispaced circle for k = 2, the Fibonacci lattice for k = 3, and
+    normal draws from `seed` for k > 3."""
     if k == 1:
         return np.array([[1.0], [-1.0]])
     if k == 2:
         ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
         return np.column_stack([np.cos(ang), np.sin(ang)])
-    # Fibonacci lattice on S^{k-1} for k = 3; crude product for k > 3
     if k == 3:
         i = np.arange(m) + 0.5
         phi = math.pi * (1.0 + math.sqrt(5.0)) * i
         cz = 1.0 - 2.0 * i / m
         sz = np.sqrt(np.maximum(0.0, 1.0 - cz ** 2))
         return np.column_stack([sz * np.cos(phi), sz * np.sin(phi), cz])
-    rng = np.random.default_rng(12345)
+    rng = np.random.default_rng(seed)
     v = rng.standard_normal((m, k))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -404,7 +409,7 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
     if key in cache:
         return cache[key], chart
     ids = [c.id for c in stops.criticals]
-    dirs = _sphere_dirs(k, m)
+    dirs = sphere_dirs(k, m, 12345)
     outcomes = []
     approach = np.empty((len(dirs), len(ids)))
     for s, u in enumerate(dirs):
@@ -416,29 +421,13 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
     return scan, chart
 
 
-def _golden_refine(fn, a, b, iters=48):
-    """Golden-section minimization of fn on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
 def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
     """#_{Z2} of isolated flow lines p -> q, with representatives.
 
     Precondition |q| - |p| = 1; other gaps return parity None with an
     explanatory note (the moduli space is not 0-dimensional there).
+    Raises AmbiguousCountError when a seed timed out or when the scan
+    shows an unresolved wall (see `_refuse_walls`).
     """
     if q.grading - p.grading != 1:
         return LineCount(None, 0, [], "dimension != 0, count undefined at this grading")
@@ -456,84 +445,42 @@ def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
             "non-transverse configuration; perturb family or lower tolerances"
             % (n_timeout, mlen))
     stops = _flow_stops(field, criticals, p.value, tol)
-    qcol = scan.approach_ids.index(q.id)
     is_q = [o == ("converged", q.id) for o in scan.outcomes]
+    neighbors = _seed_neighbors(scan.dirs)
+    # for k = 1 the two seeds are the whole unstable manifold: no direction
+    # lies between them to be missed
+    if chart.k >= 2:
+        _refuse_walls(scan, q, is_q, neighbors, _wall_floor(chart, stops))
+    comps = _capture_clusters(is_q, neighbors)
+    reps = [_launch(field, chart, scan.dirs[_representative(c, mlen, chart.k)],
+                    stops, tol, record=True) for c in comps]
+    return LineCount(len(comps) % 2, len(comps), reps)
 
-    reps = []
-    clusters = 0
-    if chart.k == 1:
-        for s in range(mlen):
-            if is_q[s]:
-                clusters += 1
-                reps.append(_launch(field, chart, scan.dirs[s], stops, tol, record=True))
-    elif chart.k == 2:
-        clusters, reps = _count_on_circle(field, chart, scan, stops, tol,
-                                          q, qcol, is_q, mlen)
+
+def _seed_neighbors(dirs):
+    """Neighbor lists of the scan seeds: none for k = 1, the cyclic pairs
+    (i, i+1 mod m) on the circle, kd-tree pairs within 2.2 median
+    nearest-neighbor spacings for k >= 3."""
+    mlen, k = dirs.shape
+    neighbors = [[] for _ in range(mlen)]
+    if k == 1:
+        return neighbors
+    if k == 2:
+        pairs = [(i, (i + 1) % mlen) for i in range(mlen)]
     else:
-        clusters, reps = _count_on_sphere(field, chart, scan, stops, tol,
-                                          q, qcol, is_q)
-    return LineCount(clusters % 2, clusters, reps)
+        tree = cKDTree(dirs)
+        spacing = 2.2 * np.median(tree.query(dirs, k=2)[0][:, 1])
+        pairs = sorted(tree.query_pairs(spacing))
+    for a, b in pairs:
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    return neighbors
 
 
-def _count_on_circle(field, chart, scan, stops, tol, q, qcol, is_q, mlen):
-    """Clusters on S^1: maximal runs of converged seeds, plus zero-width
-    walls refined from local minima of the approach distance."""
-    def launch_angle(th, record=False):
-        return _launch(field, chart, [math.cos(th), math.sin(th)], stops, tol, record)
-
-    def dq(th):
-        traj = launch_angle(th)
-        return traj.approach[q.id]
-
-    step = 2.0 * math.pi / mlen
-    clusters = 0
-    reps = []
-    if all(is_q):
-        clusters = 1
-        reps.append(launch_angle(0.0, record=True))
-    elif any(is_q):
-        # rotate so index 0 is not converged-to-q, then runs never wrap
-        off = next(i for i in range(mlen) if not is_q[i])
-        rot = [is_q[(off + s) % mlen] for s in range(mlen)]
-        run_start = None
-        for s in range(mlen + 1):
-            flag = rot[s] if s < mlen else False
-            if flag and run_start is None:
-                run_start = s
-            elif not flag and run_start is not None:
-                clusters += 1
-                mid = (off + 0.5 * (run_start + s - 1)) * step
-                reps.append(launch_angle(mid, record=True))
-                run_start = None
-    # walls: sharp approach minima strictly inside non-q territory
-    d = scan.approach[:, qcol]
-    floor = _wall_floor(chart, stops)
-    for i in range(mlen):
-        if is_q[i] or is_q[(i - 1) % mlen] or is_q[(i + 1) % mlen]:
-            continue
-        if d[i] <= d[(i - 1) % mlen] and d[i] < d[(i + 1) % mlen] and d[i] < floor:
-            a = (i - 1) * step
-            b = (i + 1) * step
-            th, dmin = _golden_refine(dq, a, b)
-            if dmin < stops.r_conv:
-                traj = launch_angle(th, record=True)
-                if traj.termination.as_tuple() == ("converged", q.id):
-                    clusters += 1
-                    reps.append(traj)
-    return clusters, reps
-
-
-def _count_on_sphere(field, chart, scan, stops, tol, q, qcol, is_q):
-    """Clusters on S^{k-1}, k >= 3: components of converged seeds on the
-    neighbor graph, plus refined approach minima."""
-    from scipy.optimize import minimize
-
-    dirs = scan.dirs
-    mlen = len(dirs)
-    tree = cKDTree(dirs)
-    spacing = 2.2 * np.median(tree.query(dirs, k=2)[0][:, 1])
-    pairs = tree.query_pairs(spacing)
-    parent = list(range(mlen))
+def _capture_clusters(is_q, neighbors):
+    """Components of the seeds that q captured on the neighbor graph (a
+    union-find), each as its ascending list of seed indices."""
+    parent = list(range(len(is_q)))
 
     def find(a):
         while parent[a] != a:
@@ -541,54 +488,44 @@ def _count_on_sphere(field, chart, scan, stops, tol, q, qcol, is_q):
             a = parent[a]
         return a
 
-    for a, b in pairs:
-        if is_q[a] and is_q[b]:
-            ra, rb = find(a), find(b)
-            if ra != rb:
+    captured = [i for i, hit in enumerate(is_q) if hit]
+    for a in captured:
+        for b in neighbors[a]:
+            if is_q[b]:
+                ra, rb = sorted((find(a), find(b)))
                 parent[rb] = ra
-    comp = sorted({find(i) for i in range(mlen) if is_q[i]})
-    clusters = len(comp)
-    reps = [_launch(field, chart, dirs[c], stops, tol, record=True) for c in comp]
+    comps = {}
+    for i in captured:
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values())
 
-    neighbors = [[] for _ in range(mlen)]
-    for a, b in pairs:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-    d = scan.approach[:, qcol]
-    floor = _wall_floor(chart, stops)
-    q_adjacent = set()
-    for i in range(mlen):
-        if is_q[i]:
-            q_adjacent.add(i)
-            q_adjacent.update(neighbors[i])
-    found = []
-    for i in range(mlen):
-        if i in q_adjacent or d[i] >= floor:
+
+def _representative(members, mlen, k):
+    """The middle seed of a run on the circle (the first seed when the run
+    is the whole circle), the lowest-index seed otherwise."""
+    if k != 2 or len(members) == mlen:
+        return members[0]
+    inside = set(members)
+    start = next(i for i in members if (i - 1) % mlen not in inside)
+    return (start + (len(members) - 1) // 2) % mlen
+
+
+def _refuse_walls(scan, q, is_q, neighbors, floor):
+    """A target of positive coindex captures only a measure-zero set of
+    directions, which a scan sees as a wall: a seed that q did not capture,
+    next to no captured seed, whose approach to q is below the wall floor
+    and no larger than any neighbor's.  Such a line is not counted, so the
+    count is refused."""
+    d = scan.approach[:, scan.approach_ids.index(q.id)]
+    for i, nbrs in enumerate(neighbors):
+        if is_q[i] or d[i] >= floor or any(is_q[j] for j in nbrs):
             continue
-        if any(d[j] < d[i] for j in neighbors[i]):
-            continue
-        u0 = dirs[i]
-        # tangent chart at u0
-        basis = np.linalg.svd(np.eye(chart.k) - np.outer(u0, u0))[0][:, :chart.k - 1]
-
-        def dq_chart(xi):
-            u = u0 + basis @ xi
-            u = u / np.linalg.norm(u)
-            return _launch(field, chart, u, stops, tol).approach[q.id]
-
-        res = minimize(dq_chart, np.zeros(chart.k - 1), method="Nelder-Mead",
-                       options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-        if res.fun < stops.r_conv:
-            u = u0 + basis @ res.x
-            u = u / np.linalg.norm(u)
-            if any(float(np.dot(u, v)) > 1.0 - 1e-8 for v in found):
-                continue
-            traj = _launch(field, chart, u, stops, tol, record=True)
-            if traj.termination.as_tuple() == ("converged", q.id):
-                found.append(u)
-                clusters += 1
-                reps.append(traj)
-    return clusters, reps
+        if all(d[i] <= d[j] for j in nbrs):
+            raise AmbiguousCountError(
+                "seed u=%s passes %s at distance %.3g (wall floor %.3g) "
+                "without capture: a flow line the scan cannot resolve; "
+                "raise the scan density or r_conv"
+                % ([round(float(v), 6) for v in scan.dirs[i]], q.id, d[i], floor))
 
 
 def _wall_floor(chart, stops):

@@ -175,25 +175,6 @@ def _augmented(theta, problem):
 # ---------------------------------------------------------------------------
 # Seeding
 
-def _dir_grid(k, scale, tag):
-    if k == 1:
-        return np.array([[1.0], [-1.0]])
-    if k == 2:
-        m = 12 * scale
-        ang = np.linspace(0.0, 2.0 * math.pi, m, endpoint=False)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if k == 3:
-        m = 24 * scale
-        i = np.arange(m) + 0.5
-        phi = math.pi * (1.0 + math.sqrt(5.0)) * i
-        cz = 1.0 - 2.0 * i / m
-        sz = np.sqrt(np.maximum(0.0, 1.0 - cz ** 2))
-        return np.column_stack([sz * np.cos(phi), sz * np.sin(phi), cz])
-    rng = np.random.default_rng(97 + k + tag)
-    v = rng.standard_normal((48 * scale, k))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
 def _coupled_rate(chart):
     """Smallest flow rate among frame directions that touch a coupled
     coordinate (decoupled quadratic slots move on their own clock and only
@@ -358,7 +339,8 @@ def solve_trees(problem, seed_scale=1, max_seeds=24, tol_match=1e-8,
 
     tabs = []
     for which, chart in enumerate((problem.chart1, problem.chart2, problem.chart3)):
-        dirs = _dir_grid(chart.k, seed_scale, which)
+        m = {2: 12, 3: 24}.get(chart.k, 48) * seed_scale
+        dirs = fl.sphere_dirs(chart.k, m, 97 + chart.k + which)
         times = _time_grid(chart, problem.r0, diam, time_points * seed_scale)
         E, params = _tabulate(problem, which, dirs, times)
         if esc is not None:

@@ -82,6 +82,12 @@ def test_schema_violations_exit_2(tmp_path, capsys):
                            write_config(tmp_path, torus, "torus.json"))
     assert code == 2
     assert "family/base" in err
+    for scale in (1.5, 2.0):
+        scaled = dict(UNKNOT, solver={"seed_scale": scale})
+        code, _, err = run_cli(capsys, "chords",
+                               write_config(tmp_path, scaled, "scaled.json"))
+        assert code == 2
+        assert "solver/seed_scale" in err
 
 
 def test_bad_expression_exits_2(tmp_path, capsys):

@@ -123,6 +123,17 @@ def test_pit_to_saddle_lines_cancel_on_the_torus(torus_field):
     assert count.clusters == 2
 
 
+def test_a_wall_the_scan_cannot_resolve_is_refused(torus_field):
+    """With r_conv = 1e-8 no seed is captured by the saddle, though seed 0
+    passes it at 4e-7: the two lines are walls, and a count of 0 would be
+    wrong."""
+    crits = cr.find_critical_points(torus_field)
+    pit, saddle = crits[0], crits[1]
+    with pytest.raises(fl.AmbiguousCountError, match=saddle.id):
+        fl.count_lines(pit, saddle, torus_field, crits, m=64,
+                       tolerances={"r_conv": 1e-8})
+
+
 def test_wrong_grading_gap_has_no_count(torus_field):
     crits = cr.find_critical_points(torus_field)
     pit, peak = crits[0], crits[3]

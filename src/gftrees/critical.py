@@ -196,6 +196,13 @@ def find_critical_points(field, box=None, grid_density=7, tolerances=None,
     out = []
     for z in roots:
         zf = [float(c) for c in z]
+        # a cluster mean is a root only if its cluster held one root
+        g = float(np.linalg.norm(field.grad(zf)))
+        if g >= tol["tol_grad"]:
+            raise RuntimeError(
+                "deduplicated critical point %r has |grad| %.3g >= tol_grad %.3g: "
+                "its cluster merged distinct roots (lower tol_dedup)"
+                % (zf, g, tol["tol_grad"]))
         v = field.value(zf)
         if exclude_zero_value and abs(v) < tol["tol_value"]:
             continue

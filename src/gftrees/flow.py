@@ -8,20 +8,25 @@ leaves the escape box, or at a time cap.
 
 Counting M(p, q) scans the unit sphere of p's unstable frame: one
 trajectory per seed direction, recording where it ended and how close it
-came to every higher critical point.  The seeds that q captured form
-clusters on the seed neighbor graph (single seeds for k = 1, runs on the
-circle, kd-tree components for k >= 3), and each cluster is one line.  A
-target of positive coindex captures only a measure-zero set of directions;
-a scan that passes close to q without capture shows such a line as a wall
-it cannot resolve, and the count is refused with AmbiguousCountError
-rather than returned without it.  A seed that neither converged nor
-escaped is refused the same way.
+came to every higher critical point.  A scan of a k >= 2 sphere runs all
+its seeds as one batch through `integrate_batch`, a numpy twin of the
+scalar loop that reproduces it bit for bit; the two seeds of a k = 1 scan
+run one at a time through `integrate`, which is cheaper at that size.  The
+seeds that q captured form clusters on the seed neighbor graph (single
+seeds for k = 1, runs on the circle, kd-tree components for k >= 3), and
+each cluster is one line.  A target of positive coindex captures only a
+measure-zero set of directions; a scan that passes close to q without
+capture shows such a line as a wall it cannot resolve, and the count is
+refused with AmbiguousCountError rather than returned without it.  A seed
+that neither converged nor escaped is refused the same way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -119,6 +124,60 @@ def _segment_dist(z0, z1, c, periodic):
         return math.sqrt(sum(w * w for w in wx))
     s = max(0.0, min(1.0, sum(vx[i] * wx[i] for i in range(D)) / vv))
     return math.sqrt(sum((wx[i] - s * vx[i]) ** 2 for i in range(D)))
+
+
+# Row-wise twins of the scalar helpers for the batched loop.  Each performs
+# the scalar operations in the scalar order, so every row rounds the same.
+
+def _pow2(x):
+    """x ** 2 rounded as the scalar code rounds it.  There `** 2` is libm's
+    pow, which may round a square whose exact value lies within a hair of
+    a rounding midpoint the other way than x * x does: with glibc, about 8
+    in 10^4 random squares, every one of them more than 0.49 ulp from
+    x * x.  Dekker's exact square keeps x * x where the exact value is at
+    most 0.45 ulp from it, which pow cannot round otherwise; the rest, and
+    the squares whose split under- or overflows, are recomputed with `**`."""
+    p = x * x
+    c = 134217729.0 * x     # Veltkamp split x = hi + lo, 26 bits each
+    hi = c - (c - x)
+    lo = x - hi
+    err = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+    with np.errstate(invalid="ignore"):
+        sure = (np.abs(err) <= 0.45 * np.spacing(p)) & ((p > 1e-290) | (p == 0.0))
+    if not sure.all():
+        odd = ~sure
+        p[odd] = [v ** 2 for v in x[odd].tolist()]
+    return p
+
+
+def _row_sum(X):
+    """Sum of each row's columns, left to right from 0 as `sum` adds."""
+    total = np.zeros(X.shape[0])
+    for i in range(X.shape[1]):
+        total = total + X[:, i]
+    return total
+
+
+def _dist_rows(Z, c, periodic):
+    d = Z - c
+    if periodic:
+        d = d - np.round(d)
+    return np.sqrt(_row_sum(_pow2(d)))
+
+
+def _segment_dist_rows(Z0, Z1, c, periodic):
+    if periodic:
+        c = c + np.round(Z0 - c)
+    vx = Z1 - Z0
+    wx = c - Z0
+    vv = _row_sum(vx * vx)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.maximum(0.0, np.minimum(1.0, _row_sum(vx * wx) / vv))
+    d = np.sqrt(_row_sum(_pow2(wx - s[:, None] * vx)))
+    flat = vv == 0.0
+    if flat.any():
+        d[flat] = np.sqrt(_row_sum(wx[flat] * wx[flat]))
+    return d
 
 
 def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
@@ -274,6 +333,133 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
                       chart=chart_info, approach=approach)
 
 
+def integrate_batch(field, starts, stops, tolerances=None):
+    """Event-mode forward `integrate` from every row of `starts` at once.
+
+    One Dormand-Prince loop over a (B, D) array through `field.grad_vec`.
+    Each row keeps its own t, h and active flag, and each pass evaluates
+    only the active rows.  The event inspector runs the scalar rules row by
+    row: escape faces first, in coordinate order with - before +; then the
+    tracked points in list order, updating the approach and testing capture
+    and the segment jump.  A row's first stop or reject ends its pass over
+    the tracked points.  Every row therefore takes the steps of
+    `integrate(field, row, stops=stops)` and ends with its Termination, t,
+    final point and approach, bit for bit.  Returns one Trajectory per
+    row, without samples.
+    """
+    tol = dict(FLOW_TOLERANCES)
+    if tolerances:
+        tol.update(tolerances)
+    rtol, atol, h_max = tol["rtol"], tol["atol"], tol["h_max"]
+    f = field.grad_vec
+    periodic = field.periodic
+    tracked = stops.criticals
+    centers = [np.asarray(c.coords, dtype=float) for c in tracked]
+    esc = stops.escape_box
+    t_cap, r_conv, vwin = stops.t_max, stops.r_conv, stops.value_window
+    limit = t_cap * (1.0 - 1e-15)
+
+    Z = np.array(starts, dtype=float)
+    B, D = Z.shape
+    A = np.empty((B, len(tracked)))
+    for j, c in enumerate(centers):
+        A[:, j] = _dist_rows(Z, c, periodic)
+    T = np.zeros(B)
+    H = np.full(B, min(tol["h0"], h_max))
+    K1 = f(Z)
+    rows = np.arange(B)             # the active rows; state arrays follow them
+    ends = [Termination("timeout") for _ in range(B)]
+    t_end, z_end, a_end = np.zeros(B), np.empty((B, D)), np.empty_like(A)
+
+    stopped = {}                    # position among the active rows -> Termination
+    while True:
+        done = ~(T < limit)
+        for r, term in stopped.items():
+            done[r] = True
+            ends[rows[r]] = term
+        if done.any():
+            out = rows[done]
+            t_end[out], z_end[out], a_end[out] = T[done], Z[done], A[done]
+            keep = ~done
+            rows, Z, K1, T, H, A = rows[keep], Z[keep], K1[keep], T[keep], H[keep], A[keep]
+        if not rows.size:
+            break
+        H = np.minimum(np.minimum(H, t_cap - T), h_max)
+        if (H < 1e-13).any():
+            i = int(np.argmax(H < 1e-13))
+            raise StiffnessError("step size underflow at t=%.6g near %s"
+                                 % (T[i], [round(v, 6) for v in Z[i].tolist()]))
+        h = H[:, None]
+        k2 = f(Z + h * _A21 * K1)
+        k3 = f(Z + h * (_A31 * K1 + _A32 * k2))
+        k4 = f(Z + h * (_A41 * K1 + _A42 * k2 + _A43 * k3))
+        k5 = f(Z + h * (_A51 * K1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+        k6 = f(Z + h * (_A61 * K1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
+        Z1 = Z + h * (_B1 * K1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+        if not np.isfinite(Z1).all():
+            i = int(np.argmin(np.isfinite(Z1).all(axis=1)))
+            raise StiffnessError("state blew up at t=%.6g near %s"
+                                 % (T[i], [round(v, 3) for v in Z[i].tolist()]))
+        K7 = f(Z1)
+        E = h * (_E1 * K1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * K7)
+        SC = atol + rtol * np.maximum(np.abs(Z), np.abs(Z1))
+        err = np.sqrt(_row_sum(_pow2(E / SC)) / D)
+        ok = ~(err > 1.0)
+        # `err ** -0.2` stays a Python float: numpy's power need not match libm
+        grown = np.array([max(0.2, 0.9 * e ** -0.2) if e > 1.0
+                          else 5.0 if e < 1e-10 else min(5.0, 0.9 * e ** -0.2)
+                          for e in err.tolist()])
+
+        # the event inspector, on the rows whose step met the tolerance
+        idx = np.flatnonzero(ok)
+        z0, z1 = Z[idx], Z1[idx]
+        pending = np.ones(idx.size, dtype=bool)
+        hits = {}
+        reject = np.zeros(idx.size, dtype=bool)
+        if esc is not None:
+            for i, (lo, hi) in enumerate(esc):
+                for out, face in ((z1[:, i] < lo, "-z%d" % i), (z1[:, i] > hi, "+z%d" % i)):
+                    out &= pending
+                    for r in np.flatnonzero(out).tolist():
+                        hits[r] = Termination("escaped", face)
+                    pending &= ~out
+        a = A[idx]
+        for j, (c, center) in enumerate(zip(tracked, centers)):
+            p = np.flatnonzero(pending)
+            if not p.size:
+                break
+            d1 = _dist_rows(z1[p], center, periodic)
+            a[p, j] = np.minimum(a[p, j], d1)
+            near = d1 < r_conv
+            for r in p[near].tolist():
+                if abs(field.value(z1[r].tolist()) - c.value) < vwin:
+                    hits[r] = Termination("converged", c.id)
+                    pending[r] = False
+            p = p[~near]
+            p = p[_dist_rows(z0[p], center, periodic) > r_conv]
+            ds = _segment_dist_rows(z0[p], z1[p], center, periodic)
+            a[p, j] = np.minimum(a[p, j], ds)
+            # the step would jump across the convergence ball
+            jump = p[ds < r_conv]
+            reject[jump] = True
+            pending[jump] = False
+        A[idx] = a
+        grown[idx[reject]] = 0.25
+
+        accept = ok.copy()
+        accept[idx[reject]] = False
+        T[accept] += H[accept]
+        Z[accept] = np.remainder(Z1[accept], 1.0) if periodic else Z1[accept]
+        K1[accept] = K7[accept]
+        H = H * grown
+        stopped = {int(idx[r]): term for r, term in hits.items()}
+
+    ids = [c.id for c in tracked]
+    return [Trajectory(field.tag, [], ends[r], float(t_end[r]), z_end[r].copy(),
+                       approach=dict(zip(ids, a_end[r].tolist())))
+            for r in range(B)]
+
+
 # ---------------------------------------------------------------------------
 # Invariant-manifold charts
 
@@ -332,10 +518,16 @@ def chart_point(chart, u, t, tolerances=None, resume=None):
 
 @dataclass
 class LineCount:
+    """A mod-2 line count.  Its `trajectories`, one recorded representative
+    per cluster, are launched by `representatives` on first read and kept."""
     parity: int | None
     clusters: int
-    trajectories: list
     note: str = ""
+    representatives: Callable[[], list] = dfield(default=list, repr=False)
+
+    @cached_property
+    def trajectories(self):
+        return self.representatives()
 
 
 def sphere_dirs(k, m, seed):
@@ -380,8 +572,12 @@ def _point_key(c):
     return (c.id, float(c.value), np.asarray(c.coords, dtype=float).tobytes())
 
 
+def _seed_start(chart, u):
+    return chart.point.coords + chart.r0 * (chart.frame @ np.asarray(u))
+
+
 def _launch(field, chart, u, stops, tol, record=False):
-    start = chart.point.coords + chart.r0 * (chart.frame @ np.asarray(u))
+    start = _seed_start(chart, u)
     return integrate(field, list(start), "forward", stops=stops,
                      tolerances=tol, record_samples=record,
                      chart_info={"critical": chart.point.id, "u": list(map(float, u)),
@@ -410,19 +606,22 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
         return cache[key], chart
     ids = [c.id for c in stops.criticals]
     dirs = sphere_dirs(k, m, 12345)
-    outcomes = []
-    approach = np.empty((len(dirs), len(ids)))
-    for s, u in enumerate(dirs):
-        traj = _launch(field, chart, u, stops, tol)
-        outcomes.append(traj.termination.as_tuple())
-        approach[s] = [traj.approach[i] for i in ids]
-    scan = _Scan(dirs, outcomes, ids, approach)
+    # on the GF fields a grad_vec call at B = 1-2 costs 130-140 us, over
+    # ten scalar grads, so a batch would slow the two-seed k = 1 scans
+    if k == 1:
+        trajs = [_launch(field, chart, u, stops, tol) for u in dirs]
+    else:
+        trajs = integrate_batch(field, [_seed_start(chart, u) for u in dirs],
+                                stops, tol)
+    outcomes = [traj.termination.as_tuple() for traj in trajs]
+    approach = np.array([[traj.approach[i] for i in ids] for traj in trajs])
+    scan = _Scan(dirs, outcomes, ids, approach.reshape(len(dirs), len(ids)))
     cache[key] = scan
     return scan, chart
 
 
 def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
-    """#_{Z2} of isolated flow lines p -> q, with representatives.
+    """#_{Z2} of isolated flow lines p -> q, with lazily launched representatives.
 
     Precondition |q| - |p| = 1; other gaps return parity None with an
     explanatory note (the moduli space is not 0-dimensional there).
@@ -430,9 +629,9 @@ def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
     shows an unresolved wall (see `_refuse_walls`).
     """
     if q.grading - p.grading != 1:
-        return LineCount(None, 0, [], "dimension != 0, count undefined at this grading")
+        return LineCount(None, 0, "dimension != 0, count undefined at this grading")
     if q.value <= p.value:
-        return LineCount(0, 0, [], "target value does not exceed source value")
+        return LineCount(0, 0, "target value does not exceed source value")
     tol = dict(FLOW_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -452,9 +651,11 @@ def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
     if chart.k >= 2:
         _refuse_walls(scan, q, is_q, neighbors, _wall_floor(chart, stops))
     comps = _capture_clusters(is_q, neighbors)
-    reps = [_launch(field, chart, scan.dirs[_representative(c, mlen, chart.k)],
-                    stops, tol, record=True) for c in comps]
-    return LineCount(len(comps) % 2, len(comps), reps)
+
+    def representatives():
+        return [_launch(field, chart, scan.dirs[_representative(c, mlen, chart.k)],
+                        stops, tol, record=True) for c in comps]
+    return LineCount(len(comps) % 2, len(comps), representatives=representatives)
 
 
 def _seed_neighbors(dirs):

@@ -106,6 +106,19 @@ def test_degenerate_roots_are_a_hard_error():
         cr.find_critical_points(field)
 
 
+def test_a_cluster_mean_off_the_roots_is_refused():
+    from gftrees import expr as ex
+    # f' = x (x - 1) (x - 3)
+    node = ex.parse("x1^4/4 - 4*x1^3/3 + 3*x1^2/2 + 1", ex.VarLayout(1, 0))
+    field = fa.ScalarField(1, node, inner_box=[[-1, 4]], outer_box=[[-2, 5]])
+    roots = cr.find_critical_points(field)
+    assert [p.coords[0] for p in roots] == pytest.approx([3.0, 0.0, 1.0], abs=1e-9)
+    # a dedup radius of 1.5 merges the roots 0 and 1 into their mean 0.5,
+    # a regular point of nonzero value and nonzero curvature
+    with pytest.raises(RuntimeError, match=r"\[0\.5\] has \|grad\| 0\.625 "):
+        cr.find_critical_points(field, tolerances={"tol_dedup": 1.5})
+
+
 def test_no_chords_is_a_named_error():
     from gftrees import expr as ex
     # only negative critical values: -(x^2) style single max at 0

@@ -164,6 +164,64 @@ def test_scan_cache_tells_apart_every_scan_input(well1d):
     assert untracked.approach_ids == []
 
 
+def assert_batch_matches_the_scalar_loop(field, starts, stops):
+    """integrate_batch against scalar event-mode integrate, row by row:
+    the same termination, and bit-equal time, final point and approach."""
+    got = fl.integrate_batch(field, starts, stops)
+    want = [fl.integrate(field, list(s), stops=stops) for s in starts]
+    for b, s in zip(got, want):
+        assert b.termination == s.termination
+        assert b.t_final == s.t_final
+        assert np.array_equal(b.final, s.final)
+        assert b.approach == s.approach
+    # the rows stop after different numbers of accepted steps
+    assert len({len(s.samples) for s in want}) > 1
+    return got
+
+
+def scan_rows(field, p, crits, m):
+    chart = fl.build_chart(field, p, "unstable")
+    stops = fl._flow_stops(field, crits, p.value, fl.FLOW_TOLERANCES)
+    return [fl._seed_start(chart, u) for u in fl.sphere_dirs(chart.k, m, 12345)], stops
+
+
+def test_batched_scans_match_the_scalar_loop_on_the_torus(torus_field):
+    crits = cr.find_critical_points(torus_field)
+    pit, saddle = crits[0], crits[1]
+    for p in (pit, saddle):
+        rows = assert_batch_matches_the_scalar_loop(
+            torus_field, *scan_rows(torus_field, p, crits, 512))
+        assert all(r.termination.kind == "converged" for r in rows)
+
+
+def test_a_batched_scan_matches_the_scalar_loop_off_the_torus(multi_config):
+    from gftrees import pipeline as pl
+    run = pl.GFRun(multi_config).prepare()
+    crits = run.images[(1, 2)]
+    p = crits["c3"]
+    rows = assert_batch_matches_the_scalar_loop(
+        run.ext[(1, 2)], *scan_rows(run.ext[(1, 2)], p, list(crits.values()), 64))
+    assert {r.termination.kind for r in rows} == {"converged", "escaped"}
+
+
+def test_a_rejected_jump_and_an_escape_match_the_scalar_loop(monkeypatch):
+    """On f = x the flow runs right at unit speed, so steps grown to h_max
+    jump across the ball around c = 0.3 until the segment test has cut
+    them down; the row from 0.5 never meets c and leaves the box."""
+    field = fa.ScalarField(1, ex.parse("x1", ex.VarLayout(1, 0)))
+    c = cr.CriticalPoint(np.array([0.3]), 0.3, 0, 0, np.array([0.0]))
+    c.id = "c"
+    stops = fl.Stops([c], [[-5.0, 5.0]], 400.0, 1e-4, 1e-3)
+    segments = []
+    seg = fl._segment_dist_rows
+    monkeypatch.setattr(fl, "_segment_dist_rows",
+                        lambda *a: segments.append(seg(*a)) or segments[-1])
+    rows = assert_batch_matches_the_scalar_loop(field, [[0.0], [-0.2], [0.5]], stops)
+    assert [r.termination.as_tuple() for r in rows] == [
+        ("converged", "c"), ("converged", "c"), ("escaped", "+z0")]
+    assert min(d.min() for d in segments if d.size) < stops.r_conv
+
+
 # A cap below h0, an ascending run with an FD-style 1e-5 nudge, then a
 # smaller time after a larger one (which must run fresh) and a climb again.
 RESUME_LADDER = [5e-4, 0.3, 0.3 + 1e-5, 1.1, 2.5, 2.5 + 1e-5, 0.7,

@@ -196,7 +196,7 @@ def find_critical_points(field, box=None, grid_density=7, tolerances=None,
     out = []
     for z in roots:
         zf = [float(c) for c in z]
-        # a cluster mean is a root only if its cluster held one root
+        # a cluster that merged distinct roots returns their mean, no root
         g = float(np.linalg.norm(field.grad(zf)))
         if g >= tol["tol_grad"]:
             raise RuntimeError(

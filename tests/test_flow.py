@@ -214,8 +214,11 @@ def test_a_rejected_jump_and_an_escape_match_the_scalar_loop(monkeypatch):
     stops = fl.Stops([c], [[-5.0, 5.0]], 400.0, 1e-4, 1e-3)
     segments = []
     seg = fl._segment_dist_rows
-    monkeypatch.setattr(fl, "_segment_dist_rows",
-                        lambda *a: segments.append(seg(*a)) or segments[-1])
+
+    def recorded(*args):
+        segments.append(seg(*args))
+        return segments[-1]
+    monkeypatch.setattr(fl, "_segment_dist_rows", recorded)
     rows = assert_batch_matches_the_scalar_loop(field, [[0.0], [-0.2], [0.5]], stops)
     assert [r.termination.as_tuple() for r in rows] == [
         ("converged", "c"), ("converged", "c"), ("escaped", "+z0")]

@@ -89,14 +89,6 @@ CONFIG_SCHEMA = {
                 "r0": {"type": "number", "exclusiveMinimum": 0},
                 "scan_density": {"type": ["integer", "null"], "minimum": 8},
                 "lambda": _NUM_OR_NULL,
-                "max_seeds": {"type": "integer", "minimum": 1},
-                "seed_scale": {"type": "integer", "minimum": 1},
-                "max_iter": {"type": "integer", "minimum": 1},
-                "time_points": {"type": "integer", "minimum": 2},
-                "tol_match": {"type": "number", "exclusiveMinimum": 0},
-                "fd_step": {"type": "number", "exclusiveMinimum": 0},
-                "dedup_radius": {"type": "number", "exclusiveMinimum": 0},
-                "cond_cap": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "tolerances": {"type": "object",

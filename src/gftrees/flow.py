@@ -66,7 +66,6 @@ class Trajectory:
     termination: Termination
     t_final: float
     final: np.ndarray
-    chart: dict | None = None
     approach: dict | None = None   # critical id -> closest approach distance
 
 
@@ -260,8 +259,7 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
 
 
 def integrate(field, start, direction="forward", stops=None, tolerances=None,
-              terminal_t=None, record_samples=True, chart_info=None,
-              resume=None):
+              terminal_t=None, record_samples=True, resume=None):
     """Integrate z' = +-grad(field) from `start`.
 
     Event mode (stops given): run until capture at a critical point, exit
@@ -271,6 +269,8 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
     path: it keeps one step state between calls, so a later call with a
     time at least as large continues from it (see `_integrate_core`).
     """
+    # on numpy float64 scalars the scalar loop takes about twice as long
+    start = [float(v) for v in start]
     tol = dict(FLOW_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -287,17 +287,17 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
         raise ValueError("resume needs terminal mode without samples")
     if terminal_t is not None:
         reason, t, z, _ = _integrate_core(
-            f, list(start), terminal_t, tol["rtol"], tol["atol"], tol["h0"],
+            f, start, terminal_t, tol["rtol"], tol["atol"], tol["h0"],
             tol["h_max"], record=record, periodic=periodic, keep=resume)
         return Trajectory(field.tag, record or [], Termination("time"),
-                          t, np.array(z), chart=chart_info)
+                          t, np.array(z))
 
     if stops is None:
         raise ValueError("need either a stop rule or terminal_t")
     tracked = stops.criticals
     r_conv = stops.r_conv
     vwin = stops.value_window
-    approach = {c.id: _dist(list(start), c.coords, periodic) for c in tracked}
+    approach = {c.id: _dist(start, c.coords, periodic) for c in tracked}
     esc = stops.escape_box
 
     def inspector(z0, z1, h):
@@ -326,11 +326,11 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
         return None
 
     reason, t, z, payload = _integrate_core(
-        f, list(start), stops.t_max, tol["rtol"], tol["atol"], tol["h0"],
+        f, start, stops.t_max, tol["rtol"], tol["atol"], tol["h0"],
         tol["h_max"], inspector=inspector, record=record, periodic=periodic)
     term = payload if reason == "stop" else Termination("timeout")
     return Trajectory(field.tag, record or [], term, t, np.array(z),
-                      chart=chart_info, approach=approach)
+                      approach=approach)
 
 
 def integrate_batch(field, starts, stops, tolerances=None):
@@ -508,7 +508,7 @@ def chart_point(chart, u, t, tolerances=None, resume=None):
     if t == 0.0:
         return np.array(start)
     direction = "forward" if chart.side == "unstable" else "backward"
-    traj = integrate(chart.field, list(start), direction, terminal_t=t,
+    traj = integrate(chart.field, start, direction, terminal_t=t,
                      tolerances=tolerances, record_samples=False, resume=resume)
     return traj.final
 
@@ -577,11 +577,8 @@ def _seed_start(chart, u):
 
 
 def _launch(field, chart, u, stops, tol, record=False):
-    start = _seed_start(chart, u)
-    return integrate(field, list(start), "forward", stops=stops,
-                     tolerances=tol, record_samples=record,
-                     chart_info={"critical": chart.point.id, "u": list(map(float, u)),
-                                 "r0": chart.r0, "side": chart.side})
+    return integrate(field, _seed_start(chart, u), "forward", stops=stops,
+                     tolerances=tol, record_samples=record)
 
 
 def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):

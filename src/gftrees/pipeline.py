@@ -24,30 +24,26 @@ from .family import (GeneratingFamily, QuadraticLike, blend_annulus_floor,
 PAIRS = ((1, 2), (2, 3), (1, 3))
 
 DEFAULT_SEEDS = {"rng": 0, "grid_density": 7}
-DEFAULT_SOLVER = {
-    "r0": 1e-3, "scan_density": None, "lambda": None,
-    "max_seeds": 24, "seed_scale": 1, "max_iter": 28, "time_points": 7,
-    "tol_match": 1e-8, "fd_step": 1e-5, "dedup_radius": 1e-4, "cond_cap": 1e8,
-}
-_TREE_KW = ("max_seeds", "seed_scale", "max_iter", "time_points",
-            "tol_match", "fd_step", "dedup_radius", "cond_cap")
+DEFAULT_SOLVER = {"r0": 1e-3, "scan_density": None, "lambda": None}
 
 
 def resolve_config(config):
-    """Fill every default so the resolved dict alone reproduces the run."""
+    """Fill every default so the resolved dict alone reproduces the run.
+    A seeds, solver or tolerances key with no default is refused."""
     cfg = json.loads(json.dumps(config))  # deep copy, JSON-clean
     cfg.setdefault("mode", "gf")
     if cfg["mode"] == "morse-torus":
         cfg["morse"] = {**DEMO_MORSE, **cfg.get("morse", {})}
-    cfg["seeds"] = {**DEFAULT_SEEDS, **cfg.get("seeds", {})}
-    cfg["solver"] = {**DEFAULT_SOLVER, **cfg.get("solver", {})}
-    tol = {**cr.TOLERANCES, **fl.FLOW_TOLERANCES}
-    for k, v in cfg.get("tolerances", {}).items():
-        if k not in tol:
-            raise ValueError("unknown tolerance %r (known: %s)"
-                             % (k, ", ".join(sorted(tol))))
-        tol[k] = v
-    cfg["tolerances"] = tol
+    for section, what, defaults in (
+            ("seeds", "seed setting", DEFAULT_SEEDS),
+            ("solver", "solver setting", DEFAULT_SOLVER),
+            ("tolerances", "tolerance", {**cr.TOLERANCES, **fl.FLOW_TOLERANCES})):
+        given = cfg.get(section, {})
+        for k in given:
+            if k not in defaults:
+                raise ValueError("unknown %s %r (known: %s)"
+                                 % (what, k, ", ".join(sorted(defaults))))
+        cfg[section] = {**defaults, **given}
     return cfg
 
 
@@ -183,11 +179,10 @@ class GFRun:
         if kind == "m2":
             spaces = [self.spaces[key] for key in self.TREE_SPACES]
             ends = [crits[i] for (_, crits, _), i in zip(spaces, task[1:])]
-            kw = {k: self.solver[k] for k in _TREE_KW}
             parity, trees = tr.count_trees(
-                *ends, self.s, tuple(field for field, _, _ in spaces), self.rho,
-                r0=self.solver["r0"], labels=task[1:], tolerances=self.tol,
-                meeting_floor=self.meeting_floor, **kw)
+                *ends, self.s, tuple(field for field, _, _ in spaces),
+                r0=self.solver["r0"], tolerances=self.tol,
+                meeting_floor=self.meeting_floor)
             return {"parity": parity, "trees": trees}
         raise ValueError("unknown task %r" % (task,))
 
@@ -202,7 +197,9 @@ class GFRun:
             groups.setdefault(t[:3] if t[0] == "delta" else t, []).append(t)
         key = json.dumps(self.config, sort_keys=True)  # canonical_json rounds
         results = {}
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+        # fork starts every worker at the first submit, so a pool wider
+        # than the task groups would only start idle interpreters
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(groups))) as pool:
             futs = [(g, pool.submit(_pool_tasks, key, g))
                     for g in groups.values()]
             for g, fut in futs:

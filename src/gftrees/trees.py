@@ -24,6 +24,10 @@ t = 0, with a bit-identical result.  So the tabulation's ascending time
 grid integrates each direction once, plus one cap-shortened step per grid
 time, and each finite-difference time column continues the line-search
 run it perturbs.
+
+The solver's settings are the module constants `MAX_SEEDS`, `TIME_POINTS`,
+`MAX_ITER`, `TOL_MATCH`, `FD_STEP`, `DEDUP_RADIUS` and `COND_CAP`; no
+config sets them.
 """
 
 from __future__ import annotations
@@ -34,6 +38,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow as fl
+
+MAX_SEEDS = 24        # best-ranked grid seeds handed to Newton
+TIME_POINTS = 7       # flow times tabulated per launch direction
+MAX_ITER = 28         # Newton steps per seed, at most
+TOL_MATCH = 1e-8      # max-norm augmented residual that counts as solved
+FD_STEP = 1e-5        # forward-difference step of the Jacobian
+DEDUP_RADIUS = 1e-4   # meeting points closer than this are one tree
+COND_CAP = 1e8        # a Jacobian condition above this refuses the count
 
 
 class DimensionError(ValueError):
@@ -78,14 +90,12 @@ class PerturbationTriple:
 class TreeProblem:
     """Charts, perturbation and bookkeeping for one (p1, p2; p0) count."""
 
-    def __init__(self, fields, src1, src2, sink, s, rho, r0=1e-3,
-                 labels=None, tolerances=None, meeting_floor=None):
+    def __init__(self, fields, src1, src2, sink, s, r0=1e-3, tolerances=None,
+                 meeting_floor=None):
         self.h1, self.h2, self.h3 = fields
         self.src1, self.src2, self.sink = src1, src2, sink
         self.s = s
-        self.rho = float(rho)
         self.r0 = float(r0)
-        self.labels = labels or (src1.id, src2.id, sink.id)
         self.tolerances = dict(tolerances or {})
         self.meeting_floor = meeting_floor
         self.D = self.h1.dim
@@ -191,10 +201,10 @@ def _coupled_rate(chart):
     return min(rates)
 
 
-def _time_grid(chart, r0, diam, npts):
+def _time_grid(chart, r0, diam):
     rate = max(_coupled_rate(chart), 1e-3)
     t_hi = min(18.0, math.log(max(4.0 * diam / r0, 10.0)) / rate)
-    frac = (np.arange(npts) / (npts - 1.0)) ** 1.5
+    frac = (np.arange(TIME_POINTS) / (TIME_POINTS - 1.0)) ** 1.5
     return t_hi * frac
 
 
@@ -219,17 +229,17 @@ def _pair_dist2(A, B, offset, periodic):
 # ---------------------------------------------------------------------------
 # Newton
 
-def _newton(problem, theta0, tol_match, fd_step, max_iter, bigbox):
+def _newton(problem, theta0, bigbox):
     theta = np.array(theta0, dtype=float)
     nparam = len(theta)
     res = _augmented(theta, problem)
     norm = float(np.max(np.abs(res)))
     J = None
-    for _ in range(max_iter):
-        if norm < tol_match:
-            J = _fd_jacobian(problem, theta, res, fd_step)
+    for _ in range(MAX_ITER):
+        if norm < TOL_MATCH:
+            J = _fd_jacobian(problem, theta, res)
             return theta, res, J
-        J = _fd_jacobian(problem, theta, res, fd_step)
+        J = _fd_jacobian(problem, theta, res)
         try:
             step = np.linalg.solve(J, res)
         except np.linalg.LinAlgError:
@@ -258,16 +268,16 @@ def _newton(problem, theta0, tol_match, fd_step, max_iter, bigbox):
     return None
 
 
-def _fd_jacobian(problem, theta, res, h):
+def _fd_jacobian(problem, theta, res):
     J = np.empty((len(res), len(theta)))
     for j in range(len(theta)):
         pert = theta.copy()
-        pert[j] += h
+        pert[j] += FD_STEP
         _clamp_times(problem, pert)
         dj = pert[j] - theta[j]
         if dj == 0.0:
-            pert[j] = theta[j] + h  # at the t >= 0 boundary, step forward
-            dj = h
+            pert[j] = theta[j] + FD_STEP  # at the t >= 0 boundary, step forward
+            dj = FD_STEP
         J[:, j] = (_augmented(pert, problem) - res) / dj
     return J
 
@@ -296,30 +306,22 @@ def _retract_dirs(problem, theta):
 
 
 def _plausible(problem, theta, bigbox):
-    u1, t1, u2, t2, u3, t3 = problem.split(theta)
-    for u in (u1, u2, u3):
-        if np.linalg.norm(u) > 3.0:
-            return False
-    q2 = problem.endpoint(1, u2, t2)
-    if bigbox is not None:
-        for i, (lo, hi) in enumerate(bigbox):
-            if not (lo <= q2[i] <= hi):
-                return False
-    return True
+    """Whether the middle edge ends inside `bigbox` (anywhere on the torus)."""
+    q2 = problem.endpoint(1, *_mid(problem, theta))
+    return bigbox is None or all(lo <= q2[i] <= hi
+                                 for i, (lo, hi) in enumerate(bigbox))
 
 
 # ---------------------------------------------------------------------------
 # The solver
 
-def solve_trees(problem, seed_scale=1, max_seeds=24, tol_match=1e-8,
-                fd_step=1e-5, dedup_radius=1e-4, cond_cap=1e8,
-                max_iter=28, time_points=7):
+def solve_trees(problem):
     """All isolated flow trees of a 0-dimensional problem.
 
     Seeds come from ranking a coarse product grid of chart endpoints;
     damped Newton refines; solutions are deduplicated by meeting point and
     validated (matching, confinement, the rho/4 positivity bound, Jacobian
-    condition below cond_cap)."""
+    condition below COND_CAP)."""
     if problem.d != 0:
         raise DimensionError(
             "expected dimension is %d, not 0: |p0|=%d, |p1|=%d, |p2|=%d "
@@ -339,9 +341,9 @@ def solve_trees(problem, seed_scale=1, max_seeds=24, tol_match=1e-8,
 
     tabs = []
     for which, chart in enumerate((problem.chart1, problem.chart2, problem.chart3)):
-        m = {2: 12, 3: 24}.get(chart.k, 48) * seed_scale
+        m = {2: 12, 3: 24}.get(chart.k, 48)
         dirs = fl.sphere_dirs(chart.k, m, 97 + chart.k + which)
-        times = _time_grid(chart, problem.r0, diam, time_points * seed_scale)
+        times = _time_grid(chart, problem.r0, diam)
         E, params = _tabulate(problem, which, dirs, times)
         if esc is not None:
             keep = np.all((E > np.array(esc)[:, 0]) & (E < np.array(esc)[:, 1]), axis=1)
@@ -357,14 +359,14 @@ def solve_trees(problem, seed_scale=1, max_seeds=24, tol_match=1e-8,
     best_i = np.argmin(M12, axis=0)
     best_k = np.argmin(M23, axis=1)
     score = M12[best_i, np.arange(len(E2))] + M23[np.arange(len(E2)), best_k]
-    order = np.argsort(score, kind="stable")[:max_seeds]
+    order = np.argsort(score, kind="stable")[:MAX_SEEDS]
 
     solutions = []
     for j in order:
         i, kk = best_i[j], best_k[j]
         theta0 = problem.pack(P1[i][0], P1[i][1], P2[j][0], P2[j][1],
                               P3[kk][0], P3[kk][1])
-        got = _newton(problem, theta0, tol_match, fd_step, max_iter, bigbox)
+        got = _newton(problem, theta0, bigbox)
         if got is None:
             continue
         theta, res, J = got
@@ -375,13 +377,13 @@ def solve_trees(problem, seed_scale=1, max_seeds=24, tol_match=1e-8,
         dup = False
         for sol in solutions:
             delta = problem._wrap(sol["meeting"] - meeting)
-            if np.linalg.norm(delta) < dedup_radius:
+            if np.linalg.norm(delta) < DEDUP_RADIUS:
                 dup = True
                 break
         if not dup:
             solutions.append({"theta": theta, "res": res, "J": J, "meeting": meeting})
 
-    return [_validate(problem, sol, tol_match, cond_cap, esc) for sol in solutions]
+    return [_validate(problem, sol, esc) for sol in solutions]
 
 
 def _mid(problem, theta):
@@ -389,16 +391,16 @@ def _mid(problem, theta):
     return u2, t2
 
 
-def _validate(problem, sol, tol_match, cond_cap, esc):
+def _validate(problem, sol, esc):
     theta = sol["theta"]
     cond = float(np.linalg.cond(sol["J"]))
-    if cond > cond_cap:
+    if cond > COND_CAP:
         raise NonTransverseError(
             "tree Jacobian condition %.3g exceeds cap %.3g: "
-            "non-transverse at this s; resample s" % (cond, cond_cap))
+            "non-transverse at this s; resample s" % (cond, COND_CAP))
     match = float(np.max(np.abs(sol["res"][:2 * problem.D])))
-    if match > tol_match:
-        raise RuntimeError("accepted tree fails matching: %.3g > %.3g" % (match, tol_match))
+    if match > TOL_MATCH:
+        raise RuntimeError("accepted tree fails matching: %.3g > %.3g" % (match, TOL_MATCH))
     u1, t1, u2, t2, u3, t3 = problem.split(theta)
     trajs = []
     for which, chart, u, t in ((0, problem.chart1, u1, t1),
@@ -406,13 +408,10 @@ def _validate(problem, sol, tol_match, cond_cap, esc):
                                (2, problem.chart3, u3, t3)):
         start = chart.point.coords + chart.r0 * (chart.frame @ u)
         direction = "forward" if chart.side == "unstable" else "backward"
-        traj = fl.integrate(chart.field, list(start), direction,
-                            terminal_t=max(t, 1e-12), tolerances=problem.tolerances,
-                            record_samples=True,
-                            chart_info={"critical": chart.point.id,
-                                        "u": [float(v) for v in u], "r0": chart.r0,
-                                        "side": chart.side})
-        trajs.append(traj)
+        trajs.append(fl.integrate(chart.field, start, direction,
+                                  terminal_t=max(t, 1e-12),
+                                  tolerances=problem.tolerances,
+                                  record_samples=True))
     if esc is not None:
         for traj in trajs:
             for _, pt in traj.samples:
@@ -430,8 +429,8 @@ def _validate(problem, sol, tol_match, cond_cap, esc):
                     match, cond)
 
 
-def count_trees(src1, src2, sink, s, fields, rho, r0=1e-3, labels=None,
-                tolerances=None, seed_scale=1, meeting_floor=None, **kw):
+def count_trees(src1, src2, sink, s, fields, r0=1e-3, tolerances=None,
+                meeting_floor=None):
     """#_{Z2} of trees from (src1, src2) into sink.  src/sink are critical
     points already living in the three fields (embedded via iota in the
     generating-family pipeline; raw critical points in Morse mode)."""
@@ -439,8 +438,7 @@ def count_trees(src1, src2, sink, s, fields, rho, r0=1e-3, labels=None,
         raise DimensionError(
             "product requires |p0| = |p1| + |p2|: got |p0|=%d, |p1|=%d, |p2|=%d"
             % (sink.grading, src1.grading, src2.grading))
-    problem = TreeProblem(fields, src1, src2, sink, s, rho, r0=r0,
-                          labels=labels, tolerances=tolerances,
-                          meeting_floor=meeting_floor)
-    trees = solve_trees(problem, seed_scale=seed_scale, **kw)
+    problem = TreeProblem(fields, src1, src2, sink, s, r0=r0,
+                          tolerances=tolerances, meeting_floor=meeting_floor)
+    trees = solve_trees(problem)
     return len(trees) % 2, trees

@@ -82,12 +82,26 @@ def test_schema_violations_exit_2(tmp_path, capsys):
                            write_config(tmp_path, torus, "torus.json"))
     assert code == 2
     assert "family/base" in err
-    for scale in (1.5, 2.0):
-        scaled = dict(UNKNOT, solver={"seed_scale": scale})
+    for density in (1.5, 2.0):
+        dense = dict(UNKNOT, seeds={"grid_density": density})
         code, _, err = run_cli(capsys, "chords",
-                               write_config(tmp_path, scaled, "scaled.json"))
+                               write_config(tmp_path, dense, "dense.json"))
         assert code == 2
-        assert "solver/seed_scale" in err
+        assert "seeds/grid_density" in err
+
+
+def test_fixed_tree_solver_settings_are_rejected(tmp_path, capsys):
+    """The tree solver's settings are constants of `trees`, not config."""
+    fixed = dict(UNKNOT, solver={"fd_step": 1e-6})
+    code, _, err = run_cli(capsys, "chords", write_config(tmp_path, fixed))
+    assert code == 2
+    assert "solver" in err and "fd_step" in err
+
+
+def test_schema_sections_name_exactly_the_resolved_defaults():
+    props = cli.CONFIG_SCHEMA["properties"]
+    assert set(props["seeds"]["properties"]) == set(pl.DEFAULT_SEEDS)
+    assert set(props["solver"]["properties"]) == set(pl.DEFAULT_SOLVER)
 
 
 def test_bad_expression_exits_2(tmp_path, capsys):

@@ -152,6 +152,24 @@ def test_descending_targets_count_zero(torus_field):
     assert "value" in count.note
 
 
+def test_the_scalar_loop_runs_on_plain_floats(well1d, monkeypatch):
+    """Chart points and k = 1 scans hand the right-hand side Python floats,
+    not numpy float64 scalars, which would double the scalar loop's time."""
+    lo, hi = cr.find_critical_points(well1d)
+    calls = []
+
+    def grad(z):
+        assert all(type(v) is float for v in z), [type(v) for v in z]
+        calls.append(1)
+        return fa.ScalarField.grad(well1d, z)
+    monkeypatch.setattr(well1d, "grad", grad)
+    chart = fl.build_chart(well1d, lo, "unstable")
+    assert chart.k == 1
+    fl.chart_point(chart, np.array([1.0]), 0.5)
+    assert fl.count_lines(lo, hi, well1d, [lo, hi]).parity == 1
+    assert calls
+
+
 def test_scan_cache_tells_apart_every_scan_input(well1d):
     crits = cr.find_critical_points(well1d)
     lo, hi = crits

@@ -1,6 +1,7 @@
 """End-to-end runs: frozen small-family answers, determinism, comparisons."""
 
 import json
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -40,8 +41,7 @@ def test_multichord_run_frozen_facts(multi_run):
 def test_resolved_config_fills_every_default(unknot_config):
     cfg = pl.resolve_config(unknot_config)
     assert cfg["seeds"] == {"rng": 0, "grid_density": 7}
-    assert cfg["solver"]["r0"] == 1e-3
-    assert cfg["solver"]["lambda"] is None
+    assert cfg["solver"] == {"r0": 1e-3, "scan_density": None, "lambda": None}
     assert cfg["tolerances"]["rtol"] == 1e-8
     assert cfg["tolerances"]["tol_grad"] == 1e-9
 
@@ -50,6 +50,14 @@ def test_unknown_tolerance_names_are_rejected(unknot_config):
     unknot_config["tolerances"] = {"rtoll": 1e-9}
     with pytest.raises(ValueError, match="unknown tolerance"):
         pl.resolve_config(unknot_config)
+
+
+def test_unknown_seed_and_solver_settings_are_rejected(unknot_config):
+    # the tree solver's settings are constants of `trees`, not config
+    with pytest.raises(ValueError, match="unknown solver setting 'fd_step'"):
+        pl.GFRun(dict(unknot_config, solver={"fd_step": 1e-6}))
+    with pytest.raises(ValueError, match="unknown seed setting 'grid_densty'"):
+        pl.GFRun(dict(unknot_config, seeds={"grid_densty": 3}))
 
 
 def test_gf_run_requires_gf_mode(unknot_config):
@@ -103,6 +111,37 @@ def test_pool_workers_rebuild_the_exact_config(unknot_config, monkeypatch):
     run = pl.GFRun(unknot_config, jobs=2)
     assert run.run_tasks([("a",), ("b",)]) == \
         {("a",): 1.0000000000001e-8, ("b",): 1.0000000000001e-8}
+
+
+def test_the_pool_is_no_wider_than_its_task_groups(unknot_config, monkeypatch):
+    """Forked workers all start at the first submit: --jobs 64 on two task
+    groups must not start 64 interpreters."""
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(pl, "_POOL_RUNS", {})
+    monkeypatch.setattr(pl.GFRun, "prepare", lambda self: self)
+    monkeypatch.setattr(pl.GFRun, "run_task", lambda self, task: task[-1])
+    # the two line counts from c1 share a group
+    tasks = [("delta", "w", "c1", "c2"), ("delta", "w", "c1", "c3"),
+             ("m2", "c1", "c1", "c2")]
+    run = pl.GFRun(unknot_config, jobs=64)
+    assert run.run_tasks(tasks) == {t: t[-1] for t in tasks}
+    assert widths == [2]
 
 
 def test_family_checks_pass_on_the_unknot(unknot_run):

@@ -40,7 +40,7 @@ def test_grading_mismatch_is_rejected(morse_run):
     g_saddle = r.crits[1][1]      # grading 1
     pit = r.crits[2][0]           # grading 0 != 2
     with pytest.raises(tr.DimensionError, match=r"\|p0\| = \|p1\| \+ \|p2\|"):
-        tr.count_trees(f_saddle, g_saddle, pit, r.s, tuple(r.fields), r.rho)
+        tr.count_trees(f_saddle, g_saddle, pit, r.s, tuple(r.fields))
 
 
 def test_zero_dimensional_charts_are_out_of_scope(morse_run):
@@ -48,13 +48,13 @@ def test_zero_dimensional_charts_are_out_of_scope(morse_run):
     # pits have index 0, so the sink's stable chart would be 0-dimensional
     with pytest.raises(tr.DimensionError, match="0-dimensional chart"):
         tr.TreeProblem(tuple(r.fields), r.crits[0][0], r.crits[1][0],
-                       r.crits[2][0], r.s, r.rho)
+                       r.crits[2][0], r.s)
 
 
 def test_nonzero_expected_dimension_is_rejected(morse_run):
     r = morse_run
     problem = tr.TreeProblem(tuple(r.fields), r.crits[0][1], r.crits[1][1],
-                             r.crits[2][1], r.s, r.rho)  # d = 1 - 2 = -1
+                             r.crits[2][1], r.s)  # d = 1 - 2 = -1
     assert problem.d == -1
     with pytest.raises(tr.DimensionError, match="expected dimension"):
         tr.solve_trees(problem)
@@ -87,18 +87,15 @@ def test_found_trees_satisfy_the_matching_conditions(morse_run):
     p1 = r.crits[0][1]            # f-saddle on axis 0
     p2 = r.crits[1][1]            # g-saddle on axis 1
     top = r.crits[2][3]
-    problem = tr.TreeProblem(tuple(r.fields), p1, p2, top, r.s, r.rho,
+    problem = tr.TreeProblem(tuple(r.fields), p1, p2, top, r.s,
                              r0=r.solver["r0"], tolerances=r.tol)
-    kw = {k: r.solver[k] for k in ("max_seeds", "seed_scale", "max_iter",
-                                   "time_points", "tol_match", "fd_step",
-                                   "dedup_radius", "cond_cap")}
-    trees = tr.solve_trees(problem, **kw)
+    trees = tr.solve_trees(problem)
     assert len(trees) == 1
     (t,) = trees
     resid = np.linalg.norm(tr.tree_residual(t.theta, problem))
     assert resid < 2e-8
     assert t.residual_norm < 2e-8
-    assert t.condition < r.solver["cond_cap"]
+    assert t.condition < tr.COND_CAP
     # three recorded branches end where the matching says they should
     s1, s2, s3 = r.s.parts()
     e1 = np.asarray(t.gamma1.final) + s1

@@ -179,22 +179,24 @@ class GFRun:
         if kind == "m2":
             spaces = [self.spaces[key] for key in self.TREE_SPACES]
             ends = [crits[i] for (_, crits, _), i in zip(spaces, task[1:])]
-            parity, trees = tr.count_trees(
+            parity, trees, seeds = tr.count_trees(
                 *ends, self.s, tuple(field for field, _, _ in spaces),
                 r0=self.solver["r0"], tolerances=self.tol,
-                meeting_floor=self.meeting_floor)
-            return {"parity": parity, "trees": trees}
+                meeting_floor=self.meeting_floor,
+                criticals=list(spaces[2][1].values()))
+            return {"parity": parity, "trees": trees, "seeds": seeds}
         raise ValueError("unknown task %r" % (task,))
 
     def run_tasks(self, tasks):
         """Deterministic map task -> result, inline or over a process pool."""
         if self.jobs <= 1 or len(tasks) <= 1:
             return {t: self.run_task(t) for t in tasks}
-        # line counts from one source share its scan, which the worker that
+        # line counts from one source share its scan, and tree counts from
+        # one source pair their Newton solutions, which the worker that
         # runs them caches, so they travel together
         groups = {}
         for t in tasks:
-            groups.setdefault(t[:3] if t[0] == "delta" else t, []).append(t)
+            groups.setdefault(t[:3], []).append(t)
         key = json.dumps(self.config, sort_keys=True)  # canonical_json rounds
         results = {}
         # fork starts every worker at the first submit, so a pool wider
@@ -219,7 +221,8 @@ class GFRun:
             t[1:]: {"parity": results[t]["parity"],
                     "trees": len(results[t]["trees"]),
                     "meetings": [[float(v) for v in tree.meeting]
-                                 for tree in results[t]["trees"]]}
+                                 for tree in results[t]["trees"]],
+                    "seeds": results[t]["seeds"]}
             for t in mt}
         return {t: results[t] for t in dt}
 
@@ -515,7 +518,8 @@ class MorseRun(GFRun):
             "ranks": [{str(g): r for g, r in sorted(R.ranks.items())}
                       for R in self.rings],
             "m2_counts": {"%s,%s->%s" % k: {"parity": v["parity"],
-                                            "trees": v["trees"]}
+                                            "trees": v["trees"],
+                                            "seeds": v["seeds"]}
                           for k, v in sorted(self.m2_counts.items())},
             "m2": {"%s,%s" % k: sorted(v) for k, v in sorted(self.m2_table.items())},
             "skipped_products": sorted(self.skipped),

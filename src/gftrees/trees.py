@@ -10,12 +10,37 @@ meet at a single point:
 
     gamma1(0) + s1 = gamma2(0) + s2 = gamma3(0) + s3.
 
-Unknowns are theta = (u1, t1, u2, t2, u3, t3) with u_k on the unit sphere
-of the respective chart frame and t_k >= 0 the flow time.  Adding the
-three sphere constraints to the 2D matching equations gives a square
-system exactly when the expected dimension |p0| - |p1| - |p2| is 0; it is
-solved by damped Newton with finite-difference Jacobians from seeds ranked
-over a coarse product grid of chart endpoints.
+The unknowns are (u, t) for each *active* edge: u on the unit sphere of
+the edge's chart frame and t >= 0 the flow time, with endpoint
+E = q + s where q is the flow image of p + r0*u.  Each active edge's
+sphere constraint adds one equation.  When the expected dimension
+|p0| - |p1| - |p2| is 0, the charts' dimensions k1 + k2 + k3 sum to 2D,
+and the two chart shapes give square systems:
+
+- k3 < D: all three edges are active.  Unknowns (u1, t1, u2, t2, u3, t3),
+  2D + 3 of them; equations E1 - E2 = 0 and E2 - E3 = 0 plus three sphere
+  constraints.
+- k3 = D: the sink is a local maximum of h3 and its stable manifold is an
+  open basin, so the sink edge imposes no equation and is inactive.
+  Unknowns (u1, t1, u2, t2), k1 + k2 + 2 = D + 2 of them; equations
+  E1 - E2 = 0 plus two sphere constraints.  A solution's meeting point M
+  is a tree into p0 when it passes the capture test: the forward h3 flow
+  from q3 = M - s3, stopped in event mode at the escape box and at the
+  critical points of h3 above h3(q3), converges to p0.  Converging
+  elsewhere or escaping means M is no tree into p0; a flow that does
+  neither by t_max refuses the count with AmbiguousCountError.  The
+  recorded gamma3 of such a tree is the capture run with its samples
+  reversed, so it ends at q3.
+
+Differences are taken mod 1 in torus mode.  The system is solved by
+damped Newton with finite-difference Jacobians from seeds ranked over a
+coarse product grid of the active charts' endpoints.  Every seed's
+outcome goes into a histogram, `SEED_OUTCOMES`.
+
+Without the sink edge the Newton solutions depend on (h1, h2, p1, p2,
+s1, s2, r0, the flow tolerances) and not on p0, so they are cached on h1
+under all of those inputs: the tasks of every sink above one source pair
+share one Newton pass, and the capture test splits its solutions by sink.
 
 Chart endpoints are memoized per (edge, u, t), and each (edge, u) path
 keeps one integrator step state (see `flow.integrate`'s `resume`).  A
@@ -46,6 +71,10 @@ TOL_MATCH = 1e-8      # max-norm augmented residual that counts as solved
 FD_STEP = 1e-5        # forward-difference step of the Jacobian
 DEDUP_RADIUS = 1e-4   # meeting points closer than this are one tree
 COND_CAP = 1e8        # a Jacobian condition above this refuses the count
+
+SEED_OUTCOMES = ("converged", "line_search_stall", "implausible",
+                 "non_finite_step", "max_iter", "duplicate",
+                 "captured_elsewhere")
 
 
 class DimensionError(ValueError):
@@ -88,10 +117,14 @@ class PerturbationTriple:
 
 
 class TreeProblem:
-    """Charts, perturbation and bookkeeping for one (p1, p2; p0) count."""
+    """Charts, perturbation and bookkeeping for one (p1, p2; p0) count.
+
+    `active` lists the edges whose (u, t) theta packs: all three, or the
+    two source edges when the sink chart has k3 = D.  The capture test of
+    the latter tracks `criticals`, the critical points of h3."""
 
     def __init__(self, fields, src1, src2, sink, s, r0=1e-3, tolerances=None,
-                 meeting_floor=None):
+                 meeting_floor=None, criticals=None):
         self.h1, self.h2, self.h3 = fields
         self.src1, self.src2, self.sink = src1, src2, sink
         self.s = s
@@ -100,10 +133,10 @@ class TreeProblem:
         self.meeting_floor = meeting_floor
         self.D = self.h1.dim
         self.d = sink.grading - src1.grading - src2.grading
-        self.chart1 = fl.build_chart(self.h1, src1, "unstable", r0)
-        self.chart2 = fl.build_chart(self.h2, src2, "unstable", r0)
-        self.chart3 = fl.build_chart(self.h3, sink, "stable", r0)
-        self.k = (self.chart1.k, self.chart2.k, self.chart3.k)
+        self.charts = (fl.build_chart(self.h1, src1, "unstable", r0),
+                       fl.build_chart(self.h2, src2, "unstable", r0),
+                       fl.build_chart(self.h3, sink, "stable", r0))
+        self.k = tuple(chart.k for chart in self.charts)
         if min(self.k) == 0:
             raise DimensionError(
                 "a tree edge has a 0-dimensional chart (frames %r): such "
@@ -113,6 +146,15 @@ class TreeProblem:
                 "unknown-count balance violated: frames %r sum to %d, need 2D=%d "
                 "(chart and grading bookkeeping disagree)"
                 % (self.k, sum(self.k), 2 * self.D))
+        self.active = (0, 1) if self.k[2] == self.D else (0, 1, 2)
+        if len(self.active) == 2 and criticals is None:
+            raise ValueError("the capture test into the local maximum %s needs "
+                             "the critical points of h3" % sink.id)
+        self.criticals = criticals
+        self.blocks = []          # (first u index, t index) per active edge
+        for which in self.active:
+            a = self.blocks[-1][1] + 1 if self.blocks else 0
+            self.blocks.append((a, a + self.k[which]))
         self.periodic = self.h1.periodic
         self._memo = {}
         self._slots = {}
@@ -120,17 +162,14 @@ class TreeProblem:
     # -- theta packing --------------------------------------------------
 
     def split(self, theta):
-        k1, k2, k3 = self.k
-        u1, t1 = theta[:k1], theta[k1]
-        u2, t2 = theta[k1 + 1:k1 + 1 + k2], theta[k1 + 1 + k2]
-        u3, t3 = theta[k1 + k2 + 2:k1 + k2 + 2 + k3], theta[-1]
-        return u1, t1, u2, t2, u3, t3
+        """[(u, t)] of the active edges."""
+        return [(theta[a:b], theta[b]) for a, b in self.blocks]
 
-    def pack(self, u1, t1, u2, t2, u3, t3):
-        return np.concatenate([u1, [t1], u2, [t2], u3, [t3]])
+    def pack(self, parts):
+        return np.concatenate([np.append(u, t) for u, t in parts])
 
     def endpoint(self, which, u, t):
-        chart = (self.chart1, self.chart2, self.chart3)[which]
+        chart = self.charts[which]
         path = (which, np.asarray(u).tobytes())
         key = path + (float(t),)
         got = self._memo.get(key)
@@ -145,9 +184,8 @@ class TreeProblem:
         return got
 
     def endpoints(self, theta):
-        u1, t1, u2, t2, u3, t3 = self.split(theta)
-        return (self.endpoint(0, u1, t1), self.endpoint(1, u2, t2),
-                self.endpoint(2, u3, t3))
+        return [self.endpoint(which, u, t)
+                for which, (u, t) in zip(self.active, self.split(theta))]
 
     def _wrap(self, v):
         if self.periodic:
@@ -167,18 +205,17 @@ class FlowTree:
 
 
 def tree_residual(theta, problem):
-    """Matching defect in R^{2D}: (E1 - E2, E2 - E3) with E_k = q_k + s_k
+    """Matching defect of the active edges: (E1 - E2, E2 - E3) in R^{2D},
+    or E1 - E2 in R^D without the sink edge, with E_k = q_k + s_k
     (differences taken mod 1 in torus mode)."""
-    q1, q2, q3 = problem.endpoints(np.asarray(theta, dtype=float))
-    s1, s2, s3 = problem.s.parts()
-    r12 = problem._wrap(q1 + s1 - q2 - s2)
-    r23 = problem._wrap(q2 + s2 - q3 - s3)
-    return np.concatenate([r12, r23])
+    qs = problem.endpoints(np.asarray(theta, dtype=float))
+    ss = [problem.s.parts()[which] for which in problem.active]
+    return np.concatenate([problem._wrap(qa + sa - qb - sb)
+                           for qa, sa, qb, sb in zip(qs, ss, qs[1:], ss[1:])])
 
 
 def _augmented(theta, problem):
-    u1, _, u2, _, u3, _ = problem.split(theta)
-    norms = np.array([u1 @ u1 - 1.0, u2 @ u2 - 1.0, u3 @ u3 - 1.0])
+    norms = np.array([u @ u - 1.0 for u, _ in problem.split(theta)])
     return np.concatenate([tree_residual(theta, problem), norms])
 
 
@@ -230,23 +267,22 @@ def _pair_dist2(A, B, offset, periodic):
 # Newton
 
 def _newton(problem, theta0, bigbox):
+    """Damped Newton from theta0: ("converged", (theta, res, J)), or the
+    `SEED_OUTCOMES` name of how it failed and None."""
     theta = np.array(theta0, dtype=float)
-    nparam = len(theta)
     res = _augmented(theta, problem)
     norm = float(np.max(np.abs(res)))
-    J = None
     for _ in range(MAX_ITER):
-        if norm < TOL_MATCH:
-            J = _fd_jacobian(problem, theta, res)
-            return theta, res, J
         J = _fd_jacobian(problem, theta, res)
+        if norm < TOL_MATCH:
+            return "converged", (theta, res, J)
         try:
             step = np.linalg.solve(J, res)
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(J, res, rcond=None)[0]
         ns = np.linalg.norm(step)
         if not np.isfinite(ns):
-            return None
+            return "non_finite_step", None
         if ns > 1.0:
             step *= 1.0 / ns
         improved = False
@@ -262,10 +298,10 @@ def _newton(problem, theta0, bigbox):
                 break
             step *= 0.5
         if not improved:
-            return None
+            return "line_search_stall", None
         if not _plausible(problem, theta, bigbox):
-            return None
-    return None
+            return "implausible", None
+    return "max_iter", None
 
 
 def _fd_jacobian(problem, theta, res):
@@ -283,8 +319,7 @@ def _fd_jacobian(problem, theta, res):
 
 
 def _clamp_times(problem, theta):
-    k1, k2, k3 = problem.k
-    for idx in (k1, k1 + 1 + k2, len(theta) - 1):
+    for _, idx in problem.blocks:
         if theta[idx] < 0.0:
             theta[idx] = 0.0
         if theta[idx] > 60.0:
@@ -292,14 +327,12 @@ def _clamp_times(problem, theta):
 
 
 def _retract_dirs(problem, theta):
-    """Project the three direction blocks back to their unit spheres.
+    """Project the active direction blocks back to their unit spheres.
 
     Without this, a Newton step that mostly rotates a launch direction
     leaves the sphere quadratically, the norm-constraint residual swamps
     the matching residual, and backtracking strangles the rotation."""
-    k1, k2, k3 = problem.k
-    for a, b in ((0, k1), (k1 + 1, k1 + 1 + k2),
-                 (k1 + k2 + 2, k1 + k2 + 2 + k3)):
+    for a, b in problem.blocks:
         nrm = np.linalg.norm(theta[a:b])
         if nrm > 1e-12:
             theta[a:b] /= nrm
@@ -307,7 +340,7 @@ def _retract_dirs(problem, theta):
 
 def _plausible(problem, theta, bigbox):
     """Whether the middle edge ends inside `bigbox` (anywhere on the torus)."""
-    q2 = problem.endpoint(1, *_mid(problem, theta))
+    q2 = problem.endpoint(1, *problem.split(theta)[1])
     return bigbox is None or all(lo <= q2[i] <= hi
                                  for i, (lo, hi) in enumerate(bigbox))
 
@@ -318,10 +351,11 @@ def _plausible(problem, theta, bigbox):
 def solve_trees(problem):
     """All isolated flow trees of a 0-dimensional problem.
 
-    Seeds come from ranking a coarse product grid of chart endpoints;
-    damped Newton refines; solutions are deduplicated by meeting point and
-    validated (matching, confinement, the rho/4 positivity bound, Jacobian
-    condition below COND_CAP)."""
+    The Newton solutions of the active edges (`_intersections`, shared by
+    every sink when the sink edge is inactive) are split by the capture
+    test and validated (matching, confinement, the rho/4 positivity bound,
+    Jacobian condition below COND_CAP).  `problem.seed_outcomes` then
+    holds how each Newton seed ended, keyed by `SEED_OUTCOMES`."""
     if problem.d != 0:
         raise DimensionError(
             "expected dimension is %d, not 0: |p0|=%d, |p1|=%d, |p2|=%d "
@@ -338,9 +372,43 @@ def solve_trees(problem):
         esc = fl.escape_box(outer)
         bigbox = fl.escape_box(outer, 2.5)
         diam = float(np.linalg.norm([hi - lo for lo, hi in outer]))
+    solutions, outcomes = _intersections(problem, esc, bigbox, diam)
+    outcomes = dict(outcomes)
+    trees = []
+    for sol in solutions:
+        capture = None
+        if len(problem.active) == 2:
+            capture = _capture(problem, sol["meeting"])
+            if capture.termination.as_tuple() != ("converged", problem.sink.id):
+                outcomes["captured_elsewhere"] += 1
+                continue
+        outcomes["converged"] += 1
+        trees.append(_validate(problem, sol, esc, capture))
+    problem.seed_outcomes = outcomes
+    return trees
+
+
+def _intersections(problem, esc, bigbox, diam):
+    """(solutions, outcomes): the Newton solutions deduplicated by meeting
+    point, and how many seeds ended in each non-converged outcome.
+
+    Seeds come from ranking a coarse product grid of the active charts'
+    endpoints.  Without the sink edge the result is cached on h1, keyed
+    by every input it depends on (esc, bigbox and diam follow from h1)."""
+    key = None
+    if len(problem.active) == 2:
+        tol = {**fl.FLOW_TOLERANCES, **problem.tolerances}
+        key = (problem.h2, fl._point_key(problem.src1),
+               fl._point_key(problem.src2), problem.s.s1.tobytes(),
+               problem.s.s2.tobytes(), problem.r0,
+               tuple(tol[name] for name in fl.FLOW_TOLERANCES))
+        cache = problem.h1.__dict__.setdefault("_tree_cache", {})
+        if key in cache:
+            return cache[key]
 
     tabs = []
-    for which, chart in enumerate((problem.chart1, problem.chart2, problem.chart3)):
+    for which in problem.active:
+        chart = problem.charts[which]
         m = {2: 12, 3: 24}.get(chart.k, 48)
         dirs = fl.sphere_dirs(chart.k, m, 97 + chart.k + which)
         times = _time_grid(chart, problem.r0, diam)
@@ -350,68 +418,101 @@ def solve_trees(problem):
             E, params = E[keep], [p for p, k in zip(params, keep) if k]
         tabs.append((E, params))
 
-    (E1, P1), (E2, P2), (E3, P3) = tabs
-    if min(len(E1), len(E2), len(E3)) == 0:
-        return []
-    s1, s2, s3 = problem.s.parts()
-    M12 = _pair_dist2(E1, E2, s1 - s2, problem.periodic)
-    M23 = _pair_dist2(E2, E3, s2 - s3, problem.periodic)
-    best_i = np.argmin(M12, axis=0)
-    best_k = np.argmin(M23, axis=1)
-    score = M12[best_i, np.arange(len(E2))] + M23[np.arange(len(E2)), best_k]
-    order = np.argsort(score, kind="stable")[:MAX_SEEDS]
-
+    outcomes = dict.fromkeys(SEED_OUTCOMES, 0)
     solutions = []
-    for j in order:
-        i, kk = best_i[j], best_k[j]
-        theta0 = problem.pack(P1[i][0], P1[i][1], P2[j][0], P2[j][1],
-                              P3[kk][0], P3[kk][1])
-        got = _newton(problem, theta0, bigbox)
+    for theta0 in _ranked_seeds(problem, tabs):
+        end, got = _newton(problem, theta0, bigbox)
         if got is None:
+            outcomes[end] += 1
             continue
         theta, res, J = got
-        q2 = problem.endpoint(1, *_mid(problem, theta))
-        meeting = q2 + s2
+        meeting = problem.endpoint(1, *problem.split(theta)[1]) + problem.s.s2
         if problem.periodic:
             meeting = np.mod(meeting, 1.0)
-        dup = False
-        for sol in solutions:
-            delta = problem._wrap(sol["meeting"] - meeting)
-            if np.linalg.norm(delta) < DEDUP_RADIUS:
-                dup = True
-                break
-        if not dup:
-            solutions.append({"theta": theta, "res": res, "J": J, "meeting": meeting})
-
-    return [_validate(problem, sol, esc) for sol in solutions]
-
-
-def _mid(problem, theta):
-    _, _, u2, t2, _, _ = problem.split(theta)
-    return u2, t2
+        if any(np.linalg.norm(problem._wrap(sol["meeting"] - meeting))
+               < DEDUP_RADIUS for sol in solutions):
+            outcomes["duplicate"] += 1
+        else:
+            solutions.append({"theta": theta, "res": res, "J": J,
+                              "meeting": meeting})
+    if key is not None:
+        cache[key] = (solutions, outcomes)
+    return solutions, outcomes
 
 
-def _validate(problem, sol, esc):
+def _ranked_seeds(problem, tabs):
+    """Packed Newton seeds, best first: each tabulated E2 with its nearest
+    E1 (and E3), ranked by the summed squared gaps."""
+    if min(len(E) for E, _ in tabs) == 0:
+        return []
+    (E1, P1), (E2, P2) = tabs[:2]
+    s = problem.s.parts()
+    cols = np.arange(len(E2))
+    M12 = _pair_dist2(E1, E2, s[0] - s[1], problem.periodic)
+    best_i = np.argmin(M12, axis=0)
+    score = M12[best_i, cols]
+    if len(tabs) == 3:
+        E3, P3 = tabs[2]
+        M23 = _pair_dist2(E2, E3, s[1] - s[2], problem.periodic)
+        best_k = np.argmin(M23, axis=1)
+        score = score + M23[cols, best_k]
+    seeds = []
+    for j in np.argsort(score, kind="stable")[:MAX_SEEDS]:
+        parts = [P1[best_i[j]], P2[j]]
+        if len(tabs) == 3:
+            parts.append(P3[best_k[j]])
+        seeds.append(problem.pack(parts))
+    return seeds
+
+
+def _capture(problem, meeting):
+    """The forward h3 flow from q3 = meeting - s3, stopped at the escape
+    box or at a critical point of h3 above h3(q3).  A flow that does
+    neither by t_max refuses the count."""
+    q3 = meeting - problem.s.s3
+    if problem.periodic:
+        q3 = np.mod(q3, 1.0)
+    tol = {**fl.FLOW_TOLERANCES, **problem.tolerances}
+    stops = fl._flow_stops(problem.h3, problem.criticals,
+                           problem.h3.value([float(v) for v in q3]), tol)
+    traj = fl.integrate(problem.h3, q3, "forward", stops=stops,
+                        tolerances=problem.tolerances, record_samples=True)
+    if traj.termination.kind == "timeout":
+        raise fl.AmbiguousCountError(
+            "the h3 flow from the tree meeting point %s neither reached a "
+            "critical point nor escaped by t_max = %g, so whether it is a "
+            "tree into %s is unknown; raise t_max"
+            % ([round(float(v), 6) for v in meeting], stops.t_max,
+               problem.sink.id))
+    return traj
+
+
+def _validate(problem, sol, esc, capture):
+    """The FlowTree of a solution, after its checks.  Without the sink
+    edge, gamma3 is the capture run reversed, so it ends at q3."""
     theta = sol["theta"]
     cond = float(np.linalg.cond(sol["J"]))
     if cond > COND_CAP:
         raise NonTransverseError(
             "tree Jacobian condition %.3g exceeds cap %.3g: "
             "non-transverse at this s; resample s" % (cond, COND_CAP))
-    match = float(np.max(np.abs(sol["res"][:2 * problem.D])))
+    match = float(np.max(np.abs(sol["res"][:-len(problem.active)])))
     if match > TOL_MATCH:
         raise RuntimeError("accepted tree fails matching: %.3g > %.3g" % (match, TOL_MATCH))
-    u1, t1, u2, t2, u3, t3 = problem.split(theta)
     trajs = []
-    for which, chart, u, t in ((0, problem.chart1, u1, t1),
-                               (1, problem.chart2, u2, t2),
-                               (2, problem.chart3, u3, t3)):
+    for which, (u, t) in zip(problem.active, problem.split(theta)):
+        chart = problem.charts[which]
         start = chart.point.coords + chart.r0 * (chart.frame @ u)
         direction = "forward" if chart.side == "unstable" else "backward"
         trajs.append(fl.integrate(chart.field, start, direction,
                                   terminal_t=max(t, 1e-12),
                                   tolerances=problem.tolerances,
                                   record_samples=True))
+    if capture is not None:
+        T = capture.t_final
+        trajs.append(fl.Trajectory(
+            capture.tag, [(T - t, pt) for t, pt in reversed(capture.samples)],
+            fl.Termination("time"), T, np.array(capture.samples[0][1])))
     if esc is not None:
         for traj in trajs:
             for _, pt in traj.samples:
@@ -430,15 +531,17 @@ def _validate(problem, sol, esc):
 
 
 def count_trees(src1, src2, sink, s, fields, r0=1e-3, tolerances=None,
-                meeting_floor=None):
-    """#_{Z2} of trees from (src1, src2) into sink.  src/sink are critical
-    points already living in the three fields (embedded via iota in the
-    generating-family pipeline; raw critical points in Morse mode)."""
+                meeting_floor=None, criticals=None):
+    """(#_{Z2} of trees from (src1, src2) into sink, the trees, the seed
+    outcomes).  src/sink are critical points already living in the three
+    fields (embedded via iota in the generating-family pipeline; raw
+    critical points in Morse mode), and `criticals` are those of h3."""
     if sink.grading != src1.grading + src2.grading:
         raise DimensionError(
             "product requires |p0| = |p1| + |p2|: got |p0|=%d, |p1|=%d, |p2|=%d"
             % (sink.grading, src1.grading, src2.grading))
     problem = TreeProblem(fields, src1, src2, sink, s, r0=r0,
-                          tolerances=tolerances, meeting_floor=meeting_floor)
+                          tolerances=tolerances, meeting_floor=meeting_floor,
+                          criticals=criticals)
     trees = solve_trees(problem)
-    return len(trees) % 2, trees
+    return len(trees) % 2, trees, problem.seed_outcomes

@@ -144,6 +144,37 @@ def test_the_pool_is_no_wider_than_its_task_groups(unknot_config, monkeypatch):
     assert widths == [2]
 
 
+def test_tree_counts_from_one_source_pair_share_a_task_group(unknot_config,
+                                                             monkeypatch):
+    """The m2 tasks of every sink above one (p1, p2) share that pair's
+    cached Newton solutions, so they run in one worker."""
+    groups = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            groups.append(args[1])
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(pl, "_POOL_RUNS", {})
+    monkeypatch.setattr(pl.GFRun, "prepare", lambda self: self)
+    monkeypatch.setattr(pl.GFRun, "run_task", lambda self, task: task[-1])
+    tasks = [("m2", "c3", "c3", "c4"), ("m2", "c3", "c4", "c5"),
+             ("m2", "c3", "c3", "c5")]
+    pl.GFRun(unknot_config, jobs=2).run_tasks(tasks)
+    assert sorted(groups) == [[tasks[0], tasks[2]], [tasks[1]]]
+
+
 def test_family_checks_pass_on_the_unknot(unknot_run):
     rep = pl.family_checks(unknot_run)
     assert rep["pass"]

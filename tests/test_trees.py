@@ -8,6 +8,8 @@ smallest honest instances with nonzero counts.
 import numpy as np
 import pytest
 
+from gftrees import flow as fl
+from gftrees import pipeline as pl
 from gftrees import trees as tr
 
 
@@ -88,7 +90,8 @@ def test_found_trees_satisfy_the_matching_conditions(morse_run):
     p2 = r.crits[1][1]            # g-saddle on axis 1
     top = r.crits[2][3]
     problem = tr.TreeProblem(tuple(r.fields), p1, p2, top, r.s,
-                             r0=r.solver["r0"], tolerances=r.tol)
+                             r0=r.solver["r0"], tolerances=r.tol,
+                             criticals=r.crits[2])
     trees = tr.solve_trees(problem)
     assert len(trees) == 1
     (t,) = trees
@@ -106,6 +109,87 @@ def test_found_trees_satisfy_the_matching_conditions(morse_run):
         d -= np.round(d)          # torus distance
         assert np.linalg.norm(d) < 1e-7
     assert t.meeting.shape == (2,)
+
+
+def test_torus_meeting_points_stay_put(morse_run):
+    """The two torus trees meet where they always have, to the dedup radius."""
+    want = {("c1", "c1", "c3"): [0.002384239486566971, 0.9980959603791718],
+            ("c2", "c2", "c3"): [0.0018121601945444432, 0.9878249509543251]}
+    for task, point in want.items():
+        (got,) = morse_run.m2_counts[task]["meetings"]
+        assert np.linalg.norm(np.subtract(got, point)) < tr.DEDUP_RADIUS, task
+
+
+def test_a_local_maximum_sink_is_reached_by_a_capture_run(morse_run):
+    """The torus top class is a maximum of f+g, so its edge is a basin:
+    two active edges, and gamma3 is the capture run from the meeting."""
+    r = morse_run
+    crits = [{p.id: p for p in c} for c in r.crits]
+    problem = tr.TreeProblem(tuple(r.fields), crits[0]["c1"], crits[1]["c1"],
+                             crits[2]["c3"], r.s, r0=r.solver["r0"],
+                             tolerances=r.tol, criticals=r.crits[2])
+    assert problem.active == (0, 1)
+    (t,) = tr.solve_trees(problem)
+    assert len(t.theta) == problem.k[0] + problem.k[1] + 2
+    assert tr.tree_residual(t.theta, problem).shape == (2,)
+    # the reversed capture run starts at the maximum's r_conv ball
+    start = np.subtract(t.gamma3.samples[0][1], crits[2]["c3"].coords)
+    assert np.linalg.norm(start - np.round(start)) < r.tol["r_conv"]
+    assert t.gamma3.samples[-1][0] == t.gamma3.t_final
+
+
+def test_a_capture_run_that_times_out_refuses_the_count(morse_run):
+    """The capture run of (c1, c1; c3) needs t ~ 0.1; with t_max below it
+    the count is refused, never reported as 0."""
+    r = morse_run
+    crits = [{p.id: p for p in c} for c in r.crits]
+    problem = tr.TreeProblem(tuple(r.fields), crits[0]["c1"], crits[1]["c1"],
+                             crits[2]["c3"], r.s, r0=r.solver["r0"],
+                             tolerances={**r.tol, "t_max": 0.05},
+                             criticals=r.crits[2])
+    with pytest.raises(fl.AmbiguousCountError, match="into c3"):
+        tr.solve_trees(problem)
+
+
+def test_a_basin_sink_needs_the_critical_points_it_is_tested_against(morse_run):
+    r = morse_run
+    with pytest.raises(ValueError, match="critical points of h3"):
+        tr.TreeProblem(tuple(r.fields), r.crits[0][1], r.crits[1][1],
+                       r.crits[2][3], r.s)
+
+
+def test_seed_outcomes_cover_every_seed_tried(morse_run, multi_run):
+    """Each m2 count carries how its Newton seeds ended; the histogram
+    sums to the seeds tried.  Every multichord seed stalls at seed 11."""
+    for res in morse_run.m2_counts.values():
+        assert set(res["seeds"]) == set(tr.SEED_OUTCOMES)
+        # k = 1 charts: two directions times the time grid
+        assert sum(res["seeds"].values()) == min(tr.MAX_SEEDS, 2 * tr.TIME_POINTS)
+        assert res["seeds"]["converged"] == res["trees"]
+    assert multi_run.m2_counts
+    for res in multi_run.m2_counts.values():
+        assert res["seeds"] == {**dict.fromkeys(tr.SEED_OUTCOMES, 0),
+                                "line_search_stall": tr.MAX_SEEDS}
+
+
+def test_sinks_above_one_source_pair_share_one_newton_pass(multi_config,
+                                                          monkeypatch):
+    run = pl.GFRun(multi_config).prepare()
+    calls = []
+    newton = tr._newton
+    monkeypatch.setattr(tr, "_newton",
+                        lambda *a: calls.append(1) or newton(*a))
+    spaces = [run.spaces[key] for key in run.TREE_SPACES]
+    fields = tuple(field for field, _, _ in spaces)
+    counted = []
+    for sink in ("c4", "c5"):
+        ends = [crits[i] for (_, crits, _), i in zip(spaces, ("c3", "c3", sink))]
+        tr.count_trees(*ends, run.s, fields, r0=run.solver["r0"],
+                       tolerances=run.tol, meeting_floor=run.meeting_floor,
+                       criticals=list(spaces[2][1].values()))
+        counted.append(len(calls))
+    assert counted[0] > 0
+    assert counted[1] == counted[0]
 
 
 def test_skipped_unit_products_are_recorded_not_counted(morse_run):

@@ -103,15 +103,7 @@ def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
             break
         G = field.grad_vec(Z)
         H = field.hess_vec(Z)
-        try:
-            step = np.linalg.solve(H, G[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.empty_like(G)
-            for b in range(len(Z)):
-                try:
-                    step[b] = np.linalg.solve(H[b], G[b])
-                except np.linalg.LinAlgError:
-                    step[b] = np.nan
+        step = _solve_rows(H, G)
         norms = np.linalg.norm(step, axis=1)
         big = norms > 0.25 * span
         step[big] *= (0.25 * span / norms[big])[:, None]
@@ -127,6 +119,20 @@ def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
     good = np.linalg.norm(G, axis=1) < tol_grad
     inside = np.all((Z >= lo - 1e-6) & (Z <= hi + 1e-6), axis=1) | field.periodic
     return Z[good & inside]
+
+
+def _solve_rows(H, G):
+    """H[b]^-1 G[b] for every row; a singular row gets NaN.  A batch that
+    fails is bisected, so the other rows keep their batched gesv result
+    and a few singular rows cost a few solves per halving, not one solve
+    per row."""
+    try:
+        return np.linalg.solve(H, G[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return np.full_like(G, np.nan)
+        m = len(G) // 2
+        return np.concatenate([_solve_rows(H[:m], G[:m]), _solve_rows(H[m:], G[m:])])
 
 
 def _wrap_unit(Z):

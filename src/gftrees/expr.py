@@ -621,24 +621,28 @@ def _warpslope(c, il, ih, ol, oh):
     return 2.0 / (ih - il)
 
 
+# The numpy twins return the scalar helpers' bits, signed zeros included:
+# where the scalar code returns a literal 0.0, `0.0 - s` is +0.0 and `-s`
+# would be -0.0.  np.minimum(np.maximum(...)) clips as np.clip does, cheaper.
+
 def _bump_np(t):
     a = np.abs(t)
-    u = np.clip(a - 1.0, 0.0, 1.0)
+    u = np.minimum(np.maximum(a - 1.0, 0.0), 1.0)
     return 1.0 + u * u * u * (-10.0 + u * (15.0 - 6.0 * u))
 
 
 def _dbump_np(t):
     a = np.abs(t)
-    u = np.clip(a - 1.0, 0.0, 1.0)
+    u = np.minimum(np.maximum(a - 1.0, 0.0), 1.0)
     s = 30.0 * u * u * (u - 1.0) * (u - 1.0)
-    return np.where(t > 0.0, -s, s)
+    return np.where(t > 0.0, 0.0 - s, s)
 
 
 def _d2bump_np(t):
     a = np.abs(t)
     inside = (a > 1.0) & (a < 2.0)
     u = np.where(inside, a - 1.0, 0.0)
-    return -60.0 * u * (2.0 * u - 1.0) * (u - 1.0)
+    return 0.0 - 60.0 * u * (2.0 * u - 1.0) * (u - 1.0)
 
 
 def _warp_np(c, il, ih, ol, oh):

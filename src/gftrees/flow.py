@@ -8,17 +8,20 @@ leaves the escape box, or at a time cap.
 
 Counting M(p, q) scans the unit sphere of p's unstable frame: one
 trajectory per seed direction, recording where it ended and how close it
-came to every higher critical point.  A scan of a k >= 2 sphere runs all
-its seeds as one batch through `integrate_batch`, a numpy twin of the
-scalar loop that reproduces it bit for bit; the two seeds of a k = 1 scan
-run one at a time through `integrate`, which is cheaper at that size.  The
-seeds that q captured form clusters on the seed neighbor graph (single
-seeds for k = 1, runs on the circle, kd-tree components for k >= 3), and
-each cluster is one line.  A target of positive coindex captures only a
-measure-zero set of directions; a scan that passes close to q without
-capture shows such a line as a wall it cannot resolve, and the count is
-refused with AmbiguousCountError rather than returned without it.  A seed
-that neither converged nor escaped is refused the same way.
+came to every higher critical point.  A scan runs all its seeds as one
+batch through `integrate_batch`, a numpy twin of the scalar loop that
+reproduces it bit for bit.  Below SCALAR_ROWS active rows a `grad_vec`
+call costs more than the scalar grads of its rows, so the batch hands its
+last few rows to the scalar loop, which resumes each from its step state;
+a batch that starts that small, like the two seeds of a k = 1 scan, runs
+on the scalar loop throughout.  The seeds that q captured form clusters
+on the seed neighbor graph (single seeds for k = 1, runs on the circle,
+kd-tree components for k >= 3), and each cluster is one line.  A target
+of positive coindex captures only a measure-zero set of directions; a scan
+that passes close to q without capture shows such a line as a wall it
+cannot resolve, and the count is refused with AmbiguousCountError rather
+than returned without it.  A seed that neither converged nor escaped is
+refused the same way.
 """
 
 from __future__ import annotations
@@ -258,6 +261,44 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
     return ("cap", t, z, None)
 
 
+def _inspector(field, stops, approach):
+    """The event rules of one trajectory, for `_integrate_core`: escape
+    faces first, in coordinate order with - before +; then the tracked
+    points in list order, lowering `approach` (critical id -> closest
+    distance so far) and testing capture and the segment jump."""
+    tracked = stops.criticals
+    r_conv = stops.r_conv
+    vwin = stops.value_window
+    esc = stops.escape_box
+    periodic = field.periodic
+
+    def inspector(z0, z1, h):
+        if esc is not None:
+            for i, (lo, hi) in enumerate(esc):
+                if z1[i] < lo:
+                    return ("stop", Termination("escaped", "-z%d" % i))
+                if z1[i] > hi:
+                    return ("stop", Termination("escaped", "+z%d" % i))
+        for c in tracked:
+            d1 = _dist(z1, c.coords, periodic)
+            if d1 < approach[c.id]:
+                approach[c.id] = d1
+            if d1 < r_conv:
+                if abs(field.value(z1) - c.value) < vwin:
+                    return ("stop", Termination("converged", c.id))
+                continue
+            d0 = _dist(z0, c.coords, periodic)
+            if d0 > r_conv:
+                ds = _segment_dist(z0, z1, c.coords, periodic)
+                if ds < approach[c.id]:
+                    approach[c.id] = ds
+                if ds < r_conv:
+                    # the step would jump across the convergence ball
+                    return ("reject", 0.25)
+        return None
+    return inspector
+
+
 def integrate(field, start, direction="forward", stops=None, tolerances=None,
               terminal_t=None, record_samples=True, resume=None):
     """Integrate z' = +-grad(field) from `start`.
@@ -294,43 +335,21 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
 
     if stops is None:
         raise ValueError("need either a stop rule or terminal_t")
-    tracked = stops.criticals
-    r_conv = stops.r_conv
-    vwin = stops.value_window
-    approach = {c.id: _dist(start, c.coords, periodic) for c in tracked}
-    esc = stops.escape_box
-
-    def inspector(z0, z1, h):
-        if esc is not None:
-            for i, (lo, hi) in enumerate(esc):
-                if z1[i] < lo:
-                    return ("stop", Termination("escaped", "-z%d" % i))
-                if z1[i] > hi:
-                    return ("stop", Termination("escaped", "+z%d" % i))
-        for c in tracked:
-            d1 = _dist(z1, c.coords, periodic)
-            if d1 < approach[c.id]:
-                approach[c.id] = d1
-            if d1 < r_conv:
-                if abs(field.value(z1) - c.value) < vwin:
-                    return ("stop", Termination("converged", c.id))
-                continue
-            d0 = _dist(z0, c.coords, periodic)
-            if d0 > r_conv:
-                ds = _segment_dist(z0, z1, c.coords, periodic)
-                if ds < approach[c.id]:
-                    approach[c.id] = ds
-                if ds < r_conv:
-                    # the step would jump across the convergence ball
-                    return ("reject", 0.25)
-        return None
-
+    approach = {c.id: _dist(start, c.coords, periodic) for c in stops.criticals}
     reason, t, z, payload = _integrate_core(
         f, start, stops.t_max, tol["rtol"], tol["atol"], tol["h0"],
-        tol["h_max"], inspector=inspector, record=record, periodic=periodic)
+        tol["h_max"], inspector=_inspector(field, stops, approach), record=record,
+        periodic=periodic)
     term = payload if reason == "stop" else Termination("timeout")
     return Trajectory(field.tag, record or [], term, t, np.array(z),
                       approach=approach)
+
+
+# Below this many active rows a grad_vec call costs more than the scalar
+# grads of its rows.  On the GF fields it runs ~150 numpy statements, whose
+# dispatch makes a call cost about the same 200-300 us at any B up to ~200,
+# while one scalar grad costs 4-13 us.
+SCALAR_ROWS = 8
 
 
 def integrate_batch(field, starts, stops, tolerances=None):
@@ -342,11 +361,18 @@ def integrate_batch(field, starts, stops, tolerances=None):
     row: escape faces first, in coordinate order with - before +; then the
     tracked points in list order, updating the approach and testing capture
     and the segment jump.  A row's first stop or reject ends its pass over
-    the tracked points.  Every row therefore takes the steps of
-    `integrate(field, row, stops=stops)` and ends with its Termination, t,
-    final point and approach, bit for bit.  Returns one Trajectory per
+    the tracked points.  Once fewer than SCALAR_ROWS rows are active, each
+    of them resumes the scalar loop from its loop-top state (t, z, k1, h)
+    through the `keep` slot of `_integrate_core`, with its approach so
+    far; a batch of fewer rows runs each through `integrate` from its
+    start and never calls `grad_vec`.  Every row therefore takes the steps
+    of `integrate(field, row, stops=stops)` and ends with its Termination,
+    t, final point and approach, bit for bit.  Returns one Trajectory per
     row, without samples.
     """
+    if len(starts) < SCALAR_ROWS:
+        return [integrate(field, s, stops=stops, tolerances=tolerances,
+                          record_samples=False) for s in starts]
     tol = dict(FLOW_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -382,7 +408,7 @@ def integrate_batch(field, starts, stops, tolerances=None):
             t_end[out], z_end[out], a_end[out] = T[done], Z[done], A[done]
             keep = ~done
             rows, Z, K1, T, H, A = rows[keep], Z[keep], K1[keep], T[keep], H[keep], A[keep]
-        if not rows.size:
+        if rows.size < SCALAR_ROWS:
             break
         H = np.minimum(np.minimum(H, t_cap - T), h_max)
         if (H < 1e-13).any():
@@ -455,6 +481,16 @@ def integrate_batch(field, starts, stops, tolerances=None):
         stopped = {int(idx[r]): term for r, term in hits.items()}
 
     ids = [c.id for c in tracked]
+    for r, b in enumerate(rows.tolist()):
+        approach = dict(zip(ids, A[r].tolist()))
+        z = Z[r].tolist()
+        reason, t, z, payload = _integrate_core(
+            field.grad, z, t_cap, rtol, atol, tol["h0"], h_max,
+            inspector=_inspector(field, stops, approach), periodic=periodic,
+            keep=[(t_cap, float(T[r]), z, K1[r].tolist(), float(H[r]))])
+        if reason == "stop":
+            ends[b] = payload
+        t_end[b], z_end[b], a_end[b] = t, z, [approach[i] for i in ids]
     return [Trajectory(field.tag, [], ends[r], float(t_end[r]), z_end[r].copy(),
                        approach=dict(zip(ids, a_end[r].tolist())))
             for r in range(B)]
@@ -576,11 +612,6 @@ def _seed_start(chart, u):
     return chart.point.coords + chart.r0 * (chart.frame @ np.asarray(u))
 
 
-def _launch(field, chart, u, stops, tol, record=False):
-    return integrate(field, _seed_start(chart, u), "forward", stops=stops,
-                     tolerances=tol, record_samples=record)
-
-
 def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
     """Integrate from a dense sample of p's unstable sphere; record each
     seed's outcome and its closest approach to every higher critical point.
@@ -603,13 +634,7 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
         return cache[key], chart
     ids = [c.id for c in stops.criticals]
     dirs = sphere_dirs(k, m, 12345)
-    # on the GF fields a grad_vec call at B = 1-2 costs 130-140 us, over
-    # ten scalar grads, so a batch would slow the two-seed k = 1 scans
-    if k == 1:
-        trajs = [_launch(field, chart, u, stops, tol) for u in dirs]
-    else:
-        trajs = integrate_batch(field, [_seed_start(chart, u) for u in dirs],
-                                stops, tol)
+    trajs = integrate_batch(field, [_seed_start(chart, u) for u in dirs], stops, tol)
     outcomes = [traj.termination.as_tuple() for traj in trajs]
     approach = np.array([[traj.approach[i] for i in ids] for traj in trajs])
     scan = _Scan(dirs, outcomes, ids, approach.reshape(len(dirs), len(ids)))
@@ -650,8 +675,9 @@ def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
     comps = _capture_clusters(is_q, neighbors)
 
     def representatives():
-        return [_launch(field, chart, scan.dirs[_representative(c, mlen, chart.k)],
-                        stops, tol, record=True) for c in comps]
+        seeds = [scan.dirs[_representative(c, mlen, chart.k)] for c in comps]
+        return [integrate(field, _seed_start(chart, u), stops=stops, tolerances=tol)
+                for u in seeds]
     return LineCount(len(comps) % 2, len(comps), representatives=representatives)
 
 

@@ -167,6 +167,21 @@ def test_periodic_newton_polish_stays_below_one():
     assert np.all((got >= 0.0) & (got < 1.0))
 
 
+def test_singular_rows_get_nan_and_the_rest_their_own_solve():
+    rng = np.random.default_rng(3)
+    H = rng.standard_normal((37, 3, 3))
+    G = rng.standard_normal((37, 3))
+    singular = [0, 5, 6, 36]
+    H[singular] = 0.0
+    H[5, 0, 0] = 1.0
+    got = cr._solve_rows(H, G)
+    for b in range(len(G)):
+        if b in singular:
+            assert np.isnan(got[b]).all()
+        else:
+            assert got[b].tobytes() == np.linalg.solve(H[b], G[b]).tobytes()
+
+
 def embed_parts(config):
     fam = fa.family_from_config(config["family"])
     w = fam.difference()

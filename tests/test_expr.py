@@ -197,3 +197,17 @@ def test_bump_is_a_plateau_with_flat_ends():
         assert d1([t]) == pytest.approx(fd, abs=1e-6)
     assert d1([1.0]) == pytest.approx(0.0, abs=1e-12)
     assert d1([2.0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_vector_cutoff_helpers_return_the_scalar_bits():
+    """The numpy cutoff helpers equal the scalar ones bit for bit, signed
+    zeros included, on the plateau, the shoulder and past the end."""
+    ends = np.array([1.0, 2.0])
+    t = np.concatenate([np.linspace(0.0, 1.0, 101), np.linspace(1.0, 2.0, 103)[1:-1],
+                        np.linspace(2.0, 3.0, 101), np.nextafter(ends, 0.0),
+                        np.nextafter(ends, 3.0), [1.5]])
+    t = np.concatenate([t, -t])
+    for scalar, vector in ((ex._bump, ex._bump_np), (ex._dbump, ex._dbump_np),
+                           (ex._d2bump, ex._d2bump_np)):
+        want = np.array([scalar(v) for v in t.tolist()])
+        assert np.array_equal(vector(t).view(np.int64), want.view(np.int64)), vector.__name__

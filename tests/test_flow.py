@@ -225,7 +225,9 @@ def test_a_batched_scan_matches_the_scalar_loop_off_the_torus(multi_config):
 def test_a_rejected_jump_and_an_escape_match_the_scalar_loop(monkeypatch):
     """On f = x the flow runs right at unit speed, so steps grown to h_max
     jump across the ball around c = 0.3 until the segment test has cut
-    them down; the row from 0.5 never meets c and leaves the box."""
+    them down; the row from 0.5 never meets c and leaves the box.  Rows
+    from further left keep the batch at SCALAR_ROWS or more while the
+    first rows meet the ball."""
     field = fa.ScalarField(1, ex.parse("x1", ex.VarLayout(1, 0)))
     c = cr.CriticalPoint(np.array([0.3]), 0.3, 0, 0, np.array([0.0]))
     c.id = "c"
@@ -237,10 +239,49 @@ def test_a_rejected_jump_and_an_escape_match_the_scalar_loop(monkeypatch):
         segments.append(seg(*args))
         return segments[-1]
     monkeypatch.setattr(fl, "_segment_dist_rows", recorded)
-    rows = assert_batch_matches_the_scalar_loop(field, [[0.0], [-0.2], [0.5]], stops)
-    assert [r.termination.as_tuple() for r in rows] == [
+    starts = [[0.0], [-0.2], [0.5]] + [[-0.5 - 0.5 * i] for i in range(fl.SCALAR_ROWS)]
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    assert [r.termination.as_tuple() for r in rows[:3]] == [
         ("converged", "c"), ("converged", "c"), ("escaped", "+z0")]
     assert min(d.min() for d in segments if d.size) < stops.r_conv
+
+
+def test_a_shrinking_batch_resumes_its_last_rows_on_the_scalar_loop(torus_field, monkeypatch):
+    """The rows still active once fewer than SCALAR_ROWS remain resume the
+    scalar loop from their step state, on plain floats, and every row
+    still ends as the scalar loop does."""
+    crits = cr.find_critical_points(torus_field)
+    resumed = []
+    core = fl._integrate_core
+
+    def spied(f, z0, t_cap, *args, keep=None, **kwargs):
+        if keep:
+            _, t, z, k1, h = keep[0]
+            assert all(type(v) is float for v in [t, h] + z + k1)
+            resumed.append(t)
+        return core(f, z0, t_cap, *args, keep=keep, **kwargs)
+    monkeypatch.setattr(fl, "_integrate_core", spied)
+    assert_batch_matches_the_scalar_loop(torus_field, *scan_rows(torus_field, crits[0], crits, 64))
+    assert 0 < len(resumed) < fl.SCALAR_ROWS
+    assert min(resumed) > 0.0
+
+
+def test_a_k1_scan_runs_on_the_scalar_loop(well1d, monkeypatch):
+    """The two seeds of a k = 1 scan make no grad_vec call and end as two
+    event-mode integrations."""
+    crits = cr.find_critical_points(well1d)
+    lo = crits[0]
+
+    def grad_vec(Z):
+        raise AssertionError("grad_vec called on %d rows" % len(Z))
+    monkeypatch.setattr(well1d, "grad_vec", grad_vec)
+    scan, chart = fl.sphere_scan(well1d, lo, crits)
+    assert chart.k == 1
+    stops = fl._flow_stops(well1d, crits, lo.value, fl.FLOW_TOLERANCES)
+    want = [fl.integrate(well1d, fl._seed_start(chart, u), stops=stops) for u in scan.dirs]
+    assert scan.outcomes == [traj.termination.as_tuple() for traj in want]
+    assert scan.approach.tobytes() == np.array(
+        [[traj.approach[i] for i in scan.approach_ids] for traj in want]).tobytes()
 
 
 # A cap below h0, an ascending run with an FD-style 1e-5 nudge, then a

@@ -122,17 +122,18 @@ def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
 
 
 def _solve_rows(H, G):
-    """H[b]^-1 G[b] for every row; a singular row gets NaN.  A batch that
-    fails is bisected, so the other rows keep their batched gesv result
-    and a few singular rows cost a few solves per halving, not one solve
-    per row."""
+    """H[b]^-1 G[b] for every row; a singular row gets NaN.  gesv fails on
+    a row exactly when its LU factorization meets a zero pivot, which is
+    when slogdet's sign is 0, so a batch that fails is solved again
+    without those rows in one call, and every other row keeps its gesv
+    result."""
     try:
         return np.linalg.solve(H, G[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        if len(G) == 1:
-            return np.full_like(G, np.nan)
-        m = len(G) // 2
-        return np.concatenate([_solve_rows(H[:m], G[:m]), _solve_rows(H[m:], G[m:])])
+        ok = np.linalg.slogdet(H)[0] != 0.0
+        step = np.full_like(G, np.nan)
+        step[ok] = np.linalg.solve(H[ok], G[ok][..., None])[..., 0]
+        return step
 
 
 def _wrap_unit(Z):

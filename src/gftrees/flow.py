@@ -192,7 +192,8 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
     a step (or the final state when it never did).  Every step before it is
     the same for any larger cap, so a run resumed from it to a cap >= the
     kept cap is bit-identical to a fresh run; smaller caps run fresh.  The
-    run then overwrites `keep` with its own state.
+    run then overwrites `keep` with its own state.  `integrate_batch` hands
+    a row's loop-top state to the scalar loop the same way.
     """
     D = len(z0)
     if keep and keep[0][0] <= t_cap:

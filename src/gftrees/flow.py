@@ -4,7 +4,10 @@ counting isolated connecting trajectories.
 The ODE is z' = +grad(field) (or - for backward time), integrated with an
 adaptive Dormand-Prince 4(5) pair.  A trajectory stops when it enters the
 r_conv-ball of a known critical point with a matching value window, when it
-leaves the escape box, or at a time cap.
+leaves the escape box, or at a time cap.  A terminal-mode path that is
+queried at many times, such as a tree chart's (chart, u), keeps a step
+log and resumes each query from the log instead of from t = 0, with a
+bit-identical result.
 
 Counting M(p, q) scans the unit sphere of p's unstable frame: one
 trajectory per seed direction, recording where it ended and how close it
@@ -182,35 +185,58 @@ def _segment_dist_rows(Z0, Z1, c, periodic):
     return d
 
 
+def _resume_index(log, t_cap, h_max):
+    """Index of the last logged state that a fresh run to t_cap passes
+    through: every earlier state must enter the loop and take its step
+    unshortened by the cap, tested with the loop's own expressions."""
+    j = 0
+    while j < len(log) - 1:
+        t, _, _, h = log[j]
+        if not (t < t_cap * (1.0 - 1e-15) and t_cap - t >= min(h, h_max)):
+            break
+        j += 1
+    return j
+
+
 def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
-                    inspector=None, record=None, periodic=False, keep=None):
+                    inspector=None, record=None, periodic=False, log=None,
+                    start=None):
     """Returns (reason, t, z, payload) with reason "cap" | "stop".
 
-    `keep`, a list holding at most one loop state (cap, t, z, k1, h), lets
-    a later run from the same start resume instead of starting at t = 0.
-    The kept state is the last loop top before the time cap first shortened
-    a step (or the final state when it never did).  Every step before it is
-    the same for any larger cap, so a run resumed from it to a cap >= the
-    kept cap is bit-identical to a fresh run; smaller caps run fresh.  The
-    run then overwrites `keep` with its own state.  `integrate_batch` hands
-    a row's loop-top state to the scalar loop the same way.
+    `log`, a list owned by one start point, is the path's step log: its
+    loop-top states (t, z, k1, h) from t = 0 on, each reached from the
+    one before by a step the time cap did not shorten, so every cap passes
+    through them alike until its first shortened step.  A run resumes from
+    the last state that a fresh run to t_cap passes through unchanged
+    (`_resume_index`), so its result is bit-identical to a fresh run's.
+    A run that resumes at the log's end appends its own states while its
+    steps stay unshortened, the exit state included; one that resumes
+    earlier appends nothing.  `start`, a loop-top state (t, z, k1, h),
+    starts the loop there instead, without a log: `integrate_batch` hands
+    a row to the scalar loop this way.
     """
     D = len(z0)
-    if keep and keep[0][0] <= t_cap:
-        _, t, z, k1, h = keep[0]
+    if start is not None:
+        t, z, k1, h = start
+    elif log:
+        j = _resume_index(log, t_cap, h_max)
+        t, z, k1, h = log[j]
+        if j == len(log) - 1:
+            log.pop()           # the loop top logs it again
+        else:
+            log = None
     else:
         z = list(z0)
         t = 0.0
         if record is not None:
             record.append((0.0, tuple(z)))
         k1 = f(z)
-        # the loop clamps to t_cap, so a kept t = 0 state carries no cap
         h = min(h0, h_max)
-    updating = keep is not None
+    updating = log is not None
     while t < t_cap * (1.0 - 1e-15):
         if updating:
-            keep[:] = [(t_cap, t, z, k1, h)]
-            # retries of a cap-shortened step are specific to this cap
+            log.append((t, z, k1, h))
+            # the states after a cap-shortened step are specific to this cap
             updating = t_cap - t >= min(h, h_max)
         h = min(h, t_cap - t, h_max)
         if h < 1e-13:
@@ -258,7 +284,7 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
             return ("stop", t, z, verdict[1])
         h *= 5.0 if err < 1e-10 else min(5.0, 0.9 * err ** -0.2)
     if updating:
-        keep[:] = [(t_cap, t, z, k1, h)]
+        log.append((t, z, k1, h))
     return ("cap", t, z, None)
 
 
@@ -307,9 +333,9 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
     Event mode (stops given): run until capture at a critical point, exit
     from the escape box, or stops.t_max.  Terminal mode (terminal_t given):
     run for exactly that much time.  In terminal mode without samples,
-    `resume` is a list owned by one (field, start, direction, tolerances)
-    path: it keeps one step state between calls, so a later call with a
-    time at least as large continues from it (see `_integrate_core`).
+    `resume` is the step log of one (field, start, direction, tolerances)
+    path, a list that grows between calls: a later call at any time
+    resumes from the log instead of from t = 0 (see `_integrate_core`).
     """
     # on numpy float64 scalars the scalar loop takes about twice as long
     start = [float(v) for v in start]
@@ -330,7 +356,7 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
     if terminal_t is not None:
         reason, t, z, _ = _integrate_core(
             f, start, terminal_t, tol["rtol"], tol["atol"], tol["h0"],
-            tol["h_max"], record=record, periodic=periodic, keep=resume)
+            tol["h_max"], record=record, periodic=periodic, log=resume)
         return Trajectory(field.tag, record or [], Termination("time"),
                           t, np.array(z))
 
@@ -363,9 +389,9 @@ def integrate_batch(field, starts, stops, tolerances=None):
     tracked points in list order, updating the approach and testing capture
     and the segment jump.  A row's first stop or reject ends its pass over
     the tracked points.  Once fewer than SCALAR_ROWS rows are active, each
-    of them resumes the scalar loop from its loop-top state (t, z, k1, h)
-    through the `keep` slot of `_integrate_core`, with its approach so
-    far; a batch of fewer rows runs each through `integrate` from its
+    of them resumes the scalar loop from its loop-top state (t, z, k1, h),
+    the `start` of `_integrate_core`, with its approach so far and no step
+    log; a batch of fewer rows runs each through `integrate` from its
     start and never calls `grad_vec`.  Every row therefore takes the steps
     of `integrate(field, row, stops=stops)` and ends with its Termination,
     t, final point and approach, bit for bit.  Returns one Trajectory per
@@ -488,7 +514,7 @@ def integrate_batch(field, starts, stops, tolerances=None):
         reason, t, z, payload = _integrate_core(
             field.grad, z, t_cap, rtol, atol, tol["h0"], h_max,
             inspector=_inspector(field, stops, approach), periodic=periodic,
-            keep=[(t_cap, float(T[r]), z, K1[r].tolist(), float(H[r]))])
+            start=(float(T[r]), z, K1[r].tolist(), float(H[r])))
         if reason == "stop":
             ends[b] = payload
         t_end[b], z_end[b], a_end[b] = t, z, [approach[i] for i in ids]
@@ -537,7 +563,7 @@ def build_chart(field, p, side, r0=1e-3):
 def chart_point(chart, u, t, tolerances=None, resume=None):
     """Flow image of p + r0*u: forward time t on the unstable side,
     backward on the stable side.  t = 0 returns p + r0*u exactly.
-    `resume` is the step-state slot of `integrate`, one per (chart, u)."""
+    `resume` is the step log of `integrate`, one per (chart, u)."""
     if t < 0:
         raise ValueError("chart time must be >= 0")
     u = np.asarray(u, dtype=float)

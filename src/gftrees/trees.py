@@ -43,12 +43,13 @@ under all of those inputs: the tasks of every sink above one source pair
 share one Newton pass, and the capture test splits its solutions by sink.
 
 Chart endpoints are memoized per (edge, u, t), and each (edge, u) path
-keeps one integrator step state (see `flow.integrate`'s `resume`).  A
-later time on the same path continues from that state instead of from
-t = 0, with a bit-identical result.  So the tabulation's ascending time
-grid integrates each direction once, plus one cap-shortened step per grid
-time, and each finite-difference time column continues the line-search
-run it perturbs.
+keeps a step log of its integrator states (see `flow.integrate`'s
+`resume`).  A query at any time on the same path resumes from the log
+instead of from t = 0, with a bit-identical result.  So the tabulation's
+ascending time grid integrates each direction once, plus a few
+cap-shortened steps per grid time, and a finite-difference time column, a
+line-search candidate or a Newton iterate at a smaller time than the
+path's last query resumes from the state before its time.
 
 The solver's settings are the module constants `MAX_SEEDS`, `TIME_POINTS`,
 `MAX_ITER`, `TOL_MATCH`, `FD_STEP`, `DEDUP_RADIUS` and `COND_CAP`; no
@@ -157,7 +158,7 @@ class TreeProblem:
             self.blocks.append((a, a + self.k[which]))
         self.periodic = self.h1.periodic
         self._memo = {}
-        self._slots = {}
+        self._logs = {}
 
     # -- theta packing --------------------------------------------------
 
@@ -176,10 +177,10 @@ class TreeProblem:
         if got is None:
             if len(self._memo) > 4096:
                 self._memo.clear()
-                self._slots.clear()
+                self._logs.clear()
             got = fl.chart_point(chart, u, max(0.0, float(t)),
                                  tolerances=self.tolerances,
-                                 resume=self._slots.setdefault(path, []))
+                                 resume=self._logs.setdefault(path, []))
             self._memo[key] = got
         return got
 
@@ -312,7 +313,8 @@ def _fd_jacobian(problem, theta, res):
         _clamp_times(problem, pert)
         dj = pert[j] - theta[j]
         if dj == 0.0:
-            pert[j] = theta[j] + FD_STEP  # at the t >= 0 boundary, step forward
+            # a time at the upper clamp of `_clamp_times`: step past it
+            pert[j] = theta[j] + FD_STEP
             dj = FD_STEP
         J[:, j] = (_augmented(pert, problem) - res) / dj
     return J

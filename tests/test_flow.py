@@ -254,16 +254,39 @@ def test_a_shrinking_batch_resumes_its_last_rows_on_the_scalar_loop(torus_field,
     resumed = []
     core = fl._integrate_core
 
-    def spied(f, z0, t_cap, *args, keep=None, **kwargs):
-        if keep:
-            _, t, z, k1, h = keep[0]
+    def spied(f, z0, t_cap, *args, start=None, **kwargs):
+        if start is not None:
+            t, z, k1, h = start
             assert all(type(v) is float for v in [t, h] + z + k1)
             resumed.append(t)
-        return core(f, z0, t_cap, *args, keep=keep, **kwargs)
+        return core(f, z0, t_cap, *args, start=start, **kwargs)
     monkeypatch.setattr(fl, "_integrate_core", spied)
     assert_batch_matches_the_scalar_loop(torus_field, *scan_rows(torus_field, crits[0], crits, 64))
     assert 0 < len(resumed) < fl.SCALAR_ROWS
     assert min(resumed) > 0.0
+
+
+def test_a_scan_hand_off_grows_no_step_log(torus_field, monkeypatch):
+    """A batch hands each last row to the scalar loop as a start state
+    without a step log, so no hand-off grows a log, and the scan's
+    outcomes and approach bytes stay those of the scalar loop."""
+    crits = cr.find_critical_points(torus_field)
+    pit = crits[0]
+    handed = []
+    core = fl._integrate_core
+
+    def spied(f, z0, t_cap, *args, start=None, log=None, **kwargs):
+        if start is not None:
+            handed.append(log)
+        return core(f, z0, t_cap, *args, start=start, log=log, **kwargs)
+    monkeypatch.setattr(fl, "_integrate_core", spied)
+    scan, chart = fl.sphere_scan(torus_field, pit, crits, m=64)
+    assert handed and all(log is None for log in handed)
+    stops = fl._flow_stops(torus_field, crits, pit.value, fl.FLOW_TOLERANCES)
+    want = [fl.integrate(torus_field, fl._seed_start(chart, u), stops=stops) for u in scan.dirs]
+    assert scan.outcomes == [traj.termination.as_tuple() for traj in want]
+    assert scan.approach.tobytes() == np.array(
+        [[traj.approach[i] for i in scan.approach_ids] for traj in want]).tobytes()
 
 
 def test_a_k1_scan_runs_on_the_scalar_loop(well1d, monkeypatch):
@@ -285,27 +308,43 @@ def test_a_k1_scan_runs_on_the_scalar_loop(well1d, monkeypatch):
 
 
 # A cap below h0, an ascending run with an FD-style 1e-5 nudge, then a
-# smaller time after a larger one (which must run fresh) and a climb again.
+# smaller time after a larger one (which resumes from the log's state
+# before it) and a climb again.
 RESUME_LADDER = [5e-4, 0.3, 0.3 + 1e-5, 1.1, 2.5, 2.5 + 1e-5, 0.7,
                  0.7 + 1e-5, 4.0]
 
 
-def assert_resumes_bit_identically(chart, u, monkeypatch):
-    field = chart.field
+def counted_grads(field, monkeypatch):
     calls = []
     monkeypatch.setattr(field, "grad",
                         lambda z: calls.append(1) or fa.ScalarField.grad(field, z))
-    slot = []
+    return calls
+
+
+def resumed_and_fresh(chart, u, t, log, calls):
+    """The chart point at t through `log` and from t = 0, after checking
+    that they are bit-identical, as the grad calls each took."""
+    n0 = len(calls)
+    got = fl.chart_point(chart, u, t, resume=log)
+    n1 = len(calls)
+    want = fl.chart_point(chart, u, t)
+    assert np.array_equal(got, want), (chart.side, t)
+    return n1 - n0, len(calls) - n1
+
+
+def assert_resumes_bit_identically(chart, u, monkeypatch):
+    calls = counted_grads(chart.field, monkeypatch)
+    log = []
     resumed_calls = fresh_calls = 0
     for t in RESUME_LADDER:
-        n0 = len(calls)
-        got = fl.chart_point(chart, u, t, resume=slot)
-        n1 = len(calls)
-        want = fl.chart_point(chart, u, t)
-        resumed_calls += n1 - n0
-        fresh_calls += len(calls) - n1
-        assert np.array_equal(got, want), (chart.side, t)
-        assert slot[0][0] == t      # the slot holds the latest run's state
+        resumed, fresh = resumed_and_fresh(chart, u, t, log, calls)
+        resumed_calls += resumed
+        fresh_calls += fresh
+        if t == 0.7:
+            assert resumed < fresh
+        # the log runs from t = 0, one state per step, its times ascending
+        assert log[0][0] == 0.0
+        assert all(a[0] <= b[0] and a != b for a, b in zip(log, log[1:]))
     assert resumed_calls < fresh_calls
 
 
@@ -331,6 +370,32 @@ def test_resumed_chart_points_are_bit_identical_off_the_torus(multi_config, monk
                 continue
             u = np.linspace(1.0, 2.0, chart.k)
             assert_resumes_bit_identically(chart, u / np.linalg.norm(u), monkeypatch)
+
+
+def test_a_line_search_ladder_resumes_from_the_step_log(torus_field, monkeypatch):
+    """Descending times, each with its finite-difference nudge, then an
+    ascent, on a k = 1 unstable chart: every rung is bit-identical to a
+    fresh run and, after the first, costs a small part of one.  So do a
+    cap below h0, a cap equal to a logged time and a cap equal to a logged
+    time plus its step."""
+    from gftrees import trees as tr
+    saddle = cr.find_critical_points(torus_field)[2]
+    chart = fl.build_chart(torus_field, saddle, "unstable")
+    assert chart.k == 1
+    u = np.array([1.0])
+    calls = counted_grads(torus_field, monkeypatch)
+    log = []
+    resumed_and_fresh(chart, u, 4.0, log, calls)
+    ladder = [t + nudge for t in (3.0, 2.0, 1.0, 0.5) for nudge in (0.0, tr.FD_STEP)]
+    for t in ladder + [1.5, 2.5, 5.0]:
+        resumed, fresh = resumed_and_fresh(chart, u, t, log, calls)
+        assert 4 * resumed < fresh, t
+    h_max = fl.FLOW_TOLERANCES["h_max"]
+    assert fl.FLOW_TOLERANCES["h0"] > 5e-4
+    t_i, _, _, h_i = log[len(log) // 2]
+    for t in (5e-4, t_i, t_i + min(h_i, h_max)):
+        resumed, fresh = resumed_and_fresh(chart, u, t, log, calls)
+        assert resumed < fresh, t
 
 
 def test_escape_box_margins():

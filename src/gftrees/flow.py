@@ -235,7 +235,8 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
     updating = log is not None
     while t < t_cap * (1.0 - 1e-15):
         if updating:
-            log.append((t, z, k1, h))
+            # tuples of floats, which the garbage collector stops tracking
+            log.append((t, tuple(z), tuple(k1), h))
             # the states after a cap-shortened step are specific to this cap
             updating = t_cap - t >= min(h, h_max)
         h = min(h, t_cap - t, h_max)
@@ -284,7 +285,7 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
             return ("stop", t, z, verdict[1])
         h *= 5.0 if err < 1e-10 else min(5.0, 0.9 * err ** -0.2)
     if updating:
-        log.append((t, z, k1, h))
+        log.append((t, tuple(z), tuple(k1), h))
     return ("cap", t, z, None)
 
 

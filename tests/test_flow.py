@@ -9,6 +9,7 @@ from gftrees import critical as cr
 from gftrees import expr as ex
 from gftrees import family as fa
 from gftrees import flow as fl
+from gftrees import trees as tr
 
 
 def scalar_field(text, dim, inner, outer, periodic=False, names=None):
@@ -378,7 +379,6 @@ def test_a_line_search_ladder_resumes_from_the_step_log(torus_field, monkeypatch
     fresh run and, after the first, costs a small part of one.  So do a
     cap below h0, a cap equal to a logged time and a cap equal to a logged
     time plus its step."""
-    from gftrees import trees as tr
     saddle = cr.find_critical_points(torus_field)[2]
     chart = fl.build_chart(torus_field, saddle, "unstable")
     assert chart.k == 1

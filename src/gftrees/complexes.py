@@ -144,9 +144,6 @@ class CohomologyRing:
         self.products = products            # {(label_a, label_b): [labels]}
         self.complex = complex_
 
-    def total_rank(self):
-        return sum(self.ranks.values())
-
     def reps(self, grading):
         """Class representatives of one grading as the columns of a matrix."""
         cs = self.classes.get(grading, [])

@@ -10,37 +10,34 @@ meet at a single point:
 
     gamma1(0) + s1 = gamma2(0) + s2 = gamma3(0) + s3.
 
-The unknowns are (u, t) for each *active* edge: u on the unit sphere of
-the edge's chart frame and t >= 0 the flow time, with endpoint
-E = q + s where q is the flow image of p + r0*u.  Each active edge's
-sphere constraint adds one equation.  When the expected dimension
-|p0| - |p1| - |p2| is 0, the charts' dimensions k1 + k2 + k3 sum to 2D,
-and the two chart shapes give square systems:
+The unknowns are (u, t) for each source edge: u on the unit sphere of
+its chart frame and t >= 0 the flow time, with endpoint E = q + s where
+q is the flow image of p + r0*u.  The sink edge has no unknowns.  Its
+stable chart misses only the `pins`, the quadratic slots i of h3 with
+coefficient c > 0: `expr_part` never reads them, so their flow
+z_i(0)*e^{2ct} reaches p0 only from z_i = 0, and the stable manifold is
+an open basin times the pins.  At expected dimension |p0| - |p1| - |p2|
+= 0, k1 + k2 + k3 = 2D and k3 + #pins = D, so one square system remains:
+k1 + k2 + 2 unknowns; equations E1 - E2 = 0, the pin rows
+E2[i] - s3[i] = 0 and two sphere constraints.  A sink whose stable chart
+misses a coupled direction raises DimensionError.
 
-- k3 < D: all three edges are active.  Unknowns (u1, t1, u2, t2, u3, t3),
-  2D + 3 of them; equations E1 - E2 = 0 and E2 - E3 = 0 plus three sphere
-  constraints.
-- k3 = D: the sink is a local maximum of h3 and its stable manifold is an
-  open basin, so the sink edge imposes no equation and is inactive.
-  Unknowns (u1, t1, u2, t2), k1 + k2 + 2 = D + 2 of them; equations
-  E1 - E2 = 0 plus two sphere constraints.  A solution's meeting point M
-  is a tree into p0 when it passes the capture test: the forward h3 flow
-  from q3 = M - s3, stopped in event mode at the escape box and at the
-  critical points of h3 above h3(q3), converges to p0.  Converging
-  elsewhere or escaping means M is no tree into p0; a flow that does
-  neither by t_max refuses the count with AmbiguousCountError.  The
-  recorded gamma3 of such a tree is the capture run with its samples
-  reversed, so it ends at q3.
+A solution's meeting point M is a tree into p0 when it passes the
+capture test: the forward h3 flow from q3 = M - s3, its pinned slots set
+to exactly 0 (the flow keeps them there), stopped in event mode at the
+escape box and at the critical points of h3 above h3(q3), converges to
+p0.  Converging elsewhere or escaping means M is no tree into p0; a flow
+that does neither by t_max refuses the count with AmbiguousCountError.
+A tree's gamma3 is the capture run reversed, so it ends at q3.
 
 Differences are taken mod 1 in torus mode.  The system is solved by
 damped Newton with finite-difference Jacobians from seeds ranked over a
-coarse product grid of the active charts' endpoints.  Every seed's
-outcome goes into a histogram, `SEED_OUTCOMES`.
-
-Without the sink edge the Newton solutions depend on (h1, h2, p1, p2,
-s1, s2, r0, the flow tolerances) and not on p0, so they are cached on h1
-under all of those inputs: the tasks of every sink above one source pair
-share one Newton pass, and the capture test splits its solutions by sink.
+coarse product grid of the source charts' endpoints.  Every seed's
+outcome goes into a histogram, `SEED_OUTCOMES`.  The Newton solutions do
+not depend on p0, so they are cached on h1 under every input they do
+depend on (h2, p1, p2, s1, s2, r0, the flow tolerances, the pins and s3
+on them): the tasks of every sink above one source pair share one Newton
+pass, and the capture test splits its solutions by sink.
 
 Chart endpoints are memoized per (edge, u, t), and each (edge, u) path
 keeps a step log of its integrator states (see `flow.integrate`'s
@@ -120,9 +117,9 @@ class PerturbationTriple:
 class TreeProblem:
     """Charts, perturbation and bookkeeping for one (p1, p2; p0) count.
 
-    `active` lists the edges whose (u, t) theta packs: all three, or the
-    two source edges when the sink chart has k3 = D.  The capture test of
-    the latter tracks `criticals`, the critical points of h3."""
+    theta packs (u1, t1, u2, t2) of the two source edges.  `pins` are the
+    quadratic slots of h3 that the sink's stable chart misses, and the
+    capture test tracks `criticals`, the critical points of h3."""
 
     def __init__(self, fields, src1, src2, sink, s, r0=1e-3, tolerances=None,
                  meeting_floor=None, criticals=None):
@@ -142,20 +139,31 @@ class TreeProblem:
             raise DimensionError(
                 "a tree edge has a 0-dimensional chart (frames %r): such "
                 "degenerate edges are outside the tree solver's scope" % (self.k,))
-        if self.d == 0 and sum(self.k) != 2 * self.D:
-            raise RuntimeError(
-                "unknown-count balance violated: frames %r sum to %d, need 2D=%d "
-                "(chart and grading bookkeeping disagree)"
-                % (self.k, sum(self.k), 2 * self.D))
-        self.active = (0, 1) if self.k[2] == self.D else (0, 1, 2)
-        if len(self.active) == 2 and criticals is None:
-            raise ValueError("the capture test into the local maximum %s needs "
-                             "the critical points of h3" % sink.id)
+        self.pins = tuple(i for i, c in self.h3.quad_blocks if c > 0)
+        if self.d == 0:
+            if sum(self.k) != 2 * self.D:
+                raise RuntimeError(
+                    "unknown-count balance violated: frames %r sum to %d, need "
+                    "2D=%d (chart and grading bookkeeping disagree)"
+                    % (self.k, sum(self.k), 2 * self.D))
+            if self.k[2] + len(self.pins) != self.D:
+                spanned = np.column_stack(
+                    [self.charts[2].frame, np.eye(self.D)[:, list(self.pins)]])
+                missing = [v * np.sign(v[np.argmax(np.abs(v))]) for v in
+                           np.linalg.svd(spanned.T)[2][spanned.shape[1]:]]
+                raise DimensionError(
+                    "the stable chart of sink %s (k3 = %d, pins %r) misses the "
+                    "coupled direction(s) %r of R^%d: only decoupled quadratic "
+                    "slots can be pinned"
+                    % (sink.id, self.k[2], self.pins,
+                       [(np.round(v, 6) + 0.0).tolist() for v in missing],
+                       self.D))
+            if criticals is None:
+                raise ValueError("the capture test into %s needs the critical "
+                                 "points of h3" % sink.id)
         self.criticals = criticals
-        self.blocks = []          # (first u index, t index) per active edge
-        for which in self.active:
-            a = self.blocks[-1][1] + 1 if self.blocks else 0
-            self.blocks.append((a, a + self.k[which]))
+        k1 = self.k[0]
+        self.blocks = ((0, k1), (k1 + 1, k1 + 1 + self.k[1]))  # (first u, t) index
         self.periodic = self.h1.periodic
         self._memo = {}
         self._logs = {}
@@ -163,7 +171,7 @@ class TreeProblem:
     # -- theta packing --------------------------------------------------
 
     def split(self, theta):
-        """[(u, t)] of the active edges."""
+        """[(u, t)] of the two source edges."""
         return [(theta[a:b], theta[b]) for a, b in self.blocks]
 
     def pack(self, parts):
@@ -186,7 +194,7 @@ class TreeProblem:
 
     def endpoints(self, theta):
         return [self.endpoint(which, u, t)
-                for which, (u, t) in zip(self.active, self.split(theta))]
+                for which, (u, t) in enumerate(self.split(theta))]
 
     def _wrap(self, v):
         if self.periodic:
@@ -206,13 +214,13 @@ class FlowTree:
 
 
 def tree_residual(theta, problem):
-    """Matching defect of the active edges: (E1 - E2, E2 - E3) in R^{2D},
-    or E1 - E2 in R^D without the sink edge, with E_k = q_k + s_k
-    (differences taken mod 1 in torus mode)."""
-    qs = problem.endpoints(np.asarray(theta, dtype=float))
-    ss = [problem.s.parts()[which] for which in problem.active]
-    return np.concatenate([problem._wrap(qa + sa - qb - sb)
-                           for qa, sa, qb, sb in zip(qs, ss, qs[1:], ss[1:])])
+    """Matching defect E1 - E2 in R^D, then the pin rows E2[i] - s3[i],
+    with E_k = q_k + s_k (differences taken mod 1 in torus mode)."""
+    q1, q2 = problem.endpoints(np.asarray(theta, dtype=float))
+    s1, s2, s3 = problem.s.parts()
+    pins = list(problem.pins)
+    return np.concatenate([problem._wrap(q1 + s1 - q2 - s2),
+                           q2[pins] + s2[pins] - s3[pins]])
 
 
 def _augmented(theta, problem):
@@ -329,7 +337,7 @@ def _clamp_times(problem, theta):
 
 
 def _retract_dirs(problem, theta):
-    """Project the active direction blocks back to their unit spheres.
+    """Project the direction blocks back to their unit spheres.
 
     Without this, a Newton step that mostly rotates a launch direction
     leaves the sphere quadratically, the norm-constraint residual swamps
@@ -341,7 +349,8 @@ def _retract_dirs(problem, theta):
 
 
 def _plausible(problem, theta, bigbox):
-    """Whether the middle edge ends inside `bigbox` (anywhere on the torus)."""
+    """Whether the second source edge ends inside `bigbox` (anywhere on the
+    torus)."""
     q2 = problem.endpoint(1, *problem.split(theta)[1])
     return bigbox is None or all(lo <= q2[i] <= hi
                                  for i, (lo, hi) in enumerate(bigbox))
@@ -353,11 +362,11 @@ def _plausible(problem, theta, bigbox):
 def solve_trees(problem):
     """All isolated flow trees of a 0-dimensional problem.
 
-    The Newton solutions of the active edges (`_intersections`, shared by
-    every sink when the sink edge is inactive) are split by the capture
-    test and validated (matching, confinement, the rho/4 positivity bound,
-    Jacobian condition below COND_CAP).  `problem.seed_outcomes` then
-    holds how each Newton seed ended, keyed by `SEED_OUTCOMES`."""
+    The Newton solutions of the source edges (`_intersections`, shared by
+    every sink with the same pins) are split by the capture test and
+    validated (matching, confinement, the rho/4 positivity bound, Jacobian
+    condition below COND_CAP).  `problem.seed_outcomes` then holds how
+    each Newton seed ended, keyed by `SEED_OUTCOMES`."""
     if problem.d != 0:
         raise DimensionError(
             "expected dimension is %d, not 0: |p0|=%d, |p1|=%d, |p2|=%d "
@@ -378,12 +387,10 @@ def solve_trees(problem):
     outcomes = dict(outcomes)
     trees = []
     for sol in solutions:
-        capture = None
-        if len(problem.active) == 2:
-            capture = _capture(problem, sol["meeting"])
-            if capture.termination.as_tuple() != ("converged", problem.sink.id):
-                outcomes["captured_elsewhere"] += 1
-                continue
+        capture = _capture(problem, sol["meeting"])
+        if capture.termination.as_tuple() != ("converged", problem.sink.id):
+            outcomes["captured_elsewhere"] += 1
+            continue
         outcomes["converged"] += 1
         trees.append(_validate(problem, sol, esc, capture))
     problem.seed_outcomes = outcomes
@@ -394,22 +401,21 @@ def _intersections(problem, esc, bigbox, diam):
     """(solutions, outcomes): the Newton solutions deduplicated by meeting
     point, and how many seeds ended in each non-converged outcome.
 
-    Seeds come from ranking a coarse product grid of the active charts'
-    endpoints.  Without the sink edge the result is cached on h1, keyed
-    by every input it depends on (esc, bigbox and diam follow from h1)."""
-    key = None
-    if len(problem.active) == 2:
-        tol = {**fl.FLOW_TOLERANCES, **problem.tolerances}
-        key = (problem.h2, fl._point_key(problem.src1),
-               fl._point_key(problem.src2), problem.s.s1.tobytes(),
-               problem.s.s2.tobytes(), problem.r0,
-               tuple(tol[name] for name in fl.FLOW_TOLERANCES))
-        cache = problem.h1.__dict__.setdefault("_tree_cache", {})
-        if key in cache:
-            return cache[key]
+    Seeds come from ranking a coarse product grid of the source charts'
+    endpoints.  The result is cached on h1, keyed by every input it
+    depends on (esc, bigbox and diam follow from h1)."""
+    tol = {**fl.FLOW_TOLERANCES, **problem.tolerances}
+    key = (problem.h2, fl._point_key(problem.src1),
+           fl._point_key(problem.src2), problem.s.s1.tobytes(),
+           problem.s.s2.tobytes(), problem.r0,
+           tuple(tol[name] for name in fl.FLOW_TOLERANCES), problem.pins,
+           problem.s.s3[list(problem.pins)].tobytes())
+    cache = problem.h1.__dict__.setdefault("_tree_cache", {})
+    if key in cache:
+        return cache[key]
 
     tabs = []
-    for which in problem.active:
+    for which in (0, 1):
         chart = problem.charts[which]
         m = {2: 12, 3: 24}.get(chart.k, 48)
         dirs = fl.sphere_dirs(chart.k, m, 97 + chart.k + which)
@@ -437,43 +443,32 @@ def _intersections(problem, esc, bigbox, diam):
         else:
             solutions.append({"theta": theta, "res": res, "J": J,
                               "meeting": meeting})
-    if key is not None:
-        cache[key] = (solutions, outcomes)
+    cache[key] = (solutions, outcomes)
     return solutions, outcomes
 
 
 def _ranked_seeds(problem, tabs):
     """Packed Newton seeds, best first: each tabulated E2 with its nearest
-    E1 (and E3), ranked by the summed squared gaps."""
-    if min(len(E) for E, _ in tabs) == 0:
+    E1, ranked by their squared gap."""
+    (E1, P1), (E2, P2) = tabs
+    if min(len(E1), len(E2)) == 0:
         return []
-    (E1, P1), (E2, P2) = tabs[:2]
     s = problem.s.parts()
-    cols = np.arange(len(E2))
     M12 = _pair_dist2(E1, E2, s[0] - s[1], problem.periodic)
     best_i = np.argmin(M12, axis=0)
-    score = M12[best_i, cols]
-    if len(tabs) == 3:
-        E3, P3 = tabs[2]
-        M23 = _pair_dist2(E2, E3, s[1] - s[2], problem.periodic)
-        best_k = np.argmin(M23, axis=1)
-        score = score + M23[cols, best_k]
-    seeds = []
-    for j in np.argsort(score, kind="stable")[:MAX_SEEDS]:
-        parts = [P1[best_i[j]], P2[j]]
-        if len(tabs) == 3:
-            parts.append(P3[best_k[j]])
-        seeds.append(problem.pack(parts))
-    return seeds
+    score = M12[best_i, np.arange(len(E2))]
+    return [problem.pack([P1[best_i[j]], P2[j]])
+            for j in np.argsort(score, kind="stable")[:MAX_SEEDS]]
 
 
 def _capture(problem, meeting):
-    """The forward h3 flow from q3 = meeting - s3, stopped at the escape
-    box or at a critical point of h3 above h3(q3).  A flow that does
-    neither by t_max refuses the count."""
+    """The forward h3 flow from q3 = meeting - s3, with its pinned slots set
+    to exactly 0, stopped at the escape box or at a critical point of h3
+    above h3(q3).  A flow that does neither by t_max refuses the count."""
     q3 = meeting - problem.s.s3
     if problem.periodic:
         q3 = np.mod(q3, 1.0)
+    q3[list(problem.pins)] = 0.0
     tol = {**fl.FLOW_TOLERANCES, **problem.tolerances}
     stops = fl._flow_stops(problem.h3, problem.criticals,
                            problem.h3.value([float(v) for v in q3]), tol)
@@ -490,31 +485,28 @@ def _capture(problem, meeting):
 
 
 def _validate(problem, sol, esc, capture):
-    """The FlowTree of a solution, after its checks.  Without the sink
-    edge, gamma3 is the capture run reversed, so it ends at q3."""
+    """The FlowTree of a solution, after its checks; gamma3 is the capture
+    run reversed, so it ends at q3."""
     theta = sol["theta"]
     cond = float(np.linalg.cond(sol["J"]))
     if cond > COND_CAP:
         raise NonTransverseError(
             "tree Jacobian condition %.3g exceeds cap %.3g: "
             "non-transverse at this s; resample s" % (cond, COND_CAP))
-    match = float(np.max(np.abs(sol["res"][:-len(problem.active)])))
+    match = float(np.max(np.abs(sol["res"][:-2])))
     if match > TOL_MATCH:
         raise RuntimeError("accepted tree fails matching: %.3g > %.3g" % (match, TOL_MATCH))
     trajs = []
-    for which, (u, t) in zip(problem.active, problem.split(theta)):
-        chart = problem.charts[which]
+    for chart, (u, t) in zip(problem.charts, problem.split(theta)):
         start = chart.point.coords + chart.r0 * (chart.frame @ u)
-        direction = "forward" if chart.side == "unstable" else "backward"
-        trajs.append(fl.integrate(chart.field, start, direction,
+        trajs.append(fl.integrate(chart.field, start, "forward",
                                   terminal_t=max(t, 1e-12),
                                   tolerances=problem.tolerances,
                                   record_samples=True))
-    if capture is not None:
-        T = capture.t_final
-        trajs.append(fl.Trajectory(
-            capture.tag, [(T - t, pt) for t, pt in reversed(capture.samples)],
-            fl.Termination("time"), T, np.array(capture.samples[0][1])))
+    T = capture.t_final
+    trajs.append(fl.Trajectory(
+        capture.tag, [(T - t, pt) for t, pt in reversed(capture.samples)],
+        fl.Termination("time"), T, np.array(capture.samples[0][1])))
     if esc is not None:
         for traj in trajs:
             for _, pt in traj.samples:

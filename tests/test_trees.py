@@ -5,6 +5,8 @@ real tree-counting problems; its saddle-to-saddle products are the
 smallest honest instances with nonzero counts.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,34 @@ from gftrees import flow as fl
 from gftrees import pipeline as pl
 from gftrees import trees as tr
 
+from conftest import MULTI
+
 
 def axis_of(p):
     """Which coordinate circle a torus saddle sits on (0 or 1)."""
     return int(np.argmin(np.abs(np.asarray(p.coords) - 0.5)))
+
+
+def tree_problem(run, task, s=None):
+    """The TreeProblem of one m2 task of a prepared run, built as the
+    pipeline builds it."""
+    spaces = [run.spaces[key] for key in run.TREE_SPACES]
+    ends = [crits[i] for (_, crits, _), i in zip(spaces, task[1:])]
+    return tr.TreeProblem(tuple(field for field, _, _ in spaces), *ends,
+                          run.s if s is None else s, r0=run.solver["r0"],
+                          tolerances=run.tol, meeting_floor=run.meeting_floor,
+                          criticals=list(spaces[2][1].values()))
+
+
+@pytest.fixture(scope="module")
+def stabilized_multi():
+    """Prepared multichord runs keyed by their stabilization signs."""
+    runs = {}
+    for signs in (("+",), ("-",), ("+", "-")):
+        cfg = json.loads(json.dumps(MULTI))
+        cfg["family"]["stabilize"] = list(signs)
+        runs[signs] = pl.GFRun(cfg).prepare()
+    return runs
 
 
 def test_perturbation_sampling_is_deterministic_and_bounded():
@@ -121,14 +147,14 @@ def test_torus_meeting_points_stay_put(morse_run):
 
 
 def test_a_local_maximum_sink_is_reached_by_a_capture_run(morse_run):
-    """The torus top class is a maximum of f+g, so its edge is a basin:
-    two active edges, and gamma3 is the capture run from the meeting."""
+    """The torus top class is a maximum of f+g, so its edge is a basin
+    with no pins, and gamma3 is the capture run from the meeting."""
     r = morse_run
     crits = [{p.id: p for p in c} for c in r.crits]
     problem = tr.TreeProblem(tuple(r.fields), crits[0]["c1"], crits[1]["c1"],
                              crits[2]["c3"], r.s, r0=r.solver["r0"],
                              tolerances=r.tol, criticals=r.crits[2])
-    assert problem.active == (0, 1)
+    assert problem.pins == ()
     (t,) = tr.solve_trees(problem)
     assert len(t.theta) == problem.k[0] + problem.k[1] + 2
     assert tr.tree_residual(t.theta, problem).shape == (2,)
@@ -205,3 +231,73 @@ def test_skipped_unit_products_are_recorded_not_counted(morse_run):
         p1, p2, p0 = by_id0[i1], by_id1[i2], by_id2[i0]
         k = (2 - p1.morse_index, 2 - p2.morse_index, p0.morse_index)
         assert min(k) == 0 or min(p1.morse_index, p2.morse_index) == 0
+
+
+def test_a_sink_missing_a_coupled_direction_is_refused(morse_run):
+    """f-pit (k = 2), g-saddle (k = 1) into an (f+g)-saddle (k3 = 1) has
+    d = 0, but the sink's stable chart misses a coupled direction, which
+    no pin can stand in for."""
+    r = morse_run
+    pit = r.crits[0][0]
+    assert pit.grading == 0
+    for g_saddle in r.crits[1][1:3]:
+        for sink in r.crits[2][1:3]:
+            assert g_saddle.grading == sink.grading == 1
+            missing = str(np.eye(2)[axis_of(sink)].tolist())
+            with pytest.raises(tr.DimensionError, match="coupled direction") as e:
+                tr.TreeProblem(tuple(r.fields), pit, g_saddle, sink, r.s,
+                               r0=r.solver["r0"], tolerances=r.tol,
+                               criticals=r.crits[2])
+            assert missing in str(e.value), (sink.id, str(e.value))
+
+
+def test_stabilized_sinks_pin_their_quadratic_slots(stabilized_multi):
+    task = ("m2", "c3", "c3", "c4")
+    plus = stabilized_multi[("+",)]
+    problem = tree_problem(plus, task)
+    assert problem.pins == (2,)
+    assert problem.D == 7 and problem.k == (4, 4, 6)
+    theta = problem.pack([(np.eye(4)[0], 0.5), (np.eye(4)[1], 0.5)])
+    assert len(theta) == problem.k[0] + problem.k[1] + 2 == 10
+    assert tr.tree_residual(theta, problem).shape == (problem.D + 1,)
+    assert tree_problem(stabilized_multi[("+", "-")], task).pins == (2, 9)
+
+    # the capture run starts with each pinned slot at exactly 0 and stays
+    # there: from just below the sink along its fastest stable direction,
+    # shifted along the pin too, it converges into the sink
+    s3 = problem.s.s3
+    chart = problem.charts[2]
+    fastest = chart.frame[:, np.argmax(np.abs(chart.rates))]
+    meeting = np.asarray(problem.sink.coords) + s3 + 1e-3 * fastest
+    meeting[2] += 0.05
+    capture = tr._capture(problem, meeting)
+    assert capture.samples[0][1][2] == 0.0
+    assert all(pt[2] == 0.0 for _, pt in capture.samples)
+    assert capture.termination.as_tuple() == ("converged", "c4")
+
+    # s3 on a pinned slot is part of the Newton cache key; off the pins
+    # it is not
+    def cache_size_after(slot):
+        s = tr.PerturbationTriple(problem.s.s1, problem.s.s2, s3.copy(),
+                                  problem.s.seed, problem.s.delta_pert)
+        if slot is not None:
+            s.s3[slot] *= 0.5
+        tr.solve_trees(tree_problem(plus, task, s))
+        return len(problem.h1.__dict__["_tree_cache"])
+
+    base = cache_size_after(None)
+    assert cache_size_after(0) == base
+    assert cache_size_after(2) == base + 1
+
+
+def test_every_supported_m2_task_builds_a_tree_problem(multi_run, morse_run,
+                                                       stabilized_multi):
+    """No workload's sink misses a coupled direction, so none reaches the
+    refusal above."""
+    runs = [multi_run, morse_run, *stabilized_multi.values()]
+    for run in runs:
+        tasks = run.m2_tasks()
+        assert tasks
+        for task in tasks:
+            problem = tree_problem(run, task)
+            assert problem.k[2] + len(problem.pins) == problem.D

@@ -13,14 +13,15 @@ Counting M(p, q) scans the unit sphere of p's unstable frame: one
 trajectory per seed direction, recording where it ended and how close it
 came to every higher critical point.  A scan runs all its seeds as one
 batch through `integrate_batch`, a numpy twin of the scalar loop that
-reproduces it bit for bit.  Below SCALAR_ROWS active rows a `grad_vec`
-call costs more than the scalar grads of its rows, so the batch hands its
-last few rows to the scalar loop, which resumes each from its step state;
-a batch that starts that small, like the two seeds of a k = 1 scan, runs
-on the scalar loop throughout.  The seeds that q captured form clusters
-on the seed neighbor graph (single seeds for k = 1, runs on the circle,
-kd-tree components for k >= 3), and each cluster is one line.  A target
-of positive coindex captures only a measure-zero set of directions; a scan
+reproduces it bit for bit: both square with x * x and sum left to right.
+Below SCALAR_ROWS active rows a `grad_vec` call costs more than the
+scalar grads of its rows, so the batch hands its last few rows to the
+scalar loop, which resumes each from its step state; a batch that starts
+that small, like the two seeds of a k = 1 scan, runs on the scalar loop
+throughout.  The seeds that q captured form clusters on the seed
+neighbor graph (single seeds for k = 1, runs on the circle, kd-tree
+components for k >= 3), and each cluster is one line.  A target of
+positive coindex captures only a measure-zero set of directions; a scan
 that passes close to q without capture shows such a line as a wall it
 cannot resolve, and the count is refused with AmbiguousCountError rather
 than returned without it.  A seed that neither converged nor escaped is
@@ -112,8 +113,10 @@ def _periodic_delta(a, b):
 
 def _dist(z, c, periodic):
     if periodic:
-        return math.sqrt(sum(_periodic_delta(z[i], c[i]) ** 2 for i in range(len(c))))
-    return math.sqrt(sum((z[i] - c[i]) ** 2 for i in range(len(c))))
+        d = [_periodic_delta(z[i], c[i]) for i in range(len(c))]
+    else:
+        d = [z[i] - c[i] for i in range(len(c))]
+    return math.sqrt(sum(v * v for v in d))
 
 
 def _segment_dist(z0, z1, c, periodic):
@@ -128,32 +131,14 @@ def _segment_dist(z0, z1, c, periodic):
     if vv == 0.0:
         return math.sqrt(sum(w * w for w in wx))
     s = max(0.0, min(1.0, sum(vx[i] * wx[i] for i in range(D)) / vv))
-    return math.sqrt(sum((wx[i] - s * vx[i]) ** 2 for i in range(D)))
+    d = [wx[i] - s * vx[i] for i in range(D)]
+    return math.sqrt(sum(v * v for v in d))
 
 
 # Row-wise twins of the scalar helpers for the batched loop.  Each performs
-# the scalar operations in the scalar order, so every row rounds the same.
-
-def _pow2(x):
-    """x ** 2 rounded as the scalar code rounds it.  There `** 2` is libm's
-    pow, which may round a square whose exact value lies within a hair of
-    a rounding midpoint the other way than x * x does: with glibc, about 8
-    in 10^4 random squares, every one of them more than 0.49 ulp from
-    x * x.  Dekker's exact square keeps x * x where the exact value is at
-    most 0.45 ulp from it, which pow cannot round otherwise; the rest, and
-    the squares whose split under- or overflows, are recomputed with `**`."""
-    p = x * x
-    c = 134217729.0 * x     # Veltkamp split x = hi + lo, 26 bits each
-    hi = c - (c - x)
-    lo = x - hi
-    err = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
-    with np.errstate(invalid="ignore"):
-        sure = (np.abs(err) <= 0.45 * np.spacing(p)) & ((p > 1e-290) | (p == 0.0))
-    if not sure.all():
-        odd = ~sure
-        p[odd] = [v ** 2 for v in x[odd].tolist()]
-    return p
-
+# the scalar operations in the scalar order, squaring with x * x as they
+# do (a `** 2` on a Python float is libm's pow, which may round otherwise),
+# so every row rounds the same.
 
 def _row_sum(X):
     """Sum of each row's columns, left to right from 0 as `sum` adds."""
@@ -167,7 +152,7 @@ def _dist_rows(Z, c, periodic):
     d = Z - c
     if periodic:
         d = d - np.round(d)
-    return np.sqrt(_row_sum(_pow2(d)))
+    return np.sqrt(_row_sum(d * d))
 
 
 def _segment_dist_rows(Z0, Z1, c, periodic):
@@ -178,18 +163,33 @@ def _segment_dist_rows(Z0, Z1, c, periodic):
     vv = _row_sum(vx * vx)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.maximum(0.0, np.minimum(1.0, _row_sum(vx * wx) / vv))
-    d = np.sqrt(_row_sum(_pow2(wx - s[:, None] * vx)))
+    r = wx - s[:, None] * vx
+    d = np.sqrt(_row_sum(r * r))
     flat = vv == 0.0
     if flat.any():
         d[flat] = np.sqrt(_row_sum(wx[flat] * wx[flat]))
     return d
 
 
+class StepLog(list):
+    """The step log of one terminal-mode path: its loop-top states
+    (t, z, k1, h) from t = 0 on (see `_integrate_core`), with the time
+    cap and the resume index of its last query."""
+    __slots__ = ("last_cap", "last_index")
+
+    def __init__(self, states=()):
+        super().__init__(states)
+        self.last_cap = -math.inf
+        self.last_index = 0
+
+
 def _resume_index(log, t_cap, h_max):
     """Index of the last logged state that a fresh run to t_cap passes
     through: every earlier state must enter the loop and take its step
-    unshortened by the cap, tested with the loop's own expressions."""
-    j = 0
+    unshortened by the cap, tested with the loop's own expressions.  Each
+    state's test passes at every cap above one it passed at, so a cap no
+    smaller than the last query's starts at that query's index."""
+    j = log.last_index if t_cap >= log.last_cap else 0
     while j < len(log) - 1:
         t, _, _, h = log[j]
         if not (t < t_cap * (1.0 - 1e-15) and t_cap - t >= min(h, h_max)):
@@ -203,17 +203,18 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
                     start=None):
     """Returns (reason, t, z, payload) with reason "cap" | "stop".
 
-    `log`, a list owned by one start point, is the path's step log: its
-    loop-top states (t, z, k1, h) from t = 0 on, each reached from the
+    `log`, a StepLog owned by one start point, is the path's step log:
+    its loop-top states (t, z, k1, h) from t = 0 on, each reached from the
     one before by a step the time cap did not shorten, so every cap passes
     through them alike until its first shortened step.  A run resumes from
     the last state that a fresh run to t_cap passes through unchanged
     (`_resume_index`), so its result is bit-identical to a fresh run's.
     A run that resumes at the log's end appends its own states while its
     steps stay unshortened, the exit state included; one that resumes
-    earlier appends nothing.  `start`, a loop-top state (t, z, k1, h),
-    starts the loop there instead, without a log: `integrate_batch` hands
-    a row to the scalar loop this way.
+    earlier appends nothing.  Either way the log keeps t_cap and the index
+    that a fresh run to it would resume from.  `start`, a loop-top state
+    (t, z, k1, h), starts the loop there instead, without a log:
+    `integrate_batch` hands a row to the scalar loop this way.
     """
     D = len(z0)
     if start is not None:
@@ -224,6 +225,7 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
         if j == len(log) - 1:
             log.pop()           # the loop top logs it again
         else:
+            log.last_cap, log.last_index = t_cap, j
             log = None
     else:
         z = list(z0)
@@ -266,7 +268,8 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
             e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
                      + _E6 * k6[i] + _E7 * k7[i])
             sc = atol + rtol * max(abs(z[i]), abs(z1[i]))
-            errsq += (e / sc) ** 2
+            q = e / sc
+            errsq += q * q
         err = math.sqrt(errsq / D)
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
@@ -286,6 +289,9 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
         h *= 5.0 if err < 1e-10 else min(5.0, 0.9 * err ** -0.2)
     if updating:
         log.append((t, tuple(z), tuple(k1), h))
+    if log is not None:
+        # t_cap passes every state but the last, where this run stopped logging
+        log.last_cap, log.last_index = t_cap, len(log) - 1
     return ("cap", t, z, None)
 
 
@@ -334,9 +340,9 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
     Event mode (stops given): run until capture at a critical point, exit
     from the escape box, or stops.t_max.  Terminal mode (terminal_t given):
     run for exactly that much time.  In terminal mode without samples,
-    `resume` is the step log of one (field, start, direction, tolerances)
-    path, a list that grows between calls: a later call at any time
-    resumes from the log instead of from t = 0 (see `_integrate_core`).
+    `resume` is the StepLog of one (field, start, direction, tolerances)
+    path, which grows between calls: a later call at any time resumes
+    from the log instead of from t = 0 (see `_integrate_core`).
     """
     # on numpy float64 scalars the scalar loop takes about twice as long
     start = [float(v) for v in start]
@@ -393,10 +399,12 @@ def integrate_batch(field, starts, stops, tolerances=None):
     of them resumes the scalar loop from its loop-top state (t, z, k1, h),
     the `start` of `_integrate_core`, with its approach so far and no step
     log; a batch of fewer rows runs each through `integrate` from its
-    start and never calls `grad_vec`.  Every row therefore takes the steps
-    of `integrate(field, row, stops=stops)` and ends with its Termination,
-    t, final point and approach, bit for bit.  Returns one Trajectory per
-    row, without samples.
+    start and never calls `grad_vec`.  Distances and the error norm square
+    with x * x and sum left to right, as the scalar loop does, and the
+    step-growth rule `err ** -0.2` runs on Python floats.  Every row
+    therefore takes the steps of `integrate(field, row, stops=stops)` and
+    ends with its Termination, t, final point and approach, bit for bit.
+    Returns one Trajectory per row, without samples.
     """
     if len(starts) < SCALAR_ROWS:
         return [integrate(field, s, stops=stops, tolerances=tolerances,
@@ -457,7 +465,8 @@ def integrate_batch(field, starts, stops, tolerances=None):
         K7 = f(Z1)
         E = h * (_E1 * K1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * K7)
         SC = atol + rtol * np.maximum(np.abs(Z), np.abs(Z1))
-        err = np.sqrt(_row_sum(_pow2(E / SC)) / D)
+        Q = E / SC
+        err = np.sqrt(_row_sum(Q * Q) / D)
         ok = ~(err > 1.0)
         # `err ** -0.2` stays a Python float: numpy's power need not match libm
         grown = np.array([max(0.2, 0.9 * e ** -0.2) if e > 1.0
@@ -564,7 +573,7 @@ def build_chart(field, p, side, r0=1e-3):
 def chart_point(chart, u, t, tolerances=None, resume=None):
     """Flow image of p + r0*u: forward time t on the unstable side,
     backward on the stable side.  t = 0 returns p + r0*u exactly.
-    `resume` is the step log of `integrate`, one per (chart, u)."""
+    `resume` is the StepLog of `integrate`, one per (chart, u)."""
     if t < 0:
         raise ValueError("chart time must be >= 0")
     u = np.asarray(u, dtype=float)
@@ -607,7 +616,7 @@ def sphere_dirs(k, m, seed):
         i = np.arange(m) + 0.5
         phi = math.pi * (1.0 + math.sqrt(5.0)) * i
         cz = 1.0 - 2.0 * i / m
-        sz = np.sqrt(np.maximum(0.0, 1.0 - cz ** 2))
+        sz = np.sqrt(np.maximum(0.0, 1.0 - cz * cz))
         return np.column_stack([sz * np.cos(phi), sz * np.sin(phi), cz])
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((m, k))

@@ -188,7 +188,7 @@ class TreeProblem:
                 self._logs.clear()
             got = fl.chart_point(chart, u, max(0.0, float(t)),
                                  tolerances=self.tolerances,
-                                 resume=self._logs.setdefault(path, []))
+                                 resume=self._logs.setdefault(path, fl.StepLog()))
             self._memo[key] = got
         return got
 

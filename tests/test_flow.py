@@ -308,6 +308,48 @@ def test_a_k1_scan_runs_on_the_scalar_loop(well1d, monkeypatch):
         [[traj.approach[i] for i in scan.approach_ids] for traj in want]).tobytes()
 
 
+def adversarial_deltas(rng, c, n, lo):
+    """Points z = c + d, d drawn with first coordinate in [lo, 0.45) and
+    second in [-0.45, 0.45), kept where libm's `** 2` rounds a square of
+    z - c otherwise than x * x does, by enough to change its length."""
+    Z = c + np.column_stack([rng.uniform(lo, 0.45, n), rng.uniform(-0.45, 0.45, n)])
+    keep = [math.sqrt(sum(v ** 2 for v in d)) != math.sqrt(sum(v * v for v in d))
+            for d in (Z - c).tolist()]
+    return Z[keep]
+
+
+def test_distances_with_adversarial_squares_match_row_by_row():
+    """On squares that libm's pow rounds otherwise than x * x, the row
+    twins match the scalar helpers bit for bit, which holds only while
+    both sides square with x * x.  Each segment runs from z0 away from c,
+    so its nearest point is z0 and its length squares c - z0."""
+    c = np.array([0.3, 0.6])
+    Z0 = adversarial_deltas(np.random.default_rng(0), c, 40000, -0.45)
+    assert len(Z0) >= 8
+    Z1 = Z0 + 0.01 * (Z0 - c)
+    for periodic in (False, True):
+        assert fl._dist_rows(Z0, c, periodic).tolist() == [
+            fl._dist(z, c.tolist(), periodic) for z in Z0.tolist()]
+        assert fl._segment_dist_rows(Z0, Z1, c, periodic).tolist() == [
+            fl._segment_dist(z0, z1, c.tolist(), periodic)
+            for z0, z1 in zip(Z0.tolist(), Z1.tolist())]
+
+
+def test_a_batched_scan_through_adversarial_squares_matches_the_scalar_loop():
+    """On f = x1^2/2 every row runs right, away from c, and escapes; each
+    starts where the square that sets its distance to c rounds otherwise
+    under libm's pow, and that distance stays its closest approach."""
+    field = fa.ScalarField(2, ex.parse("x1^2/2", ex.VarLayout(2, 0)))
+    c = cr.CriticalPoint(np.array([0.3, 0.6]), 0.045, 0, 0, np.array([0.0, 0.0]))
+    c.id = "c"
+    stops = fl.Stops([c], [[-5.0, 5.0], [-5.0, 5.0]], 400.0, 1e-4, 1e-3)
+    starts = adversarial_deltas(np.random.default_rng(1), c.coords, 40000, 0.05)
+    assert len(starts) >= fl.SCALAR_ROWS
+    rows = assert_batch_matches_the_scalar_loop(field, starts.tolist(), stops)
+    assert {r.termination.as_tuple() for r in rows} == {("escaped", "+z0")}
+    assert [r.approach["c"] for r in rows] == fl._dist_rows(starts, c.coords, False).tolist()
+
+
 # A cap below h0, an ascending run with an FD-style 1e-5 nudge, then a
 # smaller time after a larger one (which resumes from the log's state
 # before it) and a climb again.
@@ -335,7 +377,7 @@ def resumed_and_fresh(chart, u, t, log, calls):
 
 def assert_resumes_bit_identically(chart, u, monkeypatch):
     calls = counted_grads(chart.field, monkeypatch)
-    log = []
+    log = fl.StepLog()
     resumed_calls = fresh_calls = 0
     for t in RESUME_LADDER:
         resumed, fresh = resumed_and_fresh(chart, u, t, log, calls)
@@ -384,7 +426,7 @@ def test_a_line_search_ladder_resumes_from_the_step_log(torus_field, monkeypatch
     assert chart.k == 1
     u = np.array([1.0])
     calls = counted_grads(torus_field, monkeypatch)
-    log = []
+    log = fl.StepLog()
     resumed_and_fresh(chart, u, 4.0, log, calls)
     ladder = [t + nudge for t in (3.0, 2.0, 1.0, 0.5) for nudge in (0.0, tr.FD_STEP)]
     for t in ladder + [1.5, 2.5, 5.0]:
@@ -396,6 +438,48 @@ def test_a_line_search_ladder_resumes_from_the_step_log(torus_field, monkeypatch
     for t in (5e-4, t_i, t_i + min(h_i, h_max)):
         resumed, fresh = resumed_and_fresh(chart, u, t, log, calls)
         assert resumed < fresh, t
+
+
+class ReadCountingLog(fl.StepLog):
+    """A step log that counts the states read from it."""
+    __slots__ = ("reads",)
+
+    def __init__(self, states=()):
+        super().__init__(states)
+        self.reads = 0
+
+    def __getitem__(self, j):
+        self.reads += 1
+        return super().__getitem__(j)
+
+
+def test_a_query_at_a_larger_cap_resumes_its_log_scan_where_the_last_stopped(
+        torus_field, monkeypatch):
+    """Ascending caps, descending caps, then an ascent again, each with its
+    finite-difference nudge, on a k = 1 unstable chart: every rung is
+    bit-identical to a fresh run.  A rung at a cap no smaller than the
+    last one's reads fewer logged states than a scan from t = 0, and a
+    rung at a smaller cap reads as many."""
+    saddle = cr.find_critical_points(torus_field)[2]
+    chart = fl.build_chart(torus_field, saddle, "unstable")
+    u = np.array([1.0])
+    h_max = fl.FLOW_TOLERANCES["h_max"]
+    calls = counted_grads(torus_field, monkeypatch)
+    log = ReadCountingLog()
+    rungs = [t + nudge for t in (0.5, 1.5, 3.0, 2.0, 1.0, 2.5, 4.0)
+             for nudge in (0.0, tr.FD_STEP)]
+    resumed_and_fresh(chart, u, rungs[0], log, calls)
+    for last, t in zip(rungs, rungs[1:]):
+        from_zero = ReadCountingLog(log)
+        fl._resume_index(from_zero, t, h_max)
+        log.reads = 0
+        resumed_and_fresh(chart, u, t, log, calls)
+        # the query reads its scan's states and then the state it resumes from
+        scanned = log.reads - 1
+        if t >= last:
+            assert scanned < from_zero.reads, t
+        else:
+            assert scanned == from_zero.reads, t
 
 
 def test_escape_box_margins():

@@ -175,12 +175,8 @@ class StepLog(list):
     """The step log of one terminal-mode path: its loop-top states
     (t, z, k1, h) from t = 0 on (see `_integrate_core`), with the time
     cap and the resume index of its last query."""
-    __slots__ = ("last_cap", "last_index")
-
-    def __init__(self, states=()):
-        super().__init__(states)
-        self.last_cap = -math.inf
-        self.last_index = 0
+    last_cap = -math.inf
+    last_index = 0
 
 
 def _resume_index(log, t_cap, h_max):

@@ -442,11 +442,7 @@ def test_a_line_search_ladder_resumes_from_the_step_log(torus_field, monkeypatch
 
 class ReadCountingLog(fl.StepLog):
     """A step log that counts the states read from it."""
-    __slots__ = ("reads",)
-
-    def __init__(self, states=()):
-        super().__init__(states)
-        self.reads = 0
+    reads = 0
 
     def __getitem__(self, j):
         self.reads += 1
@@ -470,7 +466,8 @@ def test_a_query_at_a_larger_cap_resumes_its_log_scan_where_the_last_stopped(
              for nudge in (0.0, tr.FD_STEP)]
     resumed_and_fresh(chart, u, rungs[0], log, calls)
     for last, t in zip(rungs, rungs[1:]):
-        from_zero = ReadCountingLog(log)
+        from_zero = ReadCountingLog()
+        from_zero.extend(log)
         fl._resume_index(from_zero, t, h_max)
         log.reads = 0
         resumed_and_fresh(chart, u, t, log, calls)

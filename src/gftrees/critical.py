@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+from .pairs import pairs_within
 
 TOLERANCES = {
     "tol_grad": 1e-9,
@@ -159,8 +160,7 @@ def _dedup(points, tol, periodic):
     if len(points) == 0:
         return points
     pts = _wrap_unit(points) if periodic else points
-    tree = cKDTree(pts, boxsize=1.0 if periodic else None)
-    pairs = tree.query_pairs(tol)
+    pairs = pairs_within(pts, tol, periodic)
     parent = list(range(len(pts)))
 
     def find(a):

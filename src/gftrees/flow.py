@@ -19,13 +19,13 @@ scalar grads of its rows, so the batch hands its last few rows to the
 scalar loop, which resumes each from its step state; a batch that starts
 that small, like the two seeds of a k = 1 scan, runs on the scalar loop
 throughout.  The seeds that q captured form clusters on the seed
-neighbor graph (single seeds for k = 1, runs on the circle, kd-tree
-components for k >= 3), and each cluster is one line.  A target of
-positive coindex captures only a measure-zero set of directions; a scan
-that passes close to q without capture shows such a line as a wall it
-cannot resolve, and the count is refused with AmbiguousCountError rather
-than returned without it.  A seed that neither converged nor escaped is
-refused the same way.
+neighbor graph (single seeds for k = 1, runs on the circle, components
+of the pairs within a few seed spacings for k >= 3), and each cluster is
+one line.  A target of positive coindex captures only a measure-zero set
+of directions; a scan that passes close to q without capture shows such
+a line as a wall it cannot resolve, and the count is refused with
+AmbiguousCountError rather than returned without it.  A seed that
+neither converged nor escaped is refused the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from dataclasses import dataclass, field as dfield
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import cKDTree
+
+from .pairs import nearest_distances, pairs_within
 
 FLOW_TOLERANCES = {
     "rtol": 1e-8,
@@ -111,12 +112,21 @@ def _periodic_delta(a, b):
     return d - round(d)
 
 
+def _sum(terms):
+    """Left-to-right sum from 0.0, as `_row_sum` adds; the builtin `sum` of
+    floats is compensated from Python 3.12 on, so it may round otherwise."""
+    total = 0.0
+    for v in terms:
+        total += v
+    return total
+
+
 def _dist(z, c, periodic):
     if periodic:
         d = [_periodic_delta(z[i], c[i]) for i in range(len(c))]
     else:
         d = [z[i] - c[i] for i in range(len(c))]
-    return math.sqrt(sum(v * v for v in d))
+    return math.sqrt(_sum(v * v for v in d))
 
 
 def _segment_dist(z0, z1, c, periodic):
@@ -127,12 +137,12 @@ def _segment_dist(z0, z1, c, periodic):
         c = [c[i] + round(z0[i] - c[i]) for i in range(D)]
     vx = [z1[i] - z0[i] for i in range(D)]
     wx = [c[i] - z0[i] for i in range(D)]
-    vv = sum(v * v for v in vx)
+    vv = _sum(v * v for v in vx)
     if vv == 0.0:
-        return math.sqrt(sum(w * w for w in wx))
-    s = max(0.0, min(1.0, sum(vx[i] * wx[i] for i in range(D)) / vv))
+        return math.sqrt(_sum(w * w for w in wx))
+    s = max(0.0, min(1.0, _sum(vx[i] * wx[i] for i in range(D)) / vv))
     d = [wx[i] - s * vx[i] for i in range(D)]
-    return math.sqrt(sum(v * v for v in d))
+    return math.sqrt(_sum(v * v for v in d))
 
 
 # Row-wise twins of the scalar helpers for the batched loop.  Each performs
@@ -141,7 +151,7 @@ def _segment_dist(z0, z1, c, periodic):
 # so every row rounds the same.
 
 def _row_sum(X):
-    """Sum of each row's columns, left to right from 0 as `sum` adds."""
+    """Sum of each row's columns, left to right from 0 as `_sum` adds."""
     total = np.zeros(X.shape[0])
     for i in range(X.shape[1]):
         total = total + X[:, i]
@@ -716,7 +726,7 @@ def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
 
 def _seed_neighbors(dirs):
     """Neighbor lists of the scan seeds: none for k = 1, the cyclic pairs
-    (i, i+1 mod m) on the circle, kd-tree pairs within 2.2 median
+    (i, i+1 mod m) on the circle, the pairs within 2.2 median
     nearest-neighbor spacings for k >= 3."""
     mlen, k = dirs.shape
     neighbors = [[] for _ in range(mlen)]
@@ -725,9 +735,7 @@ def _seed_neighbors(dirs):
     if k == 2:
         pairs = [(i, (i + 1) % mlen) for i in range(mlen)]
     else:
-        tree = cKDTree(dirs)
-        spacing = 2.2 * np.median(tree.query(dirs, k=2)[0][:, 1])
-        pairs = sorted(tree.query_pairs(spacing))
+        pairs = pairs_within(dirs, 2.2 * np.median(nearest_distances(dirs)))
     for a, b in pairs:
         neighbors[a].append(b)
         neighbors[b].append(a)

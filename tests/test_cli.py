@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, report output, config validation."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gftrees
 from gftrees import cli
 from gftrees import pipeline as pl
 
@@ -180,3 +184,14 @@ def test_morse_torus_demo_passes(capsys):
     rep = json.loads(out)
     assert rep["demo_checks"]["pass"]
     assert rep["ranks"] == [{"0": 1, "1": 2, "2": 1}] * 3
+
+
+def test_importing_the_cli_loads_no_scipy():
+    """scipy.spatial alone took about half of the CLI's start-up."""
+    src = os.path.dirname(os.path.dirname(gftrees.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gftrees.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

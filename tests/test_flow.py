@@ -335,6 +335,72 @@ def test_distances_with_adversarial_squares_match_row_by_row():
             for z0, z1 in zip(Z0.tolist(), Z1.tolist())]
 
 
+@pytest.mark.parametrize("compensated", [False, True])
+def test_scalar_and_row_sums_agree_where_a_compensated_sum_rounds_otherwise(
+        compensated, monkeypatch):
+    """On each input below a compensated sum rounds otherwise than adding
+    left to right from 0.0.  The builtin `sum` of floats is compensated
+    from Python 3.12 on; `compensated` stands one in for it as flow's
+    `sum`, so the scalar helpers agree with their row twins only while
+    they add left to right on their own."""
+    dot = [1e16, 1.0, -1e16]
+    assert math.fsum(dot) == 1.0
+    assert fl._sum(dot) == fl._row_sum(np.array([dot]))[0] == 0.0
+    if compensated:
+        monkeypatch.setattr(fl, "sum", math.fsum, raising=False)
+    # offset (1e8, 1, 0.5): its squares 1e16, 1, 0.25 add left to right
+    # to 1e16, and to 1e16 + 2 compensated, one ulp apart after the root
+    z = [1e8, 1.0, 0.5]
+    assert math.sqrt(math.fsum(v * v for v in z)) != math.sqrt(fl._sum(v * v for v in z))
+    origin = [0.0, 0.0, 0.0]
+    assert fl._dist(z, origin, False) == fl._dist_rows(np.array([z]), np.zeros(3), False)[0]
+    segments = [
+        (origin, origin, z),                          # a point: vv == 0
+        (origin, [0.0, 0.0, 1.0], [1e8, 1.0, 1.5]),   # nearest at z1, offset z
+        (origin, [1e8, 1.0, -1e8], [1e8, 1.0, 1e8]),  # vx . wx has the terms of dot
+    ]
+    for z0, z1, c in segments:
+        row = fl._segment_dist_rows(np.array([z0]), np.array([z1]), np.array(c), False)
+        assert fl._segment_dist(z0, z1, c, False) == row[0]
+    assert fl._segment_dist(*segments[1], False) == fl._dist(z, origin, False)
+
+
+def brute_force_neighbors(dirs):
+    """The seed neighbor graph from every pairwise distance, one at a time."""
+    P = dirs.tolist()
+    d = [[math.dist(p, q) for q in P] for p in P]
+    nearest = [min(row[:i] + row[i + 1:]) for i, row in enumerate(d)]
+    spacing = 2.2 * float(np.median(nearest))
+    neighbors = [[] for _ in P]
+    for i in range(len(P)):
+        for j in range(i + 1, len(P)):
+            if d[i][j] <= spacing:
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+    return neighbors
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_the_seed_neighbor_graph_for_k_at_least_3_matches_brute_force(k):
+    dirs = fl.sphere_dirs(k, 512, 12345)
+    neighbors = fl._seed_neighbors(dirs)
+    assert neighbors == brute_force_neighbors(dirs)
+    # a connected graph of a few neighbors per seed, not a near-complete one
+    assert all(1 <= len(n) <= 20 for n in neighbors)
+    assert fl._capture_clusters([True] * 512, neighbors) == [list(range(512))]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_the_seed_neighbor_graph_matches_a_kd_tree(k):
+    spatial = pytest.importorskip("scipy.spatial")
+    dirs = fl.sphere_dirs(k, 512, 12345)
+    tree = spatial.cKDTree(dirs)
+    spacing = 2.2 * np.median(tree.query(dirs, k=2)[0][:, 1])
+    pairs = sorted(tree.query_pairs(spacing))
+    neighbors = fl._seed_neighbors(dirs)
+    assert sorted((a, b) for a in range(512) for b in neighbors[a] if a < b) == pairs
+
+
 def test_a_batched_scan_through_adversarial_squares_matches_the_scalar_loop():
     """On f = x1^2/2 every row runs right, away from c, and escapes; each
     starts where the square that sets its distance to c rounds otherwise

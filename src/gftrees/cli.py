@@ -42,7 +42,6 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "mode": {"enum": ["gf", "morse-torus"]},
-        "label": {"type": "string"},
         "family": {
             "type": "object",
             "additionalProperties": False,

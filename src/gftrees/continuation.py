@@ -11,8 +11,6 @@ mod-2 count assembles the chain map Phi.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import complexes as cx
@@ -22,7 +20,7 @@ from . import flow as fl
 from . import gf2
 from .expr import Add, Call, Mul, Num, Pow, Sub, Var
 from .family import ScalarField
-from .pipeline import GFRun, PAIRS, _plain, canonical_json
+from .pipeline import GFRun, PAIRS, _plain
 
 
 class PathError(ValueError):
@@ -317,15 +315,15 @@ def diagram_check(run0, run1, phi12, phi23, phi13):
 
 def _aligned_runs(config0, config1, jobs=1):
     """Execute both endpoint pipelines with one shared stabilizing-term
-    coefficient, so the extended fields interpolate cleanly."""
-    a = GFRun(config0, jobs=jobs).prepare()
-    b = GFRun(config1, jobs=jobs).prepare()
-    lam = min(a.lam, b.lam)
-    ca = json.loads(canonical_json(a.config))
-    cb = json.loads(canonical_json(b.config))
-    ca["solver"]["lambda"] = lam
-    cb["solver"]["lambda"] = lam
-    return GFRun(ca, jobs=jobs).execute(), GFRun(cb, jobs=jobs).execute()
+    coefficient, so the extended fields interpolate cleanly.  Only a run
+    whose own coefficient is larger is prepared a second time."""
+    runs = [GFRun(cfg, jobs=jobs).prepare() for cfg in (config0, config1)]
+    lam = min(run.lam for run in runs)
+    for run in runs:
+        if run.lam != lam:
+            run.config["solver"]["lambda"] = lam
+            run.prepare()
+    return tuple(run.execute() for run in runs)
 
 
 def constant_path_check(config, jobs=1):
@@ -393,7 +391,7 @@ def isotopy_compare(config0, config1, jobs=1, eps=None):
     return run0, run1, _plain(verdict)
 
 
-def reversal_check(path, jobs=1):
+def reversal_check(path):
     """Phi_reverse . Phi induces the identity on cohomology."""
     phi, _ = continuation_matrix(path, "w")
     rphi, _ = continuation_matrix(path.reversed(), "w")

@@ -778,15 +778,14 @@ def compile_value(node, dim, vector=False):
     return _compile(src, "_value", vector, em.strings)
 
 
-def compile_grad(node, dim, wrt=None, vector=False):
-    """Compile the gradient restricted to `wrt` (default: all dim coords).
+def compile_grad(node, dim, vector=False):
+    """Compile the gradient over all dim coordinates.
 
-    Scalar flavour returns a list of len(wrt) floats; vector flavour an
-    array of shape (B, len(wrt)).
+    Scalar flavour returns a list of dim floats; vector flavour an array
+    of shape (B, dim).
     """
     node = fold(node)
-    wrt = list(range(dim)) if wrt is None else list(wrt)
-    parts = grad_exprs(node, wrt)
+    parts = grad_exprs(node, range(dim))
     em = _Emitter(vector)
     results = [em.emit(p) for p in parts]
     used = set()
@@ -794,7 +793,7 @@ def compile_grad(node, dim, wrt=None, vector=False):
         used |= free_vars(p)
     body = _unpack_lines(used, vector) + em.lines
     if vector:
-        body.append("G = np.zeros((Z.shape[0], %d))" % len(wrt))
+        body.append("G = np.zeros((Z.shape[0], %d))" % dim)
         for col, r in enumerate(results):
             body.append("G[:, %d] = %s" % (col, r))
         body.append("return G")
@@ -805,26 +804,24 @@ def compile_grad(node, dim, wrt=None, vector=False):
     return _compile(src, "_grad", vector, em.strings)
 
 
-def compile_hess(node, dim, wrt=None, vector=False):
-    """Compile the symmetric Hessian block over `wrt`.
+def compile_hess(node, dim, vector=False):
+    """Compile the symmetric Hessian over all dim coordinates.
 
-    Scalar flavour returns a (k,k) nested list; vector flavour (B,k,k).
+    Scalar flavour returns a (dim, dim) nested list; vector flavour
+    (B, dim, dim).
     """
     node = fold(node)
-    wrt = list(range(dim)) if wrt is None else list(wrt)
-    entries = hess_exprs(node, wrt)
-    pos = {i: a for a, i in enumerate(wrt)}
+    entries = hess_exprs(node, range(dim))
     em = _Emitter(vector)
     emitted = {}
     used = set()
     for (i, j), e in entries.items():
         if not (isinstance(e, Num) and e.v == 0.0):
-            emitted[(pos[i], pos[j])] = em.emit(e)
+            emitted[(i, j)] = em.emit(e)
             used |= free_vars(e)
     body = _unpack_lines(used, vector) + em.lines
-    k = len(wrt)
     if vector:
-        body.append("H = np.zeros((Z.shape[0], %d, %d))" % (k, k))
+        body.append("H = np.zeros((Z.shape[0], %d, %d))" % (dim, dim))
         for (a, b), r in emitted.items():
             body.append("H[:, %d, %d] = %s" % (a, b, r))
             if a != b:
@@ -832,7 +829,7 @@ def compile_hess(node, dim, wrt=None, vector=False):
         body.append("return H")
         src = "def _hess(Z):\n" + "".join("    %s\n" % ln for ln in body)
     else:
-        body.append("H = [[0.0] * %d for _ in range(%d)]" % (k, k))
+        body.append("H = [[0.0] * %d for _ in range(%d)]" % (dim, dim))
         for (a, b), r in emitted.items():
             body.append("H[%d][%d] = %s" % (a, b, r))
             if a != b:

@@ -162,28 +162,17 @@ class ScalarField:
 # Quadratic-like stabilizing terms
 
 class QuadraticLike:
-    """A fiber function with a single nondegenerate minimum at 0, value 0.
+    """A fiber function with a single nondegenerate minimum at 0, value 0:
+    the scaled exact quadratic lam*|e|^2 of `scaled_identity`."""
 
-    The default is the scaled exact quadratic lam*|e|^2; a general
-    expression (agreeing with |e|^2 outside `box`) is accepted for the
-    fiber-twist invariance checks.
-    """
-
-    def __init__(self, N, field, lam=None):
+    def __init__(self, N, field):
         self.N = int(N)
         self.field = field
-        self.lam = lam
 
     @classmethod
     def scaled_identity(cls, N, lam):
         quads = [(k, float(lam)) for k in range(N)]
-        return cls(N, ScalarField(N, None, quads, tag="Q"), lam=float(lam))
-
-    @classmethod
-    def from_expr(cls, N, expression):
-        if isinstance(expression, str):
-            expression = parse(expression, ["e%d" % (k + 1) for k in range(N)])
-        return cls(N, ScalarField(N, expression, tag="Q"))
+        return cls(N, ScalarField(N, None, quads, tag="Q"))
 
     def check_minimum(self, box=None, samples=400, rng=None):
         """0 is a critical point, positive definite, value 0; and the

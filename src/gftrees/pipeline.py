@@ -1,14 +1,15 @@
 """End-to-end runs: config -> family -> chords -> counts -> cohomology ring.
 
 A run is staged so that expensive counting tasks (one flow-line pair or
-one tree triple each) can be distributed over a process pool; workers
-rebuild the cheap stages from the resolved config, which keeps every
-count a pure function of (config, task) and the aggregation order fixed.
+one tree triple each) can be distributed over a process pool; forked
+workers count on the parent's prepared run, which keeps every count a
+pure function of (config, task) and the aggregation order fixed.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -197,13 +198,14 @@ class GFRun:
         groups = {}
         for t in tasks:
             groups.setdefault(t[:3], []).append(t)
-        key = json.dumps(self.config, sort_keys=True)  # canonical_json rounds
         results = {}
-        # fork starts every worker at the first submit, so a pool wider
-        # than the task groups would only start idle interpreters
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(groups))) as pool:
-            futs = [(g, pool.submit(_pool_tasks, key, g))
-                    for g in groups.values()]
+        # forked workers inherit this prepared run (fork pickles no
+        # initargs) and all start at the first submit, so a pool wider than
+        # the task groups would only start idle interpreters
+        with ProcessPoolExecutor(max_workers=min(self.jobs, len(groups)),
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_adopt, initargs=(self,)) as pool:
+            futs = [(g, pool.submit(_pool_tasks, g)) for g in groups.values()]
             for g, fut in futs:
                 results.update(zip(g, fut.result()))
         return results
@@ -277,16 +279,18 @@ def parity_table(counts):
     return table
 
 
-_POOL_RUNS = {}
+_worker_run = None
 
 
-def _pool_tasks(config_json, tasks):
-    run = _POOL_RUNS.get(config_json)
-    if run is None:
-        cfg = json.loads(config_json)
-        run = (MorseRun if cfg["mode"] == MorseRun.MODE else GFRun)(cfg)
-        _POOL_RUNS[config_json] = run.prepare()
-    return [run.run_task(t) for t in tasks]
+def _adopt(run):
+    """Pool initializer: under fork `run` is the parent's prepared run,
+    inherited rather than pickled."""
+    global _worker_run
+    _worker_run = run
+
+
+def _pool_tasks(tasks):
+    return [_worker_run.run_task(t) for t in tasks]
 
 
 def gf_run(config, jobs=1):
@@ -380,7 +384,7 @@ def stabilization_compare(config, signs=("+",), jobs=1):
     return a, b, compare_runs(a, b)
 
 
-def fpd_compare(config, components, samples=500, jobs=1):
+def fpd_compare(config, components, jobs=1):
     """Ring of F versus ring of F precomposed with a fiber twist."""
     cfg2 = json.loads(json.dumps(config))
     fam2 = dict(cfg2["family"])

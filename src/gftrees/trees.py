@@ -530,10 +530,6 @@ def count_trees(src1, src2, sink, s, fields, r0=1e-3, tolerances=None,
     outcomes).  src/sink are critical points already living in the three
     fields (embedded via iota in the generating-family pipeline; raw
     critical points in Morse mode), and `criticals` are those of h3."""
-    if sink.grading != src1.grading + src2.grading:
-        raise DimensionError(
-            "product requires |p0| = |p1| + |p2|: got |p0|=%d, |p1|=%d, |p2|=%d"
-            % (sink.grading, src1.grading, src2.grading))
     problem = TreeProblem(fields, src1, src2, sink, s, r0=r0,
                           tolerances=tolerances, meeting_floor=meeting_floor,
                           criticals=criticals)

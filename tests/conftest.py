@@ -7,6 +7,7 @@ copies, so tests may mutate them freely.
 
 import copy
 import json
+import os
 
 import pytest
 
@@ -126,3 +127,19 @@ def multi_run():
 @pytest.fixture(scope="session")
 def morse_run():
     return pl.MorseRun().execute()
+
+
+@pytest.fixture
+def prepare_calls(monkeypatch):
+    """The class names of every GFRun/MorseRun prepare, in call order.  A
+    prepare in another process (a pool worker) raises, and the pool hands
+    that error back to the caller."""
+    pid, calls = os.getpid(), []
+    for cls in (pl.GFRun, pl.MorseRun):
+        def spy(self, original=cls.prepare):
+            if os.getpid() != pid:
+                raise RuntimeError("a pool worker prepared its run again")
+            calls.append(type(self).__name__)
+            return original(self)
+        monkeypatch.setattr(cls, "prepare", spy)
+    return calls

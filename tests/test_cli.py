@@ -94,6 +94,14 @@ def test_schema_violations_exit_2(tmp_path, capsys):
         assert "seeds/grid_density" in err
 
 
+def test_a_top_level_label_is_refused(tmp_path, capsys):
+    # only family.label names a family; a top-level label would be ignored
+    labelled = dict(UNKNOT, label="unknot")
+    code, _, err = run_cli(capsys, "chords", write_config(tmp_path, labelled))
+    assert code == 2
+    assert "'label' was unexpected" in err
+
+
 def test_fixed_tree_solver_settings_are_rejected(tmp_path, capsys):
     """The tree solver's settings are constants of `trees`, not config."""
     fixed = dict(UNKNOT, solver={"fd_step": 1e-6})

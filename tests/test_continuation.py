@@ -1,5 +1,6 @@
 """Deformation invariance: interpolation paths and continuation maps."""
 
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -82,9 +83,12 @@ def test_blend_rejects_mismatched_quadratic_blocks(unknot_config):
         ct.blend_field(a.w, b.w, 0.1)
 
 
-def test_translated_family_keeps_its_ring(unknot_config, unknot_moved_config):
+def test_translated_family_keeps_its_ring(unknot_config, unknot_moved_config,
+                                          prepare_calls):
     run0, run1, verdict = ct.isotopy_compare(unknot_config,
                                              unknot_moved_config)
+    # both endpoints already share lambda, so each is prepared once
+    assert prepare_calls == ["GFRun", "GFRun"]
     assert verdict["pass"], verdict
     assert not verdict["constant_path"]
     assert verdict["eps"] > 0
@@ -110,6 +114,31 @@ def test_two_generator_family_maps_by_the_identity_matrix(
     # is recorded as such
     assert verdict["value_obstructions"] == ["c3->c2"]
     assert verdict["product_defects"] == []
+
+
+def test_aligned_runs_reprepare_only_the_run_whose_lambda_moves(
+        unknot_config, prepare_calls):
+    wide = json.loads(json.dumps(unknot_config))
+    wide["family"]["inner_box"][1] = [-2.5, 2.5]
+    run0, run1 = ct._aligned_runs(unknot_config, wide)
+    assert len(prepare_calls) == 3
+    assert run1.lam == pytest.approx(0.096) and run0.lam == run1.lam
+    assert run1.config["solver"]["lambda"] is None
+    fresh = json.loads(json.dumps(unknot_config))
+    fresh["solver"] = {"lambda": run1.lam}
+    assert pl.canonical_json(run0.report()) == \
+        pl.canonical_json(pl.gf_run(fresh).report())
+
+
+def test_aligned_runs_keep_every_config_float(unknot_config,
+                                              unknot_moved_config):
+    # rounded to 12 digits this box edge would read -1.5
+    edge = -1.5000000000001
+    for cfg in (unknot_config, unknot_moved_config):
+        cfg["family"]["inner_box"][1] = [edge, 2.0]
+    for run in ct._aligned_runs(unknot_config, unknot_moved_config):
+        assert run.family.inner_box[1][0] == edge
+        assert run.config["family"]["inner_box"][1][0] == edge
 
 
 def test_reversing_a_path_inverts_the_class_map(unknot_config,

@@ -103,6 +103,13 @@ def test_worker_pool_and_inline_execution_agree(multi_run, multi_config):
         pl.canonical_json(multi_run.report())
 
 
+def test_pool_workers_adopt_the_parent_prepared_run(multi_config,
+                                                   prepare_calls):
+    pl.GFRun(multi_config, jobs=2).execute()
+    pl.MorseRun(jobs=2).execute()
+    assert prepare_calls == ["GFRun", "MorseRun"]
+
+
 def test_pool_workers_rebuild_the_exact_config(unknot_config, monkeypatch):
     # a float rounded on its way to the workers could change a count
     unknot_config["tolerances"] = {"rtol": 1.0000000000001e-8}
@@ -119,8 +126,9 @@ def test_the_pool_is_no_wider_than_its_task_groups(unknot_config, monkeypatch):
     widths = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context, initializer, initargs):
             widths.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -133,7 +141,7 @@ def test_the_pool_is_no_wider_than_its_task_groups(unknot_config, monkeypatch):
             fut.set_result(fn(*args))
             return fut
     monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(pl, "_POOL_RUNS", {})
+    monkeypatch.setattr(pl, "_worker_run", None)  # the fake sets it here
     monkeypatch.setattr(pl.GFRun, "prepare", lambda self: self)
     monkeypatch.setattr(pl.GFRun, "run_task", lambda self, task: task[-1])
     # the two line counts from c1 share a group
@@ -151,8 +159,8 @@ def test_tree_counts_from_one_source_pair_share_a_task_group(unknot_config,
     groups = []
 
     class InlinePool:
-        def __init__(self, max_workers):
-            pass
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -161,12 +169,12 @@ def test_tree_counts_from_one_source_pair_share_a_task_group(unknot_config,
             return False
 
         def submit(self, fn, *args):
-            groups.append(args[1])
+            groups.append(args[0])
             fut = Future()
             fut.set_result(fn(*args))
             return fut
     monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(pl, "_POOL_RUNS", {})
+    monkeypatch.setattr(pl, "_worker_run", None)  # the fake sets it here
     monkeypatch.setattr(pl.GFRun, "prepare", lambda self: self)
     monkeypatch.setattr(pl.GFRun, "run_task", lambda self, task: task[-1])
     tasks = [("m2", "c3", "c3", "c4"), ("m2", "c3", "c4", "c5"),

@@ -66,9 +66,9 @@ def test_grading_mismatch_is_rejected(morse_run):
     r = morse_run
     f_saddle = r.crits[0][1]      # grading 1
     g_saddle = r.crits[1][1]      # grading 1
-    pit = r.crits[2][0]           # grading 0 != 2
-    with pytest.raises(tr.DimensionError, match=r"\|p0\| = \|p1\| \+ \|p2\|"):
-        tr.count_trees(f_saddle, g_saddle, pit, r.s, tuple(r.fields))
+    h_saddle = r.crits[2][1]      # grading 1 != 2
+    with pytest.raises(tr.DimensionError, match="expected dimension is -1"):
+        tr.count_trees(f_saddle, g_saddle, h_saddle, r.s, tuple(r.fields))
 
 
 def test_zero_dimensional_charts_are_out_of_scope(morse_run):

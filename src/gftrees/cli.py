@@ -2,7 +2,8 @@
 
 Exit status: 0 when the requested checks pass (or a pure computation
 succeeds), 1 when a verdict comes back failing or the solver refuses a
-non-generic configuration, 2 for malformed configs or expressions.
+non-generic configuration, 2 for malformed configs or expressions (an
+expression that leaves its domain, `DomainError`, included).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import critical as cr
 from . import flow as fl
 from . import pipeline as pl
 from . import trees as tr
-from .expr import ParseError
+from .expr import DomainError, ParseError
 from .family import FamilyError
 
 log = logging.getLogger("gftrees")
@@ -342,7 +343,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError, FamilyError) as e:
+    except (ConfigError, ParseError, DomainError, FamilyError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (cr.NoChordsError, cr.DegenerateRootError, fl.AmbiguousCountError,

@@ -11,6 +11,8 @@ mod-2 count assembles the chain map Phi.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from . import complexes as cx
@@ -21,6 +23,9 @@ from . import gf2
 from .expr import Add, Call, Mul, Num, Pow, Sub, Var
 from .family import ScalarField
 from .pipeline import GFRun, PAIRS, _plain
+
+
+log = logging.getLogger(__name__)
 
 
 class PathError(ValueError):
@@ -106,29 +111,50 @@ class FamilyPath:
                 "continuation step, subdivide it" % (self.eps, rho_min))
 
     def _sample_rho(self, t_samples):
+        """Least positive critical value of each slice, and the largest
+        |w1 - w0| over the slices' critical points.
+
+        sigma(0) = 0 and sigma(1) = 1, so `slice_field` folds to exactly
+        w0's expression at t = 0 and to w1's at t = 1.  Each slice is
+        searched with run0's grid density and tolerances, so the t = 0
+        slice takes run0's critical points, and the t = 1 slice takes
+        run1's when run1 was searched with the same settings.
+        """
         w0, w1 = self.run0.w, self.run1.w
+        density = self.run0.config["seeds"]["grid_density"]
+        ends = {0.0: self.run0.criticals}
+        if (self.run1.config["seeds"]["grid_density"] == density
+                and self.run1.tol == self.run0.tol):
+            ends[1.0] = self.run1.criticals
         out = {}
         self.value_drift = 0.0
         for t in np.linspace(0.0, 1.0, t_samples):
+            t = float(t)
             if self.constant and t > 0:
-                out[float(t)] = out[0.0]
+                out[t] = out[0.0]
                 continue
-            try:
-                crits = cr.find_critical_points(
-                    slice_field(w0, w1, t),
-                    grid_density=self.run0.config["seeds"]["grid_density"],
-                    tolerances=self.run0.tol)
-            except cr.DegenerateRootError as e:
-                self.warnings.append(
-                    "slice t=%.2f has a degenerate critical point (%s); the "
-                    "path may not be admissible" % (t, e))
-                continue
+            crits = ends.get(t)
+            if crits is not None:
+                log.info("slice t=%.2f: reused %d endpoint critical points",
+                         t, len(crits))
+            else:
+                try:
+                    crits = cr.find_critical_points(
+                        slice_field(w0, w1, t), grid_density=density,
+                        tolerances=self.run0.tol)
+                except cr.DegenerateRootError as e:
+                    self.warnings.append(
+                        "slice t=%.2f has a degenerate critical point (%s); the "
+                        "path may not be admissible" % (t, e))
+                    continue
+                log.info("slice t=%.2f: searched, %d critical points",
+                         t, len(crits))
             pos = [p.value for p in crits if p.value > 0]
             if not pos:
                 raise PathError(
                     "slice t=%.2f has no positive critical value; the path "
                     "leaves the class of chord-carrying families" % t)
-            out[float(t)] = min(pos)
+            out[t] = min(pos)
             for p in crits:
                 z = [float(v) for v in p.coords]
                 self.value_drift = max(self.value_drift,
@@ -234,6 +260,8 @@ def continuation_matrix(path, which="w", r0=None, scan_density=None):
                 drops = sum(1 for a, b in zip(ts, ts[1:]) if b < a - 1e-9)
                 t_checks.append({"line": "%s->%s" % (lp.id, lq.id),
                                  "t_monotone": drops == 0})
+    log.info("continuation matrix %s: %d entries, %d odd", tag, len(phi),
+             sum(phi.values()))
     diag = {"eps": path.eps, "rho_slices": path.rho_slices,
             "warnings": list(path.warnings), "t_monotone": t_checks,
             "t_monotone_ok": all(c["t_monotone"] for c in t_checks),

@@ -93,7 +93,15 @@ def _seed_grid(field, box, density):
 
 
 def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
-    """Batched Newton on grad(field) = 0.  Returns converged points."""
+    """Batched Newton on grad(field) = 0.  Returns converged points.
+
+    An iteration is a pure function of the whole batch Z, so once a full
+    step (after the periodic wrap and the row filter) returns Z with the
+    same bits, every later iteration would return it too: the loop stops
+    there with the result of all `iters` iterations.  Bits, not `==`,
+    decide, since -0.0 == 0.0.  A batch with a row that cycles or never
+    settles runs every iteration.
+    """
     Z = np.array(Z, dtype=float)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
@@ -108,12 +116,16 @@ def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
         norms = np.linalg.norm(step, axis=1)
         big = norms > 0.25 * span
         step[big] *= (0.25 * span / norms[big])[:, None]
-        Z = Z - step
+        Z1 = Z - step
         if field.periodic:
-            Z = _wrap_unit(Z)
-        ok = np.all(np.isfinite(Z), axis=1)
-        ok &= np.all(np.abs(Z - mid) < 3.0 * half + 1.0, axis=1)
-        Z = Z[ok]
+            Z1 = _wrap_unit(Z1)
+        ok = np.all(np.isfinite(Z1), axis=1)
+        ok &= np.all(np.abs(Z1 - mid) < 3.0 * half + 1.0, axis=1)
+        Z1 = Z1[ok]
+        # equal bytes means equal rows too: every row has dim coordinates
+        if Z1.tobytes() == Z.tobytes():
+            break
+        Z = Z1
     if len(Z) == 0:
         return Z
     G = field.grad_vec(Z)

@@ -18,14 +18,28 @@ cutoff: identically 1 for |t| <= 1, identically 0 for |t| >= 2, monotone
 C^2 in between (a quintic ramp, so its first and second derivatives vanish
 at |t| = 1 and |t| = 2).
 
-Expressions are immutable trees.  Differentiation is symbolic; first and
-second derivatives are exact up to round-off.  `compile_*` turn a tree into
-plain Python (scalar, for one point at a time) or vectorised numpy code
-(for batches of points); both flavours are cached by the callers.
+Expressions are immutable trees whose subtrees may be shared objects;
+`fold` and `diff` handle each node object once per call, so a derivative
+that reuses its operands costs its DAG, not its tree.  Differentiation is
+symbolic; first and second derivatives are exact up to round-off.  A
+`Derivatives` derives a node's gradient once, and its Hessian from that
+gradient, on first use.  `compile_*` turn expressions into plain Python
+(scalar, for one point at a time) or vectorised numpy code (for batches
+of points); `ScalarField` compiles each flavour once, and all four
+gradient and Hessian compiles of a field read one `Derivatives`.
+
+The vector flavour evaluates the box cutoffs as one block.  A prologue
+stacks every variable that reaches `Warp(Var)` or `WarpSlope(Var)` into a
+(k, B) array and calls each cutoff helper it needs (`warp`, `warpslope`,
+`bump`, `dbump`, `d2bump`) once on that block, with the per-row box
+constants as (k, 1) environment arrays; each former helper call becomes a
+row read.  The helpers are elementwise IEEE operations, so a row has the
+bits of the separate call it replaces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -450,19 +464,34 @@ def _num(node):
 
 
 def fold(node):
-    """Constant folding plus the cheap identities (x+0, 1*x, x-x, ...)."""
-    if isinstance(node, (Num, Var)):
-        return node
+    """Constant folding plus the cheap identities (x+0, 1*x, x-x, ...).
+
+    Derivatives share subtrees, so one call folds each node object once,
+    however many paths reach it.
+    """
+    memo = {}
+
+    def rec(n):
+        if isinstance(n, (Num, Var)):
+            return n
+        out = memo.get(id(n))
+        if out is None:
+            out = memo[id(n)] = _fold_node(n, rec)
+        return out
+    return rec(node)
+
+
+def _fold_node(node, rec):
     if isinstance(node, Neg):
-        a = fold(node.a)
+        a = rec(node.a)
         if isinstance(a, Num):
             return Num(-a.v)
         if isinstance(a, Neg):
             return a.a
         return Neg(a)
     if isinstance(node, _Bin):
-        a = fold(node.a)
-        b = fold(node.b)
+        a = rec(node.a)
+        b = rec(node.b)
         va, vb = _num(a), _num(b)
         if isinstance(node, Add):
             if va == 0.0:
@@ -499,7 +528,7 @@ def fold(node):
                 return Num(va / vb)
             return Div(a, b)
     if isinstance(node, Pow):
-        a = fold(node.a)
+        a = rec(node.a)
         if node.k == 0:
             return Num(1.0)
         if node.k == 1:
@@ -509,38 +538,50 @@ def fold(node):
             return Num(va ** node.k)
         return Pow(a, node.k)
     if isinstance(node, Call):
-        a = fold(node.a)
+        a = rec(node.a)
         va = _num(a)
         if va is not None:
             return Num(_CALL_EVAL[node.fn](va))
         return Call(node.fn, a)
     if isinstance(node, (Warp, WarpSlope)):
-        a = fold(node.a)
+        a = rec(node.a)
         return type(node)(a, node.il, node.ih, node.ol, node.oh)
     raise TypeError("unknown node %r" % (node,))
 
 
 def diff(node, i):
-    """Exact partial derivative d(node)/d(Var i), not folded."""
+    """Exact partial derivative d(node)/d(Var i), not folded.  One call
+    differentiates each node object once, however many paths reach it."""
+    memo = {}
+
+    def rec(n):
+        out = memo.get(id(n))
+        if out is None:
+            out = memo[id(n)] = _diff_node(n, i, rec)
+        return out
+    return rec(node)
+
+
+def _diff_node(node, i, rec):
     if isinstance(node, Num):
         return Num(0.0)
     if isinstance(node, Var):
         return Num(1.0 if node.i == i else 0.0)
     if isinstance(node, Neg):
-        return Neg(diff(node.a, i))
+        return Neg(rec(node.a))
     if isinstance(node, Add):
-        return Add(diff(node.a, i), diff(node.b, i))
+        return Add(rec(node.a), rec(node.b))
     if isinstance(node, Sub):
-        return Sub(diff(node.a, i), diff(node.b, i))
+        return Sub(rec(node.a), rec(node.b))
     if isinstance(node, Mul):
-        return Add(Mul(diff(node.a, i), node.b), Mul(node.a, diff(node.b, i)))
+        return Add(Mul(rec(node.a), node.b), Mul(node.a, rec(node.b)))
     if isinstance(node, Div):
-        num = Sub(Mul(diff(node.a, i), node.b), Mul(node.a, diff(node.b, i)))
+        num = Sub(Mul(rec(node.a), node.b), Mul(node.a, rec(node.b)))
         return Div(num, Mul(node.b, node.b))
     if isinstance(node, Pow):
-        return Mul(Mul(Num(node.k), Pow(node.a, node.k - 1)), diff(node.a, i))
+        return Mul(Mul(Num(node.k), Pow(node.a, node.k - 1)), rec(node.a))
     if isinstance(node, Call):
-        da = diff(node.a, i)
+        da = rec(node.a)
         if node.fn == "sin":
             return Mul(Call("cos", node.a), da)
         if node.fn == "cos":
@@ -555,7 +596,7 @@ def diff(node, i):
             raise NotImplementedError("third derivatives of bump are not provided")
         raise TypeError("unknown function %r" % node.fn)
     if isinstance(node, Warp):
-        return Mul(WarpSlope(node.a, node.il, node.ih, node.ol, node.oh), diff(node.a, i))
+        return Mul(WarpSlope(node.a, node.il, node.ih, node.ol, node.oh), rec(node.a))
     if isinstance(node, WarpSlope):
         return Num(0.0)  # piecewise constant
     raise TypeError("unknown node %r" % (node,))
@@ -565,14 +606,31 @@ def grad_exprs(node, wrt):
     return [fold(diff(node, i)) for i in wrt]
 
 
-def hess_exprs(node, wrt):
-    """Upper triangle (i <= j) of second partials as {(i,j): Expr}."""
-    out = {}
-    firsts = {i: fold(diff(node, i)) for i in wrt}
-    for a, i in enumerate(wrt):
-        for j in wrt[a:]:
-            out[(i, j)] = fold(diff(firsts[i], j))
-    return out
+def hess_exprs(grads):
+    """Upper triangle (i <= j) of second partials as {(i,j): Expr}, from
+    the first partials `grads` = grad_exprs(node, range(dim))."""
+    dim = len(grads)
+    return {(i, j): fold(diff(grads[i], j))
+            for i in range(dim) for j in range(i, dim)}
+
+
+class Derivatives:
+    """The first and second partials of one folded node on R^dim, each
+    derived on first use and then shared by every compile that reads it:
+    both flavours of the gradient and of the Hessian, which is derived
+    from the gradient's partials."""
+
+    def __init__(self, node, dim):
+        self.node = node
+        self.dim = int(dim)
+
+    @functools.cached_property
+    def grad(self):
+        return grad_exprs(self.node, range(self.dim))
+
+    @functools.cached_property
+    def hess(self):
+        return hess_exprs(self.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +737,9 @@ _VECTOR_ENV = {
 # ---------------------------------------------------------------------------
 # Code generation (common-subexpression form, scalar and numpy flavours)
 
+_BUMPS = ("bump", "dbump", "d2bump")
+
+
 class _Emitter:
     def __init__(self, vector):
         self.vector = vector
@@ -686,6 +747,11 @@ class _Emitter:
         self.memo = {}
         self.count = 0
         self.strings = {}  # DomainError messages
+        self.used = set()  # variable indices the lines read
+        # vector flavour: (var, il, ih, ol, oh) -> row of the cutoff block,
+        # and the helpers the block prologue evaluates
+        self.rows = {}
+        self.helpers = set()
 
     def fresh(self):
         name = "t%d" % self.count
@@ -697,10 +763,20 @@ class _Emitter:
         self.strings[name] = text
         return name
 
+    def block_row(self, fn, warp):
+        """`fn` of the warped coordinate `warp` (a Warp or WarpSlope of a
+        Var), read as one row of the prologue's block result."""
+        key = (warp.a.i, warp.il, warp.ih, warp.ol, warp.oh)
+        row = self.rows.setdefault(key, len(self.rows))
+        self.used.add(warp.a.i)
+        self.helpers.add(fn)
+        return "_%s[%d]" % (fn, row)
+
     def emit(self, node):
         if isinstance(node, Num):
             return repr(node.v)
         if isinstance(node, Var):
+            self.used.add(node.i)
             return "z%d" % node.i
         key = node.key()
         got = self.memo.get(key)
@@ -732,109 +808,119 @@ class _Emitter:
                     self.lines.append("if np.any(%s == 0.0): raise DomainError(%s)" % (base, msg))
                 else:
                     self.lines.append("if %s == 0.0: raise DomainError(%s)" % (base, msg))
+            elif k < 0 and node.a.v == 0.0:
+                msg = self.string_const("zero base with negative exponent in: " + to_str(node))
+                self.lines.append("raise DomainError(%s)" % msg)
             if 2 <= k <= 4:
                 rhs = " * ".join([base] * k)
             else:
                 rhs = "%s ** %d" % (base, k)
         elif isinstance(node, Call):
-            rhs = "%s(%s)" % (node.fn, self.emit(node.a))
+            arg = self.emit(node.a)
+            if self.vector and node.fn in _BUMPS and isinstance(node.a, Warp) \
+                    and isinstance(node.a.a, Var):
+                rhs = self.block_row(node.fn, node.a)
+            else:
+                rhs = "%s(%s)" % (node.fn, arg)
         elif isinstance(node, (Warp, WarpSlope)):
             fn = "warp" if isinstance(node, Warp) else "warpslope"
-            rhs = "%s(%s, %r, %r, %r, %r)" % (fn, self.emit(node.a), node.il, node.ih, node.ol, node.oh)
+            if self.vector and isinstance(node.a, Var):
+                rhs = self.block_row(fn, node)
+            else:
+                rhs = "%s(%s, %r, %r, %r, %r)" % (fn, self.emit(node.a), node.il, node.ih, node.ol, node.oh)
         else:
             raise TypeError("unknown node %r" % (node,))
         self.lines.append("%s = %s" % (name, rhs))
         self.memo[key] = name
         return name
 
+    def block_prologue(self):
+        """Vector flavour: the lines that stack every warped variable into
+        a (k, B) block and call each needed helper once on it, and the
+        per-row constants as (k, 1) environment arrays."""
+        if not self.rows:
+            return [], {}
+        keys = list(self.rows)
+        env = {"_" + c: np.array([[k[m]] for k in keys])
+               for m, c in enumerate(("il", "ih", "ol", "oh"), 1)}
+        lines = ["_x = np.stack([%s])" % ", ".join("z%d" % k[0] for k in keys)]
+        # a bump row's argument is a warp row, emitted first
+        if "warp" in self.helpers:
+            lines.append("_warp = warp(_x, _il, _ih, _ol, _oh)")
+        if "warpslope" in self.helpers:
+            lines.append("_warpslope = warpslope(_x, _il, _ih, _ol, _oh)")
+        lines += ["_%s = %s(_warp)" % (fn, fn) for fn in _BUMPS if fn in self.helpers]
+        return lines, env
 
-def _compile(src, fname, vector, extra_env=None):
+
+def _build(fname, em, tail):
+    """Compile `def fname(z or Z)`: unpack the variables the emitted lines
+    read, run the block prologue, the lines, then `tail`."""
+    prologue, env = em.block_prologue()
+    if em.vector:
+        unpack = ["z%d = Z[:, %d]" % (i, i) for i in sorted(em.used)]
+    else:
+        unpack = ["z%d = z[%d]" % (i, i) for i in sorted(em.used)]
+    body = unpack + prologue + em.lines + tail
+    src = "def %s(%s):\n" % (fname, "Z" if em.vector else "z") + \
+        "".join("    %s\n" % ln for ln in body)
+    return _compile(src, fname, em.vector, {**em.strings, **env})
+
+
+def _compile(src, fname, vector, extra_env):
     env = dict(_VECTOR_ENV if vector else _SCALAR_ENV)
-    if extra_env:
-        env.update(extra_env)
+    env.update(extra_env)
     code = compile(src, "<gftrees:%s>" % fname, "exec")
     exec(code, env)
     return env[fname]
 
 
-def _unpack_lines(used, vector):
-    if vector:
-        return ["z%d = Z[:, %d]" % (i, i) for i in sorted(used)]
-    return ["z%d = z[%d]" % (i, i) for i in sorted(used)]
-
-
 def compile_value(node, dim, vector=False):
     """Compile to `f(z) -> float` (scalar) or `f(Z: (B,dim)) -> (B,)`."""
-    node = fold(node)
     em = _Emitter(vector)
-    result = em.emit(node)
-    body = _unpack_lines(free_vars(node), vector) + em.lines
+    result = em.emit(fold(node))
     if vector:
-        body.append("return np.zeros(Z.shape[0]) + (%s)" % result)
-        src = "def _value(Z):\n" + "".join("    %s\n" % ln for ln in body)
-    else:
-        body.append("return %s" % result)
-        src = "def _value(z):\n" + "".join("    %s\n" % ln for ln in body)
-    return _compile(src, "_value", vector, em.strings)
+        return _build("_value", em, ["return np.zeros(Z.shape[0]) + (%s)" % result])
+    return _build("_value", em, ["return %s" % result])
 
 
-def compile_grad(node, dim, vector=False):
-    """Compile the gradient over all dim coordinates.
+def compile_grad(derivs, vector=False):
+    """Compile the gradient over all dim coordinates from `derivs`, a
+    Derivatives.
 
     Scalar flavour returns a list of dim floats; vector flavour an array
     of shape (B, dim).
     """
-    node = fold(node)
-    parts = grad_exprs(node, range(dim))
     em = _Emitter(vector)
-    results = [em.emit(p) for p in parts]
-    used = set()
-    for p in parts:
-        used |= free_vars(p)
-    body = _unpack_lines(used, vector) + em.lines
+    results = [em.emit(p) for p in derivs.grad]
     if vector:
-        body.append("G = np.zeros((Z.shape[0], %d))" % dim)
-        for col, r in enumerate(results):
-            body.append("G[:, %d] = %s" % (col, r))
-        body.append("return G")
-        src = "def _grad(Z):\n" + "".join("    %s\n" % ln for ln in body)
-    else:
-        body.append("return [%s]" % ", ".join(results))
-        src = "def _grad(z):\n" + "".join("    %s\n" % ln for ln in body)
-    return _compile(src, "_grad", vector, em.strings)
+        tail = ["G = np.zeros((Z.shape[0], %d))" % derivs.dim]
+        tail += ["G[:, %d] = %s" % (col, r) for col, r in enumerate(results)]
+        return _build("_grad", em, tail + ["return G"])
+    return _build("_grad", em, ["return [%s]" % ", ".join(results)])
 
 
-def compile_hess(node, dim, vector=False):
-    """Compile the symmetric Hessian over all dim coordinates.
+def compile_hess(derivs, vector=False):
+    """Compile the symmetric Hessian over all dim coordinates from
+    `derivs`, a Derivatives.
 
     Scalar flavour returns a (dim, dim) nested list; vector flavour
     (B, dim, dim).
     """
-    node = fold(node)
-    entries = hess_exprs(node, range(dim))
+    dim = derivs.dim
     em = _Emitter(vector)
-    emitted = {}
-    used = set()
-    for (i, j), e in entries.items():
-        if not (isinstance(e, Num) and e.v == 0.0):
-            emitted[(i, j)] = em.emit(e)
-            used |= free_vars(e)
-    body = _unpack_lines(used, vector) + em.lines
+    emitted = {ij: em.emit(e) for ij, e in derivs.hess.items()
+               if not (isinstance(e, Num) and e.v == 0.0)}
     if vector:
-        body.append("H = np.zeros((Z.shape[0], %d, %d))" % (dim, dim))
+        tail = ["H = np.zeros((Z.shape[0], %d, %d))" % (dim, dim)]
         for (a, b), r in emitted.items():
-            body.append("H[:, %d, %d] = %s" % (a, b, r))
+            tail.append("H[:, %d, %d] = %s" % (a, b, r))
             if a != b:
-                body.append("H[:, %d, %d] = H[:, %d, %d]" % (b, a, a, b))
-        body.append("return H")
-        src = "def _hess(Z):\n" + "".join("    %s\n" % ln for ln in body)
+                tail.append("H[:, %d, %d] = H[:, %d, %d]" % (b, a, a, b))
     else:
-        body.append("H = [[0.0] * %d for _ in range(%d)]" % (dim, dim))
+        tail = ["H = [[0.0] * %d for _ in range(%d)]" % (dim, dim)]
         for (a, b), r in emitted.items():
-            body.append("H[%d][%d] = %s" % (a, b, r))
+            tail.append("H[%d][%d] = %s" % (a, b, r))
             if a != b:
-                body.append("H[%d][%d] = H[%d][%d]" % (b, a, a, b))
-        body.append("return H")
-        src = "def _hess(z):\n" + "".join("    %s\n" % ln for ln in body)
-    return _compile(src, "_hess", vector, em.strings)
-
+                tail.append("H[%d][%d] = H[%d][%d]" % (b, a, a, b))
+    return _build("_hess", em, tail + ["return H"])

@@ -66,6 +66,7 @@ class ScalarField:
         if bad:
             raise FamilyError("quadratic block index out of range: %r" % bad)
         self._fns = {}
+        self._derivs = ex.Derivatives(self.expr_part, self.dim)
 
     # -- construction helpers ------------------------------------------
 
@@ -109,9 +110,9 @@ class ScalarField:
             if base == "value":
                 fn = ex.compile_value(self.expr_part, self.dim, vector=vector)
             elif base == "grad":
-                fn = ex.compile_grad(self.expr_part, self.dim, vector=vector)
+                fn = ex.compile_grad(self._derivs, vector=vector)
             else:
-                fn = ex.compile_hess(self.expr_part, self.dim, vector=vector)
+                fn = ex.compile_hess(self._derivs, vector=vector)
             self._fns[kind] = fn
         return fn
 

@@ -9,6 +9,7 @@ pure function of (config, task) and the aggregation order fixed.
 from __future__ import annotations
 
 import json
+import logging
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,6 +22,8 @@ from . import trees as tr
 from .family import (GeneratingFamily, QuadraticLike, blend_annulus_floor,
                      extend, family_from_config, jump_identity_residual,
                      morse_mode_fields)
+
+log = logging.getLogger(__name__)
 
 PAIRS = ((1, 2), (2, 3), (1, 3))
 
@@ -146,6 +149,8 @@ class GFRun:
                             for pq in PAIRS})
         self.meeting_floor = self.rho / 4.0
         self.prepared = True
+        log.info("prepared %s: %d chords of %d critical points",
+                 self.family.label, len(self.chords), len(self.criticals))
         return self
 
     # -- task enumeration and execution ---------------------------------
@@ -176,8 +181,8 @@ class GFRun:
             c = fl.count_lines(crits[pid], crits[qid], field,
                                list(crits.values()), r0=self.solver["r0"],
                                m=self.solver["scan_density"], tolerances=self.tol)
-            return {"parity": c.parity, "clusters": c.clusters, "note": c.note}
-        if kind == "m2":
+            result = {"parity": c.parity, "clusters": c.clusters, "note": c.note}
+        elif kind == "m2":
             spaces = [self.spaces[key] for key in self.TREE_SPACES]
             ends = [crits[i] for (_, crits, _), i in zip(spaces, task[1:])]
             parity, trees, seeds = tr.count_trees(
@@ -185,8 +190,12 @@ class GFRun:
                 r0=self.solver["r0"], tolerances=self.tol,
                 meeting_floor=self.meeting_floor,
                 criticals=list(spaces[2][1].values()))
-            return {"parity": parity, "trees": trees, "seeds": seeds}
-        raise ValueError("unknown task %r" % (task,))
+            result = {"parity": parity, "trees": trees, "seeds": seeds}
+        else:
+            raise ValueError("unknown task %r" % (task,))
+        log.info("counted %s: parity %d", " ".join(map(str, task)),
+                 result["parity"])
+        return result
 
     def run_tasks(self, tasks):
         """Deterministic map task -> result, inline or over a process pool."""
@@ -468,6 +477,8 @@ class MorseRun(GFRun):
                        for k, (h, crits) in enumerate(zip(self.fields, self.crits))}
         self.meeting_floor = None
         self.prepared = True
+        log.info("prepared morse-torus: %s critical points",
+                 "/".join(str(len(c)) for c in self.crits))
         return self
 
     def m2_tasks(self):

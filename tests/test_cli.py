@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report output, config validation."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -203,3 +204,33 @@ def test_importing_the_cli_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("term", ["0^-2", "1/(x1 - x1)"])
+def test_an_expression_outside_its_domain_exits_2(tmp_path, capsys, term):
+    bad = json.loads(json.dumps(UNKNOT))
+    bad["family"]["core"] += " + " + term
+    code, out, err = run_cli(capsys, "chords", write_config(tmp_path, bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_info_logging_names_each_prepare_and_task(tmp_path, capsys, caplog):
+    path = write_config(tmp_path, MULTI)
+    # the default level adds nothing
+    assert run_cli(capsys, "cohomology", path)[0] == 0
+    assert not [r for r in caplog.records if r.name.startswith("gftrees")]
+    caplog.set_level(logging.INFO, logger="gftrees")
+    code, out, _ = run_cli(capsys, "cohomology", path)
+    assert code == 0
+    rep = json.loads(out)
+    got = [r.getMessage() for r in caplog.records]
+    assert got[0] == "prepared multichord: 3 chords of 6 critical points"
+    counted = sorted(m for m in got if m.startswith("counted "))
+    want = ["counted delta w %s %s: parity %d" % (*k.split("->"), v["parity"])
+            for k, v in rep["delta_counts"].items()]
+    want += ["counted m2 %s %s %s: parity %d" % (*k.replace("->", ",").split(","),
+                                                  v["parity"])
+             for k, v in rep["m2_counts"].items()]
+    assert counted == sorted(want)

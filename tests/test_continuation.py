@@ -1,11 +1,14 @@
 """Deformation invariance: interpolation paths and continuation maps."""
 
 import json
+import logging
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from gftrees import continuation as ct
+from gftrees import critical as cr
 from gftrees import pipeline as pl
 from t2_oracle import t2_ring
 
@@ -37,6 +40,68 @@ def test_slice_fields_interpolate_between_the_endpoints(unknot_config,
     # outside [0, 1] the ramp has fully saturated
     assert ct.slice_field(a.w, b.w, -0.2).value(z) == pytest.approx(lo, abs=1e-12)
     assert ct.slice_field(a.w, b.w, 1.2).value(z) == pytest.approx(hi, abs=1e-12)
+
+
+def test_endpoint_slices_are_the_endpoint_fields(unknot_config,
+                                                 unknot_moved_config):
+    a = prepared(unknot_config)
+    b = prepared(unknot_moved_config)
+    assert ct.slice_field(a.w, b.w, 0.0).expr_part.key() == a.w.expr_part.key()
+    assert ct.slice_field(a.w, b.w, 1.0).expr_part.key() == b.w.expr_part.key()
+
+
+def _searched_slices(path_args, monkeypatch):
+    """FamilyPath(*path_args) and the fields find_critical_points saw."""
+    seen = []
+    find = cr.find_critical_points
+    monkeypatch.setattr(cr, "find_critical_points",
+                        lambda field, **kw: seen.append(field.tag) or find(field, **kw))
+    path = ct.FamilyPath(*path_args)
+    monkeypatch.setattr(cr, "find_critical_points", find)
+    return path, seen
+
+
+def _every_slice_searched(run0, run1, t_samples=5):
+    """rho_slices and value_drift with a search on every slice."""
+    rho, drift = {}, 0.0
+    for t in np.linspace(0.0, 1.0, t_samples):
+        crits = cr.find_critical_points(
+            ct.slice_field(run0.w, run1.w, t),
+            grid_density=run0.config["seeds"]["grid_density"],
+            tolerances=run0.tol)
+        rho[float(t)] = min(p.value for p in crits if p.value > 0)
+        for p in crits:
+            z = [float(v) for v in p.coords]
+            drift = max(drift, abs(run1.w.value(z) - run0.w.value(z)))
+    return rho, drift
+
+
+def test_a_path_takes_the_endpoint_roots_of_its_runs(unknot_config,
+                                                    unknot_moved_config,
+                                                    monkeypatch):
+    run0, run1 = prepared(unknot_config), prepared(unknot_moved_config)
+    path, seen = _searched_slices((run0, run1), monkeypatch)
+    assert seen == ["w^0.25", "w^0.50", "w^0.75"]
+    rho, drift = _every_slice_searched(run0, run1)
+    assert path.rho_slices == rho
+    assert path.value_drift == drift
+    assert path.eps == max(0.1 * min(rho.values()), 8.0 * drift)
+
+
+def test_the_t1_slice_is_searched_when_run1_has_other_settings(
+        unknot_config, unknot_moved_config, monkeypatch):
+    # every slice is searched with run0's grid density, so the t = 0 slice
+    # is always run0's own search; t = 1 is run1's only at equal settings
+    unknot_moved_config["seeds"] = {"grid_density": 8}
+    run0, run1 = prepared(unknot_config), prepared(unknot_moved_config)
+    path, seen = _searched_slices((run0, run1), monkeypatch)
+    assert seen == ["w^0.25", "w^0.50", "w^0.75", "w^1.00"]
+    rho, drift = _every_slice_searched(run0, run1)
+    assert (path.rho_slices, path.value_drift) == (rho, drift)
+    unknot_moved_config["seeds"] = {}
+    unknot_moved_config["tolerances"] = {"tol_dedup": 1e-5}
+    run1 = prepared(unknot_moved_config)
+    assert _searched_slices((run0, run1), monkeypatch)[1][-1] == "w^1.00"
 
 
 def test_paths_require_identical_shapes(unknot_config, multi_config):
@@ -198,3 +263,22 @@ def test_cochain_map_defects_name_the_dropped_target():
     phi = t2_phi({g: g for g in T2_SWAP if g != "U"})
     assert ct.cochain_map_defects(phi, run, run) == [
         {"generator": g, "defect": ["U"]} for g in "abc"]
+
+
+def test_info_logging_names_each_slice_and_matrix(unknot_config,
+                                                 unknot_moved_config, caplog):
+    caplog.set_level(logging.INFO, logger="gftrees")
+    ct.isotopy_compare(unknot_config, unknot_moved_config)
+    got = [r.getMessage() for r in caplog.records
+           if r.name.startswith("gftrees")]
+    assert got[:2] == ["prepared unknot: 1 chords of 2 critical points",
+                       "prepared unknot-moved: 1 chords of 2 critical points"]
+    slices = [m for m in got if m.startswith("slice")]
+    assert slices == ["slice t=0.00: reused 2 endpoint critical points",
+                      "slice t=0.25: searched, 2 critical points",
+                      "slice t=0.50: searched, 2 critical points",
+                      "slice t=0.75: searched, 2 critical points",
+                      "slice t=1.00: reused 2 endpoint critical points"]
+    assert [m for m in got if m.startswith("continuation")] == [
+        "continuation matrix %s: 1 entries, 1 odd" % tag
+        for tag in ("W", "W_{1,2;3}", "W_{2,3;3}", "W_{1,3;3}")]

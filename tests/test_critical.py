@@ -235,3 +235,62 @@ def test_perturbation_bound_scales_with_the_gradient(unknot_config):
     assert b.rho == pytest.approx(4.0 / 3.0, abs=1e-8)
     assert b.lipschitz_L > 0
     assert b.delta_pert == pytest.approx(b.rho / (4 * b.lipschitz_L), rel=1e-12)
+
+
+def _newton_every_iteration(field, Z, box, iters=60, tol_grad=1e-9):
+    """_newton_polish without its fixed-point exit: all `iters` steps."""
+    Z = np.array(Z, dtype=float)
+    lo = np.array([b[0] for b in box])
+    hi = np.array([b[1] for b in box])
+    span = np.max(hi - lo)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    for _ in range(iters):
+        if len(Z) == 0:
+            break
+        step = cr._solve_rows(field.hess_vec(Z), field.grad_vec(Z))
+        norms = np.linalg.norm(step, axis=1)
+        big = norms > 0.25 * span
+        step[big] *= (0.25 * span / norms[big])[:, None]
+        Z = Z - step
+        if field.periodic:
+            Z = cr._wrap_unit(Z)
+        ok = np.all(np.isfinite(Z), axis=1)
+        ok &= np.all(np.abs(Z - mid) < 3.0 * half + 1.0, axis=1)
+        Z = Z[ok]
+    if len(Z) == 0:
+        return Z
+    good = np.linalg.norm(field.grad_vec(Z), axis=1) < tol_grad
+    inside = np.all((Z >= lo - 1e-6) & (Z <= hi + 1e-6), axis=1) | field.periodic
+    return Z[good & inside]
+
+
+def _newton_case(case, unknot_config, unknot_moved_config):
+    from gftrees import continuation as ct
+    from gftrees.pipeline import DEMO_MORSE
+    w = fa.family_from_config(unknot_config["family"]).difference()
+    if case == "unknot w":
+        return w
+    if case == "isotopy slice t=0.25":
+        moved = fa.family_from_config(unknot_moved_config["family"]).difference()
+        return ct.slice_field(w, moved, 0.25)
+    return fa.morse_mode_fields(DEMO_MORSE["f"], DEMO_MORSE["g"], 2)[2]
+
+
+@pytest.mark.parametrize("case,most_grads", [
+    ("unknot w", 20), ("isotopy slice t=0.25", 61), ("torus f+g", 20)])
+def test_newton_polish_stops_at_a_fixed_point_with_the_same_bits(
+        case, most_grads, unknot_config, unknot_moved_config):
+    """The early exit returns the bits of all 60 iterations; the t = 0.25
+    slice has rows of period 2, so it runs every iteration."""
+    field = _newton_case(case, unknot_config, unknot_moved_config)
+    seeds = cr._seed_grid(field, field.inner_box, 7)
+    want = _newton_every_iteration(field, seeds, field.inner_box)
+    calls = []
+    grad_vec = field.grad_vec
+    field.grad_vec = lambda Z: calls.append(len(Z)) or grad_vec(Z)
+    got = cr._newton_polish(field, seeds, field.inner_box)
+    assert len(want) > 0
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(calls) <= most_grads
+    if most_grads == 61:
+        assert len(calls) == 61

@@ -1,6 +1,7 @@
 """Expression layer: parsing, exact derivatives, compiled evaluators."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_symbolic_gradient_matches_finite_differences(text):
     n = ex.parse(text, LAY)
     p = np.array([0.37, -0.21, 0.53, 1.31])
     v = ex.compile_value(n, 4, vector=True)(p[None])[0]
-    g = np.array(ex.compile_grad(n, 4)(list(p)))
+    g = np.array(ex.compile_grad(ex.Derivatives(n, 4))(list(p)))
     f = ex.compile_value(n, 4)
     assert v == pytest.approx(f(list(p)), abs=1e-14)
     for i in range(4):
@@ -123,9 +124,9 @@ def test_symbolic_gradient_matches_finite_differences(text):
 def test_symbolic_hessian_matches_finite_differences(text):
     n = ex.parse(text, LAY)
     p = np.array([0.37, -0.21, 0.53, 1.31])
-    h = np.array(ex.compile_hess(n, 4)(list(p)))
+    h = np.array(ex.compile_hess(ex.Derivatives(n, 4))(list(p)))
     assert np.allclose(h, h.T, atol=1e-12)
-    g = ex.compile_grad(n, 4)
+    g = ex.compile_grad(ex.Derivatives(n, 4))
     for i in range(4):
         dp = np.zeros(4)
         dp[i] = FD
@@ -138,8 +139,8 @@ def test_symbolic_hessian_matches_finite_differences(text):
 def test_compiled_derivatives_consistent_with_compiled_value(point):
     n = ex.parse("e1^3/3 + (x1^2 - 1)*e1 + 0.2*sin(x2)*e2", LAY)
     v = ex.compile_value(n, 4, vector=True)(np.array([point]))[0]
-    g = np.array(ex.compile_grad(n, 4)(list(point)))
-    h = np.array(ex.compile_hess(n, 4)(list(point)))
+    g = np.array(ex.compile_grad(ex.Derivatives(n, 4))(list(point)))
+    h = np.array(ex.compile_hess(ex.Derivatives(n, 4))(list(point)))
     assert v == pytest.approx(ex.compile_value(n, 4)(list(point)), abs=1e-13)
     assert g.shape == (4,) and h.shape == (4, 4)
     assert np.allclose(h, h.T, atol=1e-12)
@@ -211,3 +212,111 @@ def test_vector_cutoff_helpers_return_the_scalar_bits():
                            (ex._d2bump, ex._d2bump_np)):
         want = np.array([scalar(v) for v in t.tolist()])
         assert np.array_equal(vector(t).view(np.int64), want.view(np.int64)), vector.__name__
+
+
+def _edge_inputs(edges):
+    """Each edge, its two float neighbours, and points past both ends."""
+    edges = np.array(edges, dtype=float)
+    return np.concatenate([np.nextafter(edges, -np.inf), edges,
+                           np.nextafter(edges, np.inf),
+                           [edges.min() - 0.5, edges.min() - 7.0,
+                            edges.max() + 0.5, edges.max() + 7.0]])
+
+
+WARP_BOXES = [(-1.5, 1.5, -2.5, 2.5), (-2.0, 2.0, -3.0, 3.0),
+              (-0.1, 1.1, -0.25, 1.25), (0.3, 0.7, -1e-3, 2.0)]
+
+
+@pytest.mark.parametrize("il,ih,ol,oh", WARP_BOXES)
+def test_vector_warp_helpers_return_the_scalar_bits(il, ih, ol, oh):
+    """Below, at and above ol, il, ih and oh, and beyond ol and oh."""
+    c = _edge_inputs([ol, il, ih, oh])
+    for scalar, vector in ((ex._warp, ex._warp_np),
+                           (ex._warpslope, ex._warpslope_np)):
+        want = np.array([scalar(v, il, ih, ol, oh) for v in c.tolist()])
+        got = vector(c, il, ih, ol, oh)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), vector.__name__
+
+
+def test_cutoff_helpers_on_a_block_return_the_scalar_bits():
+    """The block prologue's form: a (k, B) block of coordinates, the
+    constants as (k, 1) arrays, one row per warped coordinate."""
+    boxes = np.array(WARP_BOXES)
+    X = np.stack([_edge_inputs(sorted(b)) for b in boxes])
+    il, ih, ol, oh = (boxes[:, m:m + 1] for m in range(4))
+    warped = ex._warp_np(X, il, ih, ol, oh)
+    slope = ex._warpslope_np(X, il, ih, ol, oh)
+    for r, box in enumerate(WARP_BOXES):
+        row = X[r].tolist()
+        for scalar, got in ((ex._warp, warped), (ex._warpslope, slope)):
+            want = np.array([scalar(v, *box) for v in row])
+            assert np.array_equal(got[r].view(np.int64), want.view(np.int64))
+        w = [ex._warp(v, *box) for v in row]
+        for scalar, vector in ((ex._bump, ex._bump_np), (ex._dbump, ex._dbump_np),
+                               (ex._d2bump, ex._d2bump_np)):
+            want = np.array([scalar(v) for v in w])
+            assert np.array_equal(vector(warped)[r].view(np.int64),
+                                  want.view(np.int64)), vector.__name__
+
+
+def test_the_vector_flavour_calls_each_cutoff_helper_once_per_batch():
+    lay = ex.VarLayout(2, 1)
+    node = ex.Num(1.0)
+    for i, (il, ih, ol, oh) in enumerate(WARP_BOXES[:3]):
+        node = ex.Mul(node, ex.Call("bump", ex.Warp(ex.Var(i), il, ih, ol, oh)))
+    node = ex.Mul(node, ex.parse("x1*x2 + e1^3", lay))
+    derivs = ex.Derivatives(ex.fold(node), 3)
+    Z = np.random.default_rng(1).uniform(-3.0, 3.0, (50, 3))
+    calls = []
+    vector = ex.compile_grad(derivs, vector=True)
+    for name in ("warp", "warpslope", "bump", "dbump"):
+        helper = vector.__globals__[name]
+        vector.__globals__[name] = (lambda *a, _h=helper, _n=name:
+                                    calls.append(_n) or _h(*a))
+    G = vector(Z)
+    assert sorted(calls) == ["bump", "dbump", "warp", "warpslope"]
+    scalar = ex.compile_grad(derivs)
+    want = np.array([scalar(list(z)) for z in Z])
+    assert np.array_equal(G.view(np.int64), want.view(np.int64))
+
+
+class _Deadline(Exception):
+    pass
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), or _Deadline once `seconds` of wall time have passed."""
+    def expire(signum, frame):
+        raise _Deadline()
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_fold_and_diff_visit_each_shared_node_once():
+    # a 30-deep self-product is 31 nodes as a DAG and 2^31 - 1 as a tree
+    x = ex.Var(0)
+    node = ex.Add(x, ex.Num(0.0))
+    for _ in range(30):
+        node = ex.Mul(node, node)
+    folded = _within(5.0, ex.fold, node)
+    depth = 0
+    while isinstance(folded, ex.Mul):
+        assert folded.a is folded.b
+        folded, depth = folded.a, depth + 1
+    assert depth == 30 and folded is x
+    d = _within(5.0, ex.diff, node, 0)
+    assert isinstance(d, ex.Add) and d.a.b is d.b.a is node.a
+
+
+@pytest.mark.parametrize("text", ["0^-2 + x1", "1/(x1 - x1) + x1", "1/0 + x1"])
+def test_a_literal_zero_base_or_denominator_is_a_domain_error(text):
+    node = ex.parse(text, LAY)
+    with pytest.raises(ex.DomainError):
+        ex.compile_value(node, 4)([0.5, 0.0, 0.0, 0.0])
+    with pytest.raises(ex.DomainError):
+        ex.compile_value(node, 4, vector=True)(np.full((3, 4), 0.5))

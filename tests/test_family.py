@@ -4,6 +4,7 @@ stabilization, and fiber twists."""
 import numpy as np
 import pytest
 
+from gftrees import continuation as ct
 from gftrees import family as fa
 
 PAIRS = ((1, 2), (2, 3), (1, 3))
@@ -192,3 +193,68 @@ def test_morse_mode_fields_are_periodic_and_summed():
 def test_blend_annulus_keeps_a_gradient_floor(unknot_family):
     w = unknot_family.difference()
     assert fa.blend_annulus_floor(w) > 1e-6
+
+
+def _edge_grid(field, base=16, seed=0):
+    """Random rows around the outer box, then each row with one coordinate
+    moved onto every edge of its inner and outer box, a float step either
+    side of that edge, and past both ends."""
+    rng = np.random.default_rng(seed)
+    lo = np.array([b[0] for b in field.outer_box])
+    hi = np.array([b[1] for b in field.outer_box])
+    P = rng.uniform(lo - 0.3, hi + 0.3, (base, field.dim))
+    rows = [P]
+    for k in range(field.dim):
+        edges = sorted({*field.inner_box[k], *field.outer_box[k]})
+        for v in [edges[0] - 1.0, edges[-1] + 1.0] + [
+                x for e in edges
+                for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]:
+            moved = P.copy()
+            moved[:, k] = v
+            rows.append(moved)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("which", ["w", "w_{1,2;3}", "W_{1,2;3}"])
+def test_vector_flavours_return_the_scalar_rows(which, unknot_config,
+                                                unknot_moved_config):
+    fam0 = fa.family_from_config(unknot_config["family"])
+    fam1 = fa.family_from_config(unknot_moved_config["family"])
+    Q = fa.QuadraticLike.scaled_identity(fam0.N, 0.15)
+    if which == "w":
+        field = fam0.difference()
+    elif which == "w_{1,2;3}":
+        field = fa.extend(fam0, (1, 2), Q)
+    else:
+        field = ct.blend_field(fa.extend(fam0, (1, 2), Q),
+                               fa.extend(fam1, (1, 2), Q), 0.1)
+    Z = _edge_grid(field)
+    rows = [list(z) for z in Z]
+    bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
+    # value_vec adds a quadratic block as c * z**2 and value as c * z * z,
+    # so the value is compared on the compiled expression part
+    assert np.array_equal(bits(field._fn("value_vec")(Z)),
+                          bits([field._fn("value")(z) for z in rows]))
+    assert np.array_equal(bits(field.grad_vec(Z)),
+                          bits([field.grad(z) for z in rows]))
+    assert np.array_equal(bits(field.hess_vec(Z)),
+                          bits([field.hess(z) for z in rows]))
+    if not field.quad_blocks:
+        assert np.array_equal(bits(field.value_vec(Z)),
+                              bits([field.value(z) for z in rows]))
+
+
+def test_a_field_derives_its_partials_once_for_both_flavours(unknot_family,
+                                                             monkeypatch):
+    calls = []
+    for name in ("grad_exprs", "hess_exprs"):
+        orig = getattr(fa.ex, name)
+        monkeypatch.setattr(fa.ex, name, lambda *a, _o=orig, _n=name:
+                            calls.append(_n) or _o(*a))
+    w = unknot_family.difference()
+    z = [0.1, -0.4, 0.7]
+    w.grad(z)
+    w.hess(z)
+    w.grad_vec(np.array([z]))
+    w.hess_vec(np.array([z]))
+    assert calls == ["grad_exprs", "hess_exprs"]

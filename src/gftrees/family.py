@@ -138,7 +138,7 @@ class ScalarField:
         Z = np.asarray(Z, dtype=float)
         v = self._fn("value_vec")(Z)
         for i, c in self.quad_blocks:
-            v = v + c * Z[:, i] ** 2
+            v = v + c * Z[:, i] * Z[:, i]
         return v
 
     def grad_vec(self, Z):
@@ -270,14 +270,22 @@ class GeneratingFamily:
     # -- invariants -----------------------------------------------------
 
     def check_exterior_linearity(self, samples=10000, seed=0, tol=1e-12):
-        """F - A.e vanishes outside the outer box (exactly, up to round-off)."""
+        """F - A.e - sum_j s_j e_j^2 over the tail slots vanishes wherever
+        the coordinates before the tail leave their outer box (exactly, up
+        to round-off).  The cutoff never reads the tail, which carries its
+        quadratic everywhere, so tail slots range over their whole 2x box."""
         rng = np.random.default_rng(seed)
-        pts = _sample_exterior(self.outer_box, samples, rng)
+        core = self.dim - len(self.quad_tail)
+        pts = _sample_exterior(self.outer_box[:core], samples, rng)
+        mid = np.array([0.5 * (lo + hi) for lo, hi in self.outer_box[core:]])
+        half = np.array([0.5 * (hi - lo) for lo, hi in self.outer_box[core:]])
+        pts = np.hstack([pts, rng.uniform(mid - 2.0 * half, mid + 2.0 * half,
+                                          (samples, len(mid)))])
         lin = np.zeros(samples)
         for k in range(self.N0):
             lin += self.slope[k] * pts[:, self.n + k]
         for j, s in enumerate(self.quad_tail):
-            lin += s * pts[:, self.n + self.N0 + j] ** 2
+            lin += s * pts[:, self.n + self.N0 + j] * pts[:, self.n + self.N0 + j]
         resid = np.max(np.abs(self.field.value_vec(pts) - lin))
         if resid > tol:
             raise FamilyError("field is not linear outside the outer box "

@@ -9,16 +9,19 @@ queried at many times, such as a tree chart's (chart, u), keeps a step
 log and resumes each query from the log instead of from t = 0, with a
 bit-identical result.
 
-Counting M(p, q) scans the unit sphere of p's unstable frame: one
-trajectory per seed direction, recording where it ended and how close it
-came to every higher critical point.  A scan runs all its seeds as one
-batch through `integrate_batch`, a numpy twin of the scalar loop that
-reproduces it bit for bit: both square with x * x and sum left to right.
-Below SCALAR_ROWS active rows a `grad_vec` call costs more than the
-scalar grads of its rows, so the batch hands its last few rows to the
-scalar loop, which resumes each from its step state; a batch that starts
-that small, like the two seeds of a k = 1 scan, runs on the scalar loop
-throughout.  The seeds that q captured form clusters on the seed
+Counting M(p, q) scans the coupled sub-sphere of p's unstable sphere:
+one trajectory per seed direction, recording where it ended and how close
+it came to every higher critical point.  A decoupled quadratic slot with
+c > 0 flows as z_i(0) e^{2ct}, so every line p -> q holds it at exactly 0;
+the scan's chart leaves such slots out (its `pins`) and each seed starts
+with them at 0.0, as the tree solver's capture run does.  A scan runs all
+its seeds as one batch through `integrate_batch`, a numpy twin of the
+scalar loop that reproduces it bit for bit: both square with x * x and
+sum left to right.  Below SCALAR_ROWS active rows a `grad_vec` call
+costs more than the scalar grads of its rows, so the batch hands its last
+few rows to the scalar loop, which resumes each from its step state; a
+batch that starts that small, like the two seeds of a k = 1 scan, runs on
+the scalar loop throughout.  The seeds that q captured form clusters on the seed
 neighbor graph (single seeds for k = 1, runs on the circle, components
 of the pairs within a few seed spacings for k >= 3), and each cluster is
 one line.  A target of positive coindex captures only a measure-zero set
@@ -30,6 +33,7 @@ neither converged nor escaped is refused the same way.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
@@ -38,6 +42,9 @@ from functools import cached_property
 import numpy as np
 
 from .pairs import nearest_distances, pairs_within
+
+# `log` names a path's step log below
+logger = logging.getLogger(__name__)
 
 FLOW_TOLERANCES = {
     "rtol": 1e-8,
@@ -544,25 +551,37 @@ def integrate_batch(field, starts, stops, tolerances=None):
 
 @dataclass
 class ManifoldChart:
+    """The eigenframe chart of p's unstable or stable manifold.  `pins` are
+    decoupled slots left out of it: the frame holds exact zeros in their
+    rows, and its k axes span the coupled part of the manifold."""
     point: object             # CriticalPoint
     side: str                 # "unstable" | "stable"
     r0: float
     frame: np.ndarray         # (D, k) orthonormal columns
     rates: np.ndarray         # eigenvalues along the frame
     field: object
+    pins: tuple = ()
 
     @property
     def k(self):
         return self.frame.shape[1]
 
 
-def build_chart(field, p, side, r0=1e-3):
+def build_chart(field, p, side, r0=1e-3, pins=()):
     """Eigenframe chart of W^-(p) (unstable, coindex directions) or
-    W^+(p) (stable, index directions) for the positive gradient flow."""
+    W^+(p) (stable, index directions) for the positive gradient flow.
+
+    `pins` are decoupled slots of the chart's side.  The eigenframe comes
+    from the Hessian with their rows and columns removed and is embedded
+    back into R^D with exact zeros in the pinned rows, so the chart covers
+    the coupled sub-manifold and k + len(pins) is the side's count.  With
+    no pins it is the eigenframe of the whole Hessian."""
     H = field.hess([float(v) for v in p.coords])
-    eigvals, eigvecs = np.linalg.eigh(H)
+    keep = [i for i in range(len(H)) if i not in pins]
+    eigvals, eigvecs = np.linalg.eigh(H[np.ix_(keep, keep)])
     sel = eigvals > 0 if side == "unstable" else eigvals < 0
-    frame = eigvecs[:, sel]
+    frame = np.zeros((len(H), int(sel.sum())))
+    frame[keep] = eigvecs[:, sel]
     rates = eigvals[sel]
     # deterministic sign convention
     for j in range(frame.shape[1]):
@@ -570,10 +589,11 @@ def build_chart(field, p, side, r0=1e-3):
         if frame[m, j] < 0:
             frame[:, j] = -frame[:, j]
     want = p.coindex if side == "unstable" else p.morse_index
-    if frame.shape[1] != want:
-        raise RuntimeError("chart frame dimension %d disagrees with %s count %d at %s"
-                           % (frame.shape[1], side, want, p.id))
-    return ManifoldChart(p, side, float(r0), frame, rates, field)
+    if frame.shape[1] + len(pins) != want:
+        raise RuntimeError("chart frame dimension %d with pins %r disagrees with "
+                           "%s count %d at %s"
+                           % (frame.shape[1], tuple(pins), side, want, p.id))
+    return ManifoldChart(p, side, float(r0), frame, rates, field, tuple(pins))
 
 
 def chart_point(chart, u, t, tolerances=None, resume=None):
@@ -582,10 +602,9 @@ def chart_point(chart, u, t, tolerances=None, resume=None):
     `resume` is the StepLog of `integrate`, one per (chart, u)."""
     if t < 0:
         raise ValueError("chart time must be >= 0")
-    u = np.asarray(u, dtype=float)
-    start = chart.point.coords + chart.r0 * (chart.frame @ u)
+    start = _seed_start(chart, np.asarray(u, dtype=float))
     if t == 0.0:
-        return np.array(start)
+        return start
     direction = "forward" if chart.side == "unstable" else "backward"
     traj = integrate(chart.field, start, direction, terminal_t=t,
                      tolerances=tolerances, record_samples=False, resume=resume)
@@ -610,9 +629,11 @@ class LineCount:
 
 
 def sphere_dirs(k, m, seed):
-    """m directions on the unit sphere S^{k-1}: both of them for k = 1, the
-    equispaced circle for k = 2, the Fibonacci lattice for k = 3, and
-    normal draws from `seed` for k > 3."""
+    """m directions on the unit sphere S^{k-1}: none for k = 0, both of
+    them for k = 1, the equispaced circle for k = 2, the Fibonacci lattice
+    for k = 3, and normal draws from `seed` for k > 3."""
+    if k == 0:
+        return np.empty((0, 0))
     if k == 1:
         return np.array([[1.0], [-1.0]])
     if k == 2:
@@ -652,18 +673,31 @@ def _point_key(c):
 
 
 def _seed_start(chart, u):
-    return chart.point.coords + chart.r0 * (chart.frame @ np.asarray(u))
+    """p + r0 * frame @ u, with exactly 0.0 in the chart's pinned slots,
+    where the flow of a decoupled slot then stays."""
+    start = chart.point.coords + chart.r0 * (chart.frame @ np.asarray(u))
+    start[list(chart.pins)] = 0.0
+    return start
+
+
+def pinned_slots(field):
+    """The decoupled quadratic slots of `field` with c > 0.  Such a slot
+    flows as z_i(0) e^{2ct}, so a trajectory that stays bounded, as every
+    one between critical points does, holds it at exactly 0."""
+    return tuple(i for i, c in field.quad_blocks if c > 0)
 
 
 def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
-    """Integrate from a dense sample of p's unstable sphere; record each
-    seed's outcome and its closest approach to every higher critical point.
-    Cached on the field object, keyed by every input that shapes a scan:
-    the source point, r0, m, the flow tolerances and the tracked points."""
+    """Integrate from a dense sample of the coupled sub-sphere of p's
+    unstable sphere, the part orthogonal to the field's `pinned_slots`;
+    record each seed's outcome and its closest approach to every higher
+    critical point.  Cached on the field object, keyed by every input that
+    shapes a scan: the source point, r0, m, the flow tolerances and the
+    tracked points."""
     tol = dict(FLOW_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
-    chart = build_chart(field, p, "unstable", r0)
+    chart = build_chart(field, p, "unstable", r0, pins=pinned_slots(field))
     k = chart.k
     if m is None:
         m = {1: 2, 2: 512}.get(k, 800)
@@ -677,6 +711,8 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
         return cache[key], chart
     ids = [c.id for c in stops.criticals]
     dirs = sphere_dirs(k, m, 12345)
+    logger.info("scan %s from %s: k = %d, pins %s, %d seeds",
+                field.tag, p.id, k, list(chart.pins), len(dirs))
     trajs = integrate_batch(field, [_seed_start(chart, u) for u in dirs], stops, tol)
     outcomes = [traj.termination.as_tuple() for traj in trajs]
     approach = np.array([[traj.approach[i] for i in ids] for traj in trajs])
@@ -688,6 +724,9 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
 def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
     """#_{Z2} of isolated flow lines p -> q, with lazily launched representatives.
 
+    The scan covers the coupled sub-sphere of p's unstable sphere (see
+    `sphere_scan`): every line holds the pinned slots at 0, so the seeds
+    there are the whole of p's unstable manifold that a line can leave by.
     Precondition |q| - |p| = 1; other gaps return parity None with an
     explanatory note (the moduli space is not 0-dimensional there).
     Raises AmbiguousCountError when a seed timed out or when the scan
@@ -711,8 +750,8 @@ def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
     stops = _flow_stops(field, criticals, p.value, tol)
     is_q = [o == ("converged", q.id) for o in scan.outcomes]
     neighbors = _seed_neighbors(scan.dirs)
-    # for k = 1 the two seeds are the whole unstable manifold: no direction
-    # lies between them to be missed
+    # for k = 1 the two seeds are the whole coupled unstable manifold: no
+    # direction lies between them to be missed
     if chart.k >= 2:
         _refuse_walls(scan, q, is_q, neighbors, _wall_floor(chart, stops))
     comps = _capture_clusters(is_q, neighbors)
@@ -725,12 +764,12 @@ def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
 
 
 def _seed_neighbors(dirs):
-    """Neighbor lists of the scan seeds: none for k = 1, the cyclic pairs
+    """Neighbor lists of the scan seeds: none for k <= 1, the cyclic pairs
     (i, i+1 mod m) on the circle, the pairs within 2.2 median
     nearest-neighbor spacings for k >= 3."""
     mlen, k = dirs.shape
     neighbors = [[] for _ in range(mlen)]
-    if k == 1:
+    if k <= 1:
         return neighbors
     if k == 2:
         pairs = [(i, (i + 1) % mlen) for i in range(mlen)]

@@ -139,7 +139,7 @@ class TreeProblem:
             raise DimensionError(
                 "a tree edge has a 0-dimensional chart (frames %r): such "
                 "degenerate edges are outside the tree solver's scope" % (self.k,))
-        self.pins = tuple(i for i, c in self.h3.quad_blocks if c > 0)
+        self.pins = fl.pinned_slots(self.h3)
         if self.d == 0:
             if sum(self.k) != 2 * self.D:
                 raise RuntimeError(

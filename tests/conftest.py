@@ -9,6 +9,7 @@ import copy
 import json
 import os
 
+import numpy as np
 import pytest
 
 from gftrees import pipeline as pl
@@ -87,6 +88,17 @@ FPD_COMPONENT = "e1 + 0.3*bump(e1)*bump(x1)"
 
 def _copy(cfg):
     return json.loads(json.dumps(cfg))
+
+
+def whole_hessian_frame(field, p):
+    """The unstable eigenframe of the whole Hessian at p, each column's
+    largest entry made positive: the chart of a scan with nothing pinned."""
+    eigvals, eigvecs = np.linalg.eigh(field.hess([float(v) for v in p.coords]))
+    frame = eigvecs[:, eigvals > 0]
+    for j in range(frame.shape[1]):
+        if frame[np.argmax(np.abs(frame[:, j])), j] < 0:
+            frame[:, j] = -frame[:, j]
+    return frame
 
 
 @pytest.fixture

@@ -116,7 +116,12 @@ def test_02_identities_hold_across_families_and_seeds(capsys):
 def test_03_embeddings_and_transfer(unknot_run, multi_run, capsys):
     """Every generator embeds into all three extended fields with the same
     value (1e-9) and the exact index shift; line counts through the base
-    field and each extended field agree entry for entry."""
+    field and each extended field agree entry for entry.
+
+    A line scan pins the extended fields' +Q slots (c > 0), so a count in
+    w_{1,2;3} or w_{2,3;3} scans the same coupled directions as w.  The
+    agreement then checks chart, grading and embedding bookkeeping, not a
+    second integration of other lines."""
     problems = []
     for run in (unknot_run, multi_run):
         rep = pl.transfer_check(run)
@@ -142,10 +147,17 @@ def test_03_embeddings_and_transfer(unknot_run, multi_run, capsys):
 
 def test_04_stabilization_leaves_the_ring_alone(capsys):
     """Graded ranks and class-level products agree between F and its
-    one- and two-slot stabilizations, under value/grading matching."""
+    one- and two-slot stabilizations, under value/grading matching.
+
+    A line scan pins a stabilized field's quadratic slots with c > 0, so
+    its delta counts scan the same coupled directions as the unstabilized
+    field's.  On a stabilized field the agreement then checks chart,
+    grading and embedding bookkeeping, not a second integration of other
+    lines."""
     failures = []
     for cfg, signs in [(UNKNOT, ("+",)), (UNKNOT, ("-",)),
-                       (UNKNOT, ("+", "-")), (MULTI, ("+",))]:
+                       (UNKNOT, ("+", "-")), (MULTI, ("+",)),
+                       (MULTI, ("+", "-"))]:
         a, b, verdict = pl.stabilization_compare(_copy(cfg), signs)
         if not (verdict["pass"] and verdict["rank_equal"]
                 and verdict["product_defects"] == []):

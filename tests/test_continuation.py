@@ -9,7 +9,9 @@ import pytest
 
 from gftrees import continuation as ct
 from gftrees import critical as cr
+from gftrees import flow as fl
 from gftrees import pipeline as pl
+from conftest import UNKNOT, UNKNOT_MOVED, whole_hessian_frame
 from t2_oracle import t2_ring
 
 
@@ -282,3 +284,65 @@ def test_info_logging_names_each_slice_and_matrix(unknot_config,
     assert [m for m in got if m.startswith("continuation")] == [
         "continuation matrix %s: 1 entries, 1 odd" % tag
         for tag in ("W", "W_{1,2;3}", "W_{2,3;3}", "W_{1,3;3}")]
+    # the +Q slot of W_{1,2;3} and W_{2,3;3} is pinned
+    assert [m for m in got if m.startswith("scan")] == [
+        "scan %s from 0:c1: k = 1, pins %s, 2 seeds" % tp
+        for tp in (("W", []), ("W_{1,2;3}", [3]), ("W_{2,3;3}", [1]),
+                   ("W_{1,3;3}", []))]
+
+
+@pytest.fixture(scope="module")
+def isotopy_counts():
+    """field tag -> (p, q, W, criticals, keyword arguments) of the line
+    count each continuation matrix of the unknot isotopy makes."""
+    from conftest import UNKNOT, UNKNOT_MOVED
+    calls = {}
+    count = fl.count_lines
+
+    def spied(p, q, field, criticals, **kw):
+        calls[field.tag] = (p, q, field, criticals, kw)
+        return count(p, q, field, criticals, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fl, "count_lines", spied)
+        ct.isotopy_compare(json.loads(json.dumps(UNKNOT)),
+                           json.loads(json.dumps(UNKNOT_MOVED)))
+    return calls
+
+
+@pytest.mark.parametrize("tag, pin", [("W_{1,2;3}", 3), ("W_{2,3;3}", 1)])
+def test_the_lifted_chord_scans_a_pinned_k1_chart(isotopy_counts, tag, pin):
+    """The +Q slot is pinned, so the k = 2 chart of the lifted chord (the
+    path axis t and the slot) scans as k = 1 on the t axis, from seeds
+    with exactly 0.0 in the slot, and its parity is that of the unpinned
+    512-seed circle."""
+    p, q, W, crits, kw = isotopy_counts[tag]
+    tol = {**fl.FLOW_TOLERANCES, **kw["tolerances"]}
+    scan, chart = fl.sphere_scan(W, p, crits, r0=kw["r0"], m=kw["m"],
+                                 tolerances=kw["tolerances"])
+    assert (p.coindex, chart.k, chart.pins) == (2, 1, (pin,))
+    assert not chart.frame[pin].any()
+    assert all(fl._seed_start(chart, u)[pin] == 0.0 for u in scan.dirs)
+    pinned = fl.count_lines(p, q, W, crits, **kw)
+    full = fl.build_chart(W, p, "unstable", kw["r0"])
+    assert full.k == 2
+    # the pinned frame and the slot span the whole unstable frame
+    both = np.column_stack([chart.frame, np.eye(W.dim)[:, [pin]]])
+    assert np.allclose(both @ both.T, full.frame @ full.frame.T, atol=1e-12)
+    dirs = fl.sphere_dirs(2, 512, 12345)
+    stops = fl._flow_stops(W, crits, p.value, tol)
+    trajs = fl.integrate_batch(W, [fl._seed_start(full, u) for u in dirs], stops, tol)
+    is_q = [t.termination.as_tuple() == ("converged", q.id) for t in trajs]
+    circle = fl._capture_clusters(is_q, fl._seed_neighbors(dirs))
+    assert len(circle) % 2 == pinned.parity == 1
+
+
+@pytest.mark.parametrize("tag", ["W", "W_{1,3;3}"])
+def test_a_lifted_chord_with_nothing_to_pin_keeps_its_whole_frame(
+        isotopy_counts, tag):
+    p, q, W, crits, kw = isotopy_counts[tag]
+    assert fl.pinned_slots(W) == ()
+    _, chart = fl.sphere_scan(W, p, crits, r0=kw["r0"], m=kw["m"],
+                              tolerances=kw["tolerances"])
+    full = fl.build_chart(W, p, "unstable", kw["r0"])
+    assert chart.pins == () and chart.k == full.k == 1
+    assert chart.frame.tobytes() == whole_hessian_frame(W, p).tobytes()

@@ -231,17 +231,12 @@ def test_vector_flavours_return_the_scalar_rows(which, unknot_config,
     Z = _edge_grid(field)
     rows = [list(z) for z in Z]
     bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
-    # value_vec adds a quadratic block as c * z**2 and value as c * z * z,
-    # so the value is compared on the compiled expression part
-    assert np.array_equal(bits(field._fn("value_vec")(Z)),
-                          bits([field._fn("value")(z) for z in rows]))
+    assert np.array_equal(bits(field.value_vec(Z)),
+                          bits([field.value(z) for z in rows]))
     assert np.array_equal(bits(field.grad_vec(Z)),
                           bits([field.grad(z) for z in rows]))
     assert np.array_equal(bits(field.hess_vec(Z)),
                           bits([field.hess(z) for z in rows]))
-    if not field.quad_blocks:
-        assert np.array_equal(bits(field.value_vec(Z)),
-                              bits([field.value(z) for z in rows]))
 
 
 def test_a_field_derives_its_partials_once_for_both_flavours(unknot_family,

@@ -1,5 +1,7 @@
 """Gradient-flow integration and mod-2 line counting on model fields."""
 
+import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -10,6 +12,8 @@ from gftrees import expr as ex
 from gftrees import family as fa
 from gftrees import flow as fl
 from gftrees import trees as tr
+
+from conftest import whole_hessian_frame
 
 
 def scalar_field(text, dim, inner, outer, periodic=False, names=None):
@@ -543,6 +547,86 @@ def test_a_query_at_a_larger_cap_resumes_its_log_scan_where_the_last_stopped(
             assert scanned < from_zero.reads, t
         else:
             assert scanned == from_zero.reads, t
+
+
+def test_a_field_without_growing_slots_scans_the_whole_hessian_frame(torus_field):
+    crits = cr.find_critical_points(torus_field)
+    assert fl.pinned_slots(torus_field) == ()
+    for p in crits[:3]:
+        _, chart = fl.sphere_scan(torus_field, p, crits, m=16)
+        assert chart.pins == ()
+        assert chart.frame.tobytes() == whole_hessian_frame(torus_field, p).tobytes()
+
+
+@pytest.fixture
+def stabilized_well():
+    """well1d's x1^3/3 - x1 plus a decoupled slot 0.5 * x2^2."""
+    return fa.ScalarField(2, ex.parse("x1^3/3 - x1", ex.VarLayout(2, 0)),
+                          quad_blocks=[(1, 0.5)], inner_box=[[-2, 2], [-1, 1]],
+                          outer_box=[[-2.5, 2.5], [-2, 2]])
+
+
+def test_a_scan_pins_a_growing_slot_and_starts_its_seeds_there_at_zero(
+        stabilized_well, monkeypatch):
+    """The source sits off the slot-zero line, as a Newton root may; its
+    pinned chart has k = 1, and every seed and representative starts with
+    exactly 0.0 in the slot, where the flow then stays."""
+    crits = cr.find_critical_points(stabilized_well)
+    lo, hi = sorted(crits, key=lambda c: c.value)
+    off = dataclasses.replace(lo, coords=lo.coords + np.array([0.0, 1e-9]))
+    starts = []
+    batch = fl.integrate_batch
+
+    def spied(field, rows, *args):
+        starts.extend(rows)
+        return batch(field, rows, *args)
+    monkeypatch.setattr(fl, "integrate_batch", spied)
+    assert fl.pinned_slots(stabilized_well) == (1,)
+    scan, chart = fl.sphere_scan(stabilized_well, off, crits)
+    assert (off.coindex, chart.k, chart.pins) == (2, 1, (1,))
+    assert chart.frame.tolist() == [[1.0], [0.0]]
+    assert len(starts) == 2 and all(z[1] == 0.0 for z in starts)
+    count = fl.count_lines(off, hi, stabilized_well, crits)
+    assert (count.parity, count.clusters) == (1, 1)
+    assert all(z[1] == 0.0 for _, z in count.trajectories[0].samples)
+    # the unpinned circle sees the same line
+    full = fl.build_chart(stabilized_well, off, "unstable")
+    assert full.k == 2 and full.pins == ()
+    dirs = fl.sphere_dirs(2, 512, 12345)
+    stops = fl._flow_stops(stabilized_well, crits, off.value, fl.FLOW_TOLERANCES)
+    trajs = batch(stabilized_well, [fl._seed_start(full, u) for u in dirs], stops)
+    is_q = [t.termination.as_tuple() == ("converged", hi.id) for t in trajs]
+    assert len(fl._capture_clusters(is_q, fl._seed_neighbors(dirs))) % 2 == count.parity
+
+
+def test_a_source_whose_only_unstable_slot_is_pinned_scans_nothing(stabilized_well):
+    crits = cr.find_critical_points(stabilized_well)
+    hi = max(crits, key=lambda c: c.value)
+    scan, chart = fl.sphere_scan(stabilized_well, hi, crits)
+    assert (hi.coindex, chart.k, chart.pins) == (1, 0, (1,))
+    assert scan.dirs.shape == (0, 0) and scan.outcomes == []
+
+
+def test_a_pin_outside_the_charts_side_is_refused(stabilized_well):
+    crits = cr.find_critical_points(stabilized_well)
+    lo = min(crits, key=lambda c: c.value)
+    with pytest.raises(RuntimeError, match="pins"):
+        fl.build_chart(stabilized_well, lo, "stable", pins=(1,))
+
+
+def test_info_logging_names_each_scan_that_runs(stabilized_well, caplog):
+    crits = cr.find_critical_points(stabilized_well)
+    lo, hi = sorted(crits, key=lambda c: c.value)
+    fl.count_lines(lo, hi, stabilized_well, crits)
+    # the default level adds nothing
+    assert not [r for r in caplog.records if r.name.startswith("gftrees")]
+    caplog.set_level(logging.INFO, logger="gftrees")
+    for m in (None, 8, 8):
+        fl.count_lines(lo, hi, stabilized_well, crits, m=m)
+    # m = None hits the scan made at the default level, and the second
+    # m = 8 the first one's
+    assert [(r.name, r.getMessage()) for r in caplog.records] == [
+        ("gftrees.flow", "scan field from %s: k = 1, pins [1], 2 seeds" % lo.id)]
 
 
 def test_escape_box_margins():

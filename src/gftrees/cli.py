@@ -3,7 +3,9 @@
 Exit status: 0 when the requested checks pass (or a pure computation
 succeeds), 1 when a verdict comes back failing or the solver refuses a
 non-generic configuration, 2 for malformed configs or expressions (an
-expression that leaves its domain, `DomainError`, included).
+expression that leaves its domain, `DomainError`, included).  Every config,
+read from a file or changed by an option such as `--seed`, is checked by
+`pipeline.resolve_config`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import json
 import logging
 import os
 import sys
-
-import jsonschema
 
 from . import continuation as ct
 from . import critical as cr
@@ -26,99 +26,18 @@ from .family import FamilyError
 
 log = logging.getLogger("gftrees")
 
-_BOX = {"type": "array", "minItems": 1,
-        "items": {"type": "array", "minItems": 2, "maxItems": 2,
-                  "items": {"type": "number"}}}
-
-_NUM_OR_NULL = {"type": ["number", "null"]}
-
-# "integer" admits no float: 2.0 would reach numpy as a float count
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)))
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "mode": {"enum": ["gf", "morse-torus"]},
-        "family": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["n", "N", "core", "slope", "inner_box", "outer_box"],
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "N": {"type": "integer", "minimum": 1},
-                "core": {"type": "string"},
-                "slope": {"type": "array", "items": {"type": "number"}},
-                "inner_box": _BOX,
-                "outer_box": _BOX,
-                "base": {"enum": ["euclidean"]},
-                "stabilize": {"type": "array",
-                              "items": {"enum": ["+", "-", 1, -1]}},
-                "fpd": {"type": "object", "additionalProperties": False,
-                        "required": ["components"],
-                        "properties": {"components": {
-                            "type": "array", "items": {"type": "string"}}}},
-                "label": {"type": "string"},
-            },
-        },
-        "morse": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "f": {"type": "string"},
-                "g": {"type": "string"},
-                "n": {"type": "integer", "minimum": 1},
-            },
-        },
-        "seeds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rng": {"type": "integer", "minimum": 0,
-                        "maximum": 2 ** 64 - 1},
-                "grid_density": {"type": "integer", "minimum": 2},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "r0": {"type": "number", "exclusiveMinimum": 0},
-                "scan_density": {"type": ["integer", "null"], "minimum": 8},
-                "lambda": _NUM_OR_NULL,
-            },
-        },
-        "tolerances": {"type": "object",
-                       "additionalProperties": {"type": "number"}},
-    },
-}
-
-
 def load_config(path):
+    """The config at `path`, checked and with every default filled in."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return pl.resolve_config(json.load(fh))
     except json.JSONDecodeError as e:
         raise ConfigError("%s: invalid JSON at line %d column %d: %s"
                           % (path, e.lineno, e.colno, e.msg))
     except OSError as e:
         raise ConfigError("cannot read config %s: %s" % (path, e))
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA, cls=_Validator)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "(top level)"
-        raise ConfigError("%s: config rejected at %s: %s"
-                          % (path, where, e.message))
-    mode = cfg.get("mode", "gf")
-    if mode == "gf" and "family" not in cfg:
-        raise ConfigError("%s: mode 'gf' needs a 'family' section" % path)
-    if mode == "morse-torus" and "family" in cfg:
-        raise ConfigError("%s: mode 'morse-torus' takes a 'morse' section, "
-                          "not a 'family'" % path)
-    return cfg
+    except ValueError as e:
+        raise ConfigError("%s: %s" % (path, e))
 
 
 class ConfigError(ValueError):
@@ -249,13 +168,7 @@ def cmd_compare(args):
 
 
 def cmd_morse_torus(args):
-    if args.config:
-        cfg = load_config(args.config)
-        if cfg.get("mode", "gf") != "morse-torus":
-            raise ConfigError("%s: morse-torus needs mode 'morse-torus'"
-                              % args.config)
-    else:
-        cfg = {"mode": "morse-torus"}
+    cfg = load_config(args.config) if args.config else {"mode": "morse-torus"}
     run = pl.MorseRun(_apply_overrides(cfg, args), jobs=args.jobs).execute()
     report = run.report()
     passed = None
@@ -352,8 +265,8 @@ def main(argv=None):
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
     except ValueError as e:
-        # config-level rejections raised past the schema (unknown tolerance
-        # names, mode mismatches)
+        # configs rejected after an option changed them (`--seed`) and runs
+        # of the wrong mode
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .pairs import pairs_within
+from .pairs import components, pairs_within
 
 TOLERANCES = {
     "tol_grad": 1e-9,
@@ -172,24 +172,8 @@ def _dedup(points, tol, periodic):
     if len(points) == 0:
         return points
     pts = _wrap_unit(points) if periodic else points
-    pairs = pairs_within(pts, tol, periodic)
-    parent = list(range(len(pts)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-    reps = {}
-    for i in range(len(pts)):
-        reps.setdefault(find(i), []).append(i)
-    return np.array([_cluster_mean(pts[idx], periodic) for idx in
-                     sorted(reps.values(), key=lambda idx: idx[0])])
+    comps = components(len(pts), pairs_within(pts, tol, periodic))
+    return np.array([_cluster_mean(pts[idx], periodic) for idx in comps])
 
 
 def find_critical_points(field, box=None, grid_density=7, tolerances=None,

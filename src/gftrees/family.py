@@ -504,7 +504,7 @@ def morse_mode_fields(f, g, n):
 # Config assembly
 
 def family_from_config(cfg):
-    """Build a family from a config dict (see the JSON schema in cli).
+    """Build a family from a checked config dict (see `pipeline.SECTIONS`).
 
     Order of application: fiber twist first (it needs the un-stabilized
     fiber), then stabilizations.
@@ -515,7 +515,6 @@ def family_from_config(cfg):
                            label=cfg.get("label", "family"))
     if "fpd" in cfg:
         fam = precompose_fpd(fam, cfg["fpd"]["components"])
-    for sign in cfg.get("stabilize", []) if isinstance(cfg.get("stabilize"), list) \
-            else ([cfg["stabilize"]] if "stabilize" in cfg else []):
+    for sign in cfg.get("stabilize", []):
         fam = stabilize(fam, sign)
     return fam

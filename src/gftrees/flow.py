@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pairs import nearest_distances, pairs_within
+from .pairs import components, nearest_distances, pairs_within
 
 # `log` names a path's step log below
 logger = logging.getLogger(__name__)
@@ -782,26 +782,11 @@ def _seed_neighbors(dirs):
 
 
 def _capture_clusters(is_q, neighbors):
-    """Components of the seeds that q captured on the neighbor graph (a
-    union-find), each as its ascending list of seed indices."""
-    parent = list(range(len(is_q)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    captured = [i for i, hit in enumerate(is_q) if hit]
-    for a in captured:
-        for b in neighbors[a]:
-            if is_q[b]:
-                ra, rb = sorted((find(a), find(b)))
-                parent[rb] = ra
-    comps = {}
-    for i in captured:
-        comps.setdefault(find(i), []).append(i)
-    return list(comps.values())
+    """Components of the seeds that q captured on the neighbor graph, each
+    as its ascending list of seed indices."""
+    pairs = [(a, b) for a, hit in enumerate(is_q) if hit
+             for b in neighbors[a] if is_q[b]]
+    return [c for c in components(len(is_q), pairs) if is_q[c[0]]]
 
 
 def _representative(members, mlen, k):

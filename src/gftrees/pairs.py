@@ -1,5 +1,6 @@
 """Close pairs of a small point cloud: the pair search behind root
-deduplication and the scan-seed neighbor graph.
+deduplication and the scan-seed neighbor graph, and the components of
+such a pair graph.
 
 Distances are Euclidean, or with `periodic` the minimum image
 min(|dx|, 1 - |dx|) in each coordinate of points in [0, 1) (the unit
@@ -50,3 +51,23 @@ def nearest_distances(points):
         d[np.arange(len(d)), np.arange(i0, i0 + len(d))] = np.inf
         out.append(d.min(axis=1))
     return np.concatenate(out)
+
+
+def components(n, pairs):
+    """Components of the graph on 0..n-1 with edges `pairs` (a union-find),
+    each as its ascending index list, ordered by least member."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = sorted((find(a), find(b)))
+        parent[rb] = ra
+    comps = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values())

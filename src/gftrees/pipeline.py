@@ -27,27 +27,114 @@ log = logging.getLogger(__name__)
 
 PAIRS = ((1, 2), (2, 3), (1, 3))
 
-DEFAULT_SEEDS = {"rng": 0, "grid_density": 7}
-DEFAULT_SOLVER = {"r0": 1e-3, "scan_density": None, "lambda": None}
+DEMO_MORSE = {"f": "cos(2*pi*x1) + 0.3*cos(2*pi*x2)",
+              "g": "cos(2*pi*x2) + 0.3*cos(2*pi*x1)", "n": 2}
+
+# Config tables: {key: (test, what the value must be, default)}.  A REQUIRED
+# key must be given; an OPTIONAL one is left out when not given.
+REQUIRED, OPTIONAL = object(), object()
+
+
+def _is_int(v):
+    # 2.0 would reach numpy as a float count
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_box(v):
+    return isinstance(v, list) and len(v) > 0 and all(
+        isinstance(r, list) and len(r) == 2 and all(map(_is_num, r)) for r in v)
+
+
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_TEXT = (lambda v: isinstance(v, str), "a string")
+_BOX = (_is_box, "a non-empty list of [number, number]")
+
+# {section: (what its keys are called, table)}
+SECTIONS = {
+    "family": ("family key", {
+        "n": (*_COUNT, REQUIRED),
+        "N": (*_COUNT, REQUIRED),
+        "core": (*_TEXT, REQUIRED),
+        "slope": (lambda v: isinstance(v, list) and all(map(_is_num, v)),
+                  "a list of numbers", REQUIRED),
+        "inner_box": (*_BOX, REQUIRED),
+        "outer_box": (*_BOX, REQUIRED),
+        "base": (lambda v: v == "euclidean", '"euclidean"', OPTIONAL),
+        "stabilize": (lambda v: isinstance(v, list) and all(
+            not isinstance(s, bool) and s in ("+", "-", 1, -1) for s in v),
+            'a list of "+", "-", 1 or -1', OPTIONAL),
+        "fpd": (lambda v: isinstance(v, dict) and list(v) == ["components"]
+                and isinstance(v["components"], list)
+                and all(isinstance(c, str) for c in v["components"]),
+                '{"components": [strings]}', OPTIONAL),
+        "label": (*_TEXT, OPTIONAL)}),
+    "morse": ("morse setting", {
+        "f": (*_TEXT, DEMO_MORSE["f"]),
+        "g": (*_TEXT, DEMO_MORSE["g"]),
+        "n": (*_COUNT, DEMO_MORSE["n"])}),
+    "seeds": ("seed setting", {
+        "rng": (lambda v: _is_int(v) and 0 <= v <= 2 ** 64 - 1,
+                "an integer in [0, 2^64-1]", 0),
+        "grid_density": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", 7)}),
+    "solver": ("solver setting", {
+        "r0": (lambda v: _is_num(v) and v > 0, "a number > 0", 1e-3),
+        "scan_density": (lambda v: v is None or _is_int(v) and v >= 8,
+                         "an integer >= 8 or null", None),
+        # the stabilizing term Q must be positive definite
+        "lambda": (lambda v: v is None or _is_num(v) and v > 0,
+                   "a number > 0 or null", None)}),
+    "tolerances": ("tolerance", {
+        k: (_is_num, "a number", v)
+        for k, v in {**cr.TOLERANCES, **fl.FLOW_TOLERANCES}.items()}),
+}
+# mode: (the section it reads, the section it refuses)
+MODES = {"gf": ("family", "morse"), "morse-torus": ("morse", "family")}
+TOP = ("top-level key", {
+    "mode": (lambda v: isinstance(v, str) and v in MODES, '"gf" or "morse-torus"', "gf"),
+    **{s: (lambda v: isinstance(v, dict), "an object", OPTIONAL)
+       for s in SECTIONS}})
+
+
+def _rejected(where, why):
+    return ValueError("config rejected at %s: %s" % (where, why))
+
+
+def _resolved(given, table, prefix=""):
+    """`given` checked key by key against `table`, defaults filled in."""
+    noun, entries = table
+    for key, value in given.items():
+        if key not in entries:
+            raise _rejected(prefix + key, "unknown %s %r was unexpected "
+                            "(known: %s)" % (noun, key, ", ".join(sorted(entries))))
+        test, want, _ = entries[key]
+        if not test(value):
+            raise _rejected(prefix + key, "must be %s, got %s"
+                            % (want, json.dumps(value)))
+    for key, (_, _, default) in entries.items():
+        if default is REQUIRED and key not in given:
+            raise _rejected(prefix + key, "required %s %r is missing" % (noun, key))
+    return {**{k: d for k, (_, _, d) in entries.items()
+               if d is not REQUIRED and d is not OPTIONAL}, **given}
 
 
 def resolve_config(config):
-    """Fill every default so the resolved dict alone reproduces the run.
-    A seeds, solver or tolerances key with no default is refused."""
+    """Check a config and fill every default, so the resolved dict alone
+    reproduces the run.  A rejection is a ValueError naming the key's path."""
     cfg = json.loads(json.dumps(config))  # deep copy, JSON-clean
-    cfg.setdefault("mode", "gf")
-    if cfg["mode"] == "morse-torus":
-        cfg["morse"] = {**DEMO_MORSE, **cfg.get("morse", {})}
-    for section, what, defaults in (
-            ("seeds", "seed setting", DEFAULT_SEEDS),
-            ("solver", "solver setting", DEFAULT_SOLVER),
-            ("tolerances", "tolerance", {**cr.TOLERANCES, **fl.FLOW_TOLERANCES})):
-        given = cfg.get(section, {})
-        for k in given:
-            if k not in defaults:
-                raise ValueError("unknown %s %r (known: %s)"
-                                 % (what, k, ", ".join(sorted(defaults))))
-        cfg[section] = {**defaults, **given}
+    if not isinstance(cfg, dict):
+        raise _rejected("(top level)", "must be an object")
+    cfg = _resolved(cfg, TOP)
+    reads, refuses = MODES[cfg["mode"]]
+    if refuses in cfg:
+        raise _rejected(refuses, "mode %r takes a %r section, not a %r"
+                        % (cfg["mode"], reads, refuses))
+    for name, table in SECTIONS.items():
+        if name != refuses:
+            cfg[name] = _resolved(cfg.get(name, {}), table, name + "/")
     return cfg
 
 
@@ -429,10 +516,6 @@ def reseed_compare(config, seed_a, seed_b, jobs=1):
 
 # ---------------------------------------------------------------------------
 # Morse validation mode
-
-DEMO_MORSE = {"f": "cos(2*pi*x1) + 0.3*cos(2*pi*x2)",
-              "g": "cos(2*pi*x2) + 0.3*cos(2*pi*x1)", "n": 2}
-
 
 def morse_rho(crit_lists):
     """Least positive gap between any two distinct critical values across

@@ -111,10 +111,63 @@ def test_fixed_tree_solver_settings_are_rejected(tmp_path, capsys):
     assert "solver" in err and "fd_step" in err
 
 
-def test_schema_sections_name_exactly_the_resolved_defaults():
-    props = cli.CONFIG_SCHEMA["properties"]
-    assert set(props["seeds"]["properties"]) == set(pl.DEFAULT_SEEDS)
-    assert set(props["solver"]["properties"]) == set(pl.DEFAULT_SOLVER)
+MISSING = object()
+
+# (path of the key set, its value): every rule the config tables enforce
+REJECTED = [
+    ("family/n", 0), ("family/N", 1.5), ("family/inner_box", [[1]]),
+    ("family/base", "torus"), ("family/stabilize", ["x"]),
+    ("family/fpd", {"components": ["e1"], "scale": 2}), ("family/label", 3),
+    ("morse/n", 0),
+    ("seeds/rng", -1), ("seeds/rng", 2 ** 64), ("seeds/rng", True),
+    ("seeds/grid_density", 1), ("seeds/grid_density", 2.0),
+    ("solver/r0", 0), ("solver/scan_density", 7), ("solver/lambda", "a"),
+    ("tolerances/rtol", "x"),
+    ("familyy", UNKNOT["family"]), ("label", "unknot"),
+    ("family/core", MISSING),
+]
+
+
+@pytest.mark.parametrize("where, value", REJECTED,
+                         ids=["%s=%r" % (w, v)[:40] for w, v in REJECTED])
+def test_every_config_rule_is_refused_by_the_cli_and_the_api(
+        tmp_path, capsys, where, value):
+    if where.startswith("morse/"):
+        cfg = {"mode": "morse-torus", "morse": {}}
+    else:
+        cfg = json.loads(json.dumps(UNKNOT))
+    *sections, key = where.split("/")
+    target = cfg
+    for name in sections:
+        target = target.setdefault(name, {})
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = value
+    code, out, err = run_cli(capsys, "chords", write_config(tmp_path, cfg))
+    assert code == 2 and out == ""
+    # a missing key is named by its section and its own name
+    assert all(part in err for part in (
+        (sections[0], repr(key)) if value is MISSING else (where,)))
+    with pytest.raises(ValueError, match=where):
+        pl.GFRun(cfg)
+
+
+@pytest.mark.parametrize("lam", [-0.01, 0.0])
+def test_a_lambda_that_is_not_positive_exits_2(tmp_path, capsys, lam):
+    """The stabilizing term Q must be positive definite."""
+    cfg = dict(UNKNOT, solver={"lambda": lam})
+    code, out, err = run_cli(capsys, "cohomology", write_config(tmp_path, cfg))
+    assert code == 2 and out == ""
+    assert "solver/lambda" in err and "Traceback" not in err
+
+
+def test_a_seed_override_past_64_bits_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, UNKNOT)
+    code, out, err = run_cli(capsys, "chords", path,
+                             "--seed", str(2 ** 64))
+    assert code == 2 and out == ""
+    assert "seeds/rng" in err
 
 
 def test_bad_expression_exits_2(tmp_path, capsys):
@@ -195,13 +248,15 @@ def test_morse_torus_demo_passes(capsys):
     assert rep["ranks"] == [{"0": 1, "1": 2, "2": 1}] * 3
 
 
-def test_importing_the_cli_loads_no_scipy():
-    """scipy.spatial alone took about half of the CLI's start-up."""
+@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+def test_importing_the_cli_loads_no(module):
+    """scipy.spatial alone took about half of the CLI's start-up, and
+    jsonschema about 0.09 s of it."""
     src = os.path.dirname(os.path.dirname(gftrees.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", "import sys, gftrees.cli; "
-         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+         "print(sorted(m for m in sys.modules if m.startswith(%r)))" % module],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
 

@@ -60,6 +60,15 @@ def test_unknown_seed_and_solver_settings_are_rejected(unknot_config):
         pl.GFRun(dict(unknot_config, seeds={"grid_densty": 3}))
 
 
+def test_api_configs_meet_the_cli_checks(unknot_config):
+    # a float seed was reported as given but drawn from its integer part
+    with pytest.raises(ValueError, match="seeds/rng"):
+        pl.GFRun(dict(unknot_config, seeds={"rng": 1.5}))
+    # a gf run reads no morse section, so it may not carry one
+    with pytest.raises(ValueError, match="mode 'gf' takes a 'family' section"):
+        pl.GFRun(dict(unknot_config, morse={"n": 2}))
+
+
 def test_gf_run_requires_gf_mode(unknot_config):
     unknot_config["mode"] = "morse-torus"
     with pytest.raises(ValueError, match="mode"):

@@ -265,8 +265,8 @@ def main(argv=None):
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
     except ValueError as e:
-        # configs rejected after an option changed them (`--seed`) and runs
-        # of the wrong mode
+        # config errors found after loading: a `--seed` or `--reseed` value
+        # out of range, a config of the wrong mode for the command
         print("error: %s" % e, file=sys.stderr)
         return 2
 

@@ -123,13 +123,13 @@ REJECTED = [
     ("seeds/grid_density", 1), ("seeds/grid_density", 2.0),
     ("solver/r0", 0), ("solver/scan_density", 7), ("solver/lambda", "a"),
     ("tolerances/rtol", "x"),
-    ("familyy", UNKNOT["family"]), ("label", "unknot"),
+    ("familyy", {}), ("label", "unknot"),
     ("family/core", MISSING),
 ]
 
 
-@pytest.mark.parametrize("where, value", REJECTED,
-                         ids=["%s=%r" % (w, v)[:40] for w, v in REJECTED])
+@pytest.mark.parametrize("where, value", REJECTED, ids=[
+    "%s missing" % w if v is MISSING else "%s=%r" % (w, v) for w, v in REJECTED])
 def test_every_config_rule_is_refused_by_the_cli_and_the_api(
         tmp_path, capsys, where, value):
     if where.startswith("morse/"):

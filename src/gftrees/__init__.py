@@ -21,8 +21,8 @@ from .family import (
     morse_mode_fields,
 )
 from .critical import CriticalPoint, RhoBound, find_critical_points, iota, rho_and_perturbation_bound
-from .flow import Trajectory, ManifoldChart, integrate, chart_point, count_lines
-from .trees import TreeProblem, FlowTree, PerturbationTriple, tree_residual, solve_trees, count_trees
+from .flow import Trajectory, ManifoldChart, integrate, chart_point, LineSource, count_lines
+from .trees import TreeProblem, FlowTree, PerturbationTriple, tree_residual, solve_trees
 from .complexes import ChordComplex, CohomologyRing, verify_algebra, cohomology, compare_rings
 from .continuation import FamilyPath, continuation_matrix, isotopy_compare
 
@@ -31,8 +31,8 @@ __all__ = [
     "GeneratingFamily", "QuadraticLike", "ScalarField",
     "difference", "extend", "stabilize", "precompose_fpd", "morse_mode_fields",
     "CriticalPoint", "RhoBound", "find_critical_points", "iota", "rho_and_perturbation_bound",
-    "Trajectory", "ManifoldChart", "integrate", "chart_point", "count_lines",
-    "TreeProblem", "FlowTree", "PerturbationTriple", "tree_residual", "solve_trees", "count_trees",
+    "Trajectory", "ManifoldChart", "integrate", "chart_point", "LineSource", "count_lines",
+    "TreeProblem", "FlowTree", "PerturbationTriple", "tree_residual", "solve_trees",
     "ChordComplex", "CohomologyRing", "verify_algebra", "cohomology", "compare_rings",
     "FamilyPath", "continuation_matrix", "isotopy_compare",
 ]

@@ -244,6 +244,8 @@ def continuation_matrix(path, which="w", r0=None, scan_density=None):
     t_checks = []
     obstructed = []
     for p, lp in zip(gens0, lifted0):
+        source = fl.LineSource(W, lp, criticals, r0=r0, m=scan_density,
+                               tolerances=tol)
         for q, lq in zip(gens1, lifted1):
             if q.grading != p.grading:
                 continue
@@ -252,8 +254,7 @@ def continuation_matrix(path, which="w", r0=None, scan_density=None):
                 # honest 0, but if it breaks invertibility the path needs
                 # subdividing into steps with smaller value drops
                 obstructed.append("%s->%s" % (p.id, q.id))
-            c = fl.count_lines(lp, lq, W, criticals, r0=r0, m=scan_density,
-                               tolerances=tol)
+            c = fl.count_lines(source, lq)
             phi[(p.id, q.id)] = c.parity
             for traj in c.trajectories:
                 ts = [z[-1] for _, z in traj.samples]

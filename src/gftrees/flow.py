@@ -11,10 +11,12 @@ bit-identical result.
 
 Counting M(p, q) scans the coupled sub-sphere of p's unstable sphere:
 one trajectory per seed direction, recording where it ended and how close
-it came to every higher critical point.  A decoupled quadratic slot with
-c > 0 flows as z_i(0) e^{2ct}, so every line p -> q holds it at exactly 0;
-the scan's chart leaves such slots out (its `pins`) and each seed starts
-with them at 0.0, as the tree solver's capture run does.  A scan runs all
+it came to every higher critical point.  Every count from p reads the one
+scan of its `LineSource`, made in the first count that needs it.  A
+decoupled quadratic slot with c > 0 flows as z_i(0) e^{2ct}, so every line
+p -> q holds it at exactly 0; the scan's chart leaves such slots out (its
+`pins`) and each seed starts with them at 0.0, as the tree solver's
+capture run does.  A scan runs all
 its seeds as one batch through `integrate_batch`, a numpy twin of the
 scalar loop that reproduces it bit for bit: both square with x * x and
 sum left to right.  Below SCALAR_ROWS active rows a `grad_vec` call
@@ -668,10 +670,6 @@ def _flow_stops(field, criticals, source_value, tol):
     return Stops(tracked, esc, tol["t_max"], tol["r_conv"], tol["value_window"])
 
 
-def _point_key(c):
-    return (c.id, float(c.value), np.asarray(c.coords, dtype=float).tobytes())
-
-
 def _seed_start(chart, u):
     """p + r0 * frame @ u, with exactly 0.0 in the chart's pinned slots,
     where the flow of a decoupled slot then stays."""
@@ -691,24 +689,13 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
     """Integrate from a dense sample of the coupled sub-sphere of p's
     unstable sphere, the part orthogonal to the field's `pinned_slots`;
     record each seed's outcome and its closest approach to every higher
-    critical point.  Cached on the field object, keyed by every input that
-    shapes a scan: the source point, r0, m, the flow tolerances and the
-    tracked points."""
-    tol = dict(FLOW_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    critical point.  Returns (scan, chart)."""
+    tol = {**FLOW_TOLERANCES, **(tolerances or {})}
     chart = build_chart(field, p, "unstable", r0, pins=pinned_slots(field))
     k = chart.k
     if m is None:
         m = {1: 2, 2: 512}.get(k, 800)
     stops = _flow_stops(field, criticals, p.value, tol)
-    key = (_point_key(p), r0, m, tuple(tol[name] for name in FLOW_TOLERANCES),
-           tuple(_point_key(c) for c in stops.criticals))
-    cache = getattr(field, "_scan_cache", None)
-    if cache is None:
-        cache = field._scan_cache = {}
-    if key in cache:
-        return cache[key], chart
     ids = [c.id for c in stops.criticals]
     dirs = sphere_dirs(k, m, 12345)
     logger.info("scan %s from %s: k = %d, pins %s, %d seeds",
@@ -716,30 +703,42 @@ def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
     trajs = integrate_batch(field, [_seed_start(chart, u) for u in dirs], stops, tol)
     outcomes = [traj.termination.as_tuple() for traj in trajs]
     approach = np.array([[traj.approach[i] for i in ids] for traj in trajs])
-    scan = _Scan(dirs, outcomes, ids, approach.reshape(len(dirs), len(ids)))
-    cache[key] = scan
-    return scan, chart
+    return _Scan(dirs, outcomes, ids, approach.reshape(len(dirs), len(ids))), chart
 
 
-def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
-    """#_{Z2} of isolated flow lines p -> q, with lazily launched representatives.
+class LineSource:
+    """The line counts from one critical point p of `field`: every target
+    reads p's one sphere scan, made on first need."""
+
+    def __init__(self, field, p, criticals, r0=1e-3, m=None, tolerances=None):
+        self.field, self.p, self.criticals = field, p, criticals
+        self.r0, self.m = r0, m
+        self.tol = {**FLOW_TOLERANCES, **(tolerances or {})}
+
+    @cached_property
+    def scan(self):
+        """(scan, chart) of `sphere_scan`."""
+        return sphere_scan(self.field, self.p, self.criticals, r0=self.r0,
+                           m=self.m, tolerances=self.tol)
+
+
+def count_lines(source, q):
+    """#_{Z2} of isolated flow lines source.p -> q, with lazy representatives.
 
     The scan covers the coupled sub-sphere of p's unstable sphere (see
     `sphere_scan`): every line holds the pinned slots at 0, so the seeds
     there are the whole of p's unstable manifold that a line can leave by.
     Precondition |q| - |p| = 1; other gaps return parity None with an
-    explanatory note (the moduli space is not 0-dimensional there).
-    Raises AmbiguousCountError when a seed timed out or when the scan
+    explanatory note (the moduli space is not 0-dimensional there), as a
+    target no higher than p does, before the source's scan is read.  Raises AmbiguousCountError when a seed timed out or when the scan
     shows an unresolved wall (see `_refuse_walls`).
     """
+    p, field, tol = source.p, source.field, source.tol
     if q.grading - p.grading != 1:
         return LineCount(None, 0, "dimension != 0, count undefined at this grading")
     if q.value <= p.value:
         return LineCount(0, 0, "target value does not exceed source value")
-    tol = dict(FLOW_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-    scan, chart = sphere_scan(field, p, criticals, r0=r0, m=m, tolerances=tolerances)
+    scan, chart = source.scan
     mlen = len(scan.dirs)
     n_timeout = sum(1 for o in scan.outcomes if o[0] == "timeout")
     if n_timeout > 0:
@@ -747,7 +746,7 @@ def count_lines(p, q, field, criticals, r0=1e-3, m=None, tolerances=None):
             "%d of %d seeds neither converged nor escaped: suspected "
             "non-transverse configuration; perturb family or lower tolerances"
             % (n_timeout, mlen))
-    stops = _flow_stops(field, criticals, p.value, tol)
+    stops = _flow_stops(field, source.criticals, p.value, tol)
     is_q = [o == ("converged", q.id) for o in scan.outcomes]
     neighbors = _seed_neighbors(scan.dirs)
     # for k = 1 the two seeds are the whole coupled unstable manifold: no

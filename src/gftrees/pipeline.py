@@ -1,9 +1,10 @@
 """End-to-end runs: config -> family -> chords -> counts -> cohomology ring.
 
 A run is staged so that expensive counting tasks (one flow-line pair or
-one tree triple each) can be distributed over a process pool; forked
-workers count on the parent's prepared run, which keeps every count a
-pure function of (config, task) and the aggregation order fixed.
+one tree triple each), grouped by their source, can be distributed over a
+process pool; forked workers count on the parent's prepared run, which
+keeps every count a pure function of (config, task) and the aggregation
+order fixed.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ def _is_box(v):
 
 
 _COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
+_POSITIVE = (lambda v: _is_num(v) and v > 0, "a number > 0")
+# rtol, tol_dedup and tol_degenerate run at 0; other tolerances need more
+_AT_LEAST_0 = (lambda v: _is_num(v) and v >= 0, "a number >= 0")
 _TEXT = (lambda v: isinstance(v, str), "a string")
 _BOX = (_is_box, "a non-empty list of [number, number]")
 
@@ -81,14 +85,15 @@ SECTIONS = {
                 "an integer in [0, 2^64-1]", 0),
         "grid_density": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", 7)}),
     "solver": ("solver setting", {
-        "r0": (lambda v: _is_num(v) and v > 0, "a number > 0", 1e-3),
+        "r0": (*_POSITIVE, 1e-3),
         "scan_density": (lambda v: v is None or _is_int(v) and v >= 8,
                          "an integer >= 8 or null", None),
         # the stabilizing term Q must be positive definite
         "lambda": (lambda v: v is None or _is_num(v) and v > 0,
                    "a number > 0 or null", None)}),
     "tolerances": ("tolerance", {
-        k: (_is_num, "a number", v)
+        k: (*(_AT_LEAST_0 if k in ("rtol", "tol_dedup", "tol_degenerate")
+              else _POSITIVE), v)
         for k, v in {**cr.TOLERANCES, **fl.FLOW_TOLERANCES}.items()}),
 }
 # mode: (the section it reads, the section it refuses)
@@ -256,55 +261,60 @@ class GFRun:
         return [("delta", pq, p, q)
                 for (_, _, p, q) in self.delta_tasks() for pq in PAIRS]
 
-    def run_task(self, task):
-        """One counting task; returns picklable data (counts, and the found
-        FlowTrees of an m2 task) so it can cross processes."""
+    def run_group(self, tasks):
+        """The results of tasks that share one source, t[:3], in task order:
+        the line counts of one LineSource or the tree counts of one
+        TreeProblem, as picklable data (counts, and the found FlowTrees of
+        an m2 task) so they can cross processes."""
         if not self.prepared:
             self.prepare()
-        kind = task[0]
+        # the source: (space, p) of a delta group, (p1, p2) of an m2 group
+        kind, a, b = tasks[0][:3]
         if kind == "delta":
-            _, key, pid, qid = task
-            field, crits, _ = self.spaces[key]
-            c = fl.count_lines(crits[pid], crits[qid], field,
-                               list(crits.values()), r0=self.solver["r0"],
-                               m=self.solver["scan_density"], tolerances=self.tol)
-            result = {"parity": c.parity, "clusters": c.clusters, "note": c.note}
-        elif kind == "m2":
-            spaces = [self.spaces[key] for key in self.TREE_SPACES]
-            ends = [crits[i] for (_, crits, _), i in zip(spaces, task[1:])]
-            parity, trees, seeds = tr.count_trees(
-                *ends, self.s, tuple(field for field, _, _ in spaces),
-                r0=self.solver["r0"], tolerances=self.tol,
-                meeting_floor=self.meeting_floor,
-                criticals=list(spaces[2][1].values()))
-            result = {"parity": parity, "trees": trees, "seeds": seeds}
+            field, crits, _ = self.spaces[a]
+            source = fl.LineSource(field, crits[b], list(crits.values()), r0=self.solver["r0"],
+                                   m=self.solver["scan_density"], tolerances=self.tol)
+
+            def count(qid):
+                c = fl.count_lines(source, crits[qid])
+                return {"parity": c.parity, "clusters": c.clusters, "note": c.note}
         else:
-            raise ValueError("unknown task %r" % (task,))
-        log.info("counted %s: parity %d", " ".join(map(str, task)),
-                 result["parity"])
-        return result
+            (f1, c1, _), (f2, c2, _), (f3, sinks, _) = (
+                self.spaces[k] for k in self.TREE_SPACES)
+            problem = tr.TreeProblem(
+                (f1, f2, f3), c1[a], c2[b], self.s, list(sinks.values()),
+                r0=self.solver["r0"], tolerances=self.tol,
+                meeting_floor=self.meeting_floor)
+
+            def count(sid):
+                trees = tr.solve_trees(problem, sinks[sid])
+                return {"parity": len(trees) % 2, "trees": trees,
+                        "seeds": problem.seed_outcomes[sinks[sid].id]}
+        results = []
+        for task in tasks:
+            results.append(count(task[3]))
+            log.info("counted %s: parity %d", " ".join(map(str, task)),
+                     results[-1]["parity"])
+        return results
 
     def run_tasks(self, tasks):
-        """Deterministic map task -> result, inline or over a process pool."""
-        if self.jobs <= 1 or len(tasks) <= 1:
-            return {t: self.run_task(t) for t in tasks}
-        # line counts from one source share its scan, and tree counts from
-        # one source pair their Newton solutions, which the worker that
-        # runs them caches, so they travel together
+        """Deterministic map task -> result, inline or over a process pool,
+        one task group per source."""
         groups = {}
         for t in tasks:
             groups.setdefault(t[:3], []).append(t)
-        results = {}
-        # forked workers inherit this prepared run (fork pickles no
-        # initargs) and all start at the first submit, so a pool wider than
-        # the task groups would only start idle interpreters
-        with ProcessPoolExecutor(max_workers=min(self.jobs, len(groups)),
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_adopt, initargs=(self,)) as pool:
-            futs = [(g, pool.submit(_pool_tasks, g)) for g in groups.values()]
-            for g, fut in futs:
-                results.update(zip(g, fut.result()))
-        return results
+        if self.jobs <= 1 or len(groups) <= 1:
+            done = [self.run_group(g) for g in groups.values()]
+        else:
+            # forked workers inherit this prepared run (fork pickles no
+            # initargs) and all start at the first submit, so a pool wider
+            # than the task groups would only start idle interpreters
+            with ProcessPoolExecutor(max_workers=min(self.jobs, len(groups)),
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_adopt, initargs=(self,)) as pool:
+                done = [fut.result() for fut in
+                        [pool.submit(_pool_group, g) for g in groups.values()]]
+        return {t: r for g, got in zip(groups.values(), done) for t, r in zip(g, got)}
 
     def count(self):
         """Run every delta and m2 task.  Keeps the found trees and the m2
@@ -385,8 +395,8 @@ def _adopt(run):
     _worker_run = run
 
 
-def _pool_tasks(tasks):
-    return [_worker_run.run_task(t) for t in tasks]
+def _pool_group(tasks):
+    return _worker_run.run_group(tasks)
 
 
 def gf_run(config, jobs=1):

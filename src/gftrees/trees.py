@@ -1,6 +1,6 @@
 """Y-shaped gradient flow trees and their mod-2 count.
 
-A tree problem takes three fields (h1, h2, h3) on a common R^D — the three
+A tree count takes three fields (h1, h2, h3) on a common R^D — the three
 extended difference fields for the product on a generating family, or
 (f, g, f+g) in Morse mode — two source critical points p1, p2 (charts of
 their unstable manifolds under h1, h2) and one sink p0 (chart of its
@@ -34,10 +34,9 @@ Differences are taken mod 1 in torus mode.  The system is solved by
 damped Newton with finite-difference Jacobians from seeds ranked over a
 coarse product grid of the source charts' endpoints.  Every seed's
 outcome goes into a histogram, `SEED_OUTCOMES`.  The Newton solutions do
-not depend on p0, so they are cached on h1 under every input they do
-depend on (h2, p1, p2, s1, s2, r0, the flow tolerances, the pins and s3
-on them): the tasks of every sink above one source pair share one Newton
-pass, and the capture test splits its solutions by sink.
+not depend on p0, so a `TreeProblem` holds one source pair and no sink:
+its first `solve_trees` finds them, every sink above the pair reads them,
+and the capture test splits them by sink.
 
 Chart endpoints are memoized per (edge, u, t), and each (edge, u) path
 keeps a step log of its integrator states (see `flow.integrate`'s
@@ -57,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,58 +115,75 @@ class PerturbationTriple:
 
 
 class TreeProblem:
-    """Charts, perturbation and bookkeeping for one (p1, p2; p0) count.
+    """Charts, perturbation and bookkeeping for the counts from one source
+    pair (p1, p2) into every sink p0 of h3.
 
     theta packs (u1, t1, u2, t2) of the two source edges.  `pins` are the
-    quadratic slots of h3 that the sink's stable chart misses, and the
-    capture test tracks `criticals`, the critical points of h3."""
+    quadratic slots of h3 that every sink's stable chart misses, and the
+    capture test tracks `criticals`, the critical points of h3.
+    `seed_outcomes` holds each counted sink's seed histogram by its id."""
 
-    def __init__(self, fields, src1, src2, sink, s, r0=1e-3, tolerances=None,
-                 meeting_floor=None, criticals=None):
+    def __init__(self, fields, src1, src2, s, criticals=None, r0=1e-3,
+                 tolerances=None, meeting_floor=None):
         self.h1, self.h2, self.h3 = fields
-        self.src1, self.src2, self.sink = src1, src2, sink
+        self.src1, self.src2 = src1, src2
         self.s = s
+        self.criticals = criticals
         self.r0 = float(r0)
         self.tolerances = dict(tolerances or {})
         self.meeting_floor = meeting_floor
         self.D = self.h1.dim
-        self.d = sink.grading - src1.grading - src2.grading
         self.charts = (fl.build_chart(self.h1, src1, "unstable", r0),
-                       fl.build_chart(self.h2, src2, "unstable", r0),
-                       fl.build_chart(self.h3, sink, "stable", r0))
+                       fl.build_chart(self.h2, src2, "unstable", r0))
         self.k = tuple(chart.k for chart in self.charts)
-        if min(self.k) == 0:
-            raise DimensionError(
-                "a tree edge has a 0-dimensional chart (frames %r): such "
-                "degenerate edges are outside the tree solver's scope" % (self.k,))
         self.pins = fl.pinned_slots(self.h3)
-        if self.d == 0:
-            if sum(self.k) != 2 * self.D:
-                raise RuntimeError(
-                    "unknown-count balance violated: frames %r sum to %d, need "
-                    "2D=%d (chart and grading bookkeeping disagree)"
-                    % (self.k, sum(self.k), 2 * self.D))
-            if self.k[2] + len(self.pins) != self.D:
-                spanned = np.column_stack(
-                    [self.charts[2].frame, np.eye(self.D)[:, list(self.pins)]])
-                missing = [v * np.sign(v[np.argmax(np.abs(v))]) for v in
-                           np.linalg.svd(spanned.T)[2][spanned.shape[1]:]]
-                raise DimensionError(
-                    "the stable chart of sink %s (k3 = %d, pins %r) misses the "
-                    "coupled direction(s) %r of R^%d: only decoupled quadratic "
-                    "slots can be pinned"
-                    % (sink.id, self.k[2], self.pins,
-                       [(np.round(v, 6) + 0.0).tolist() for v in missing],
-                       self.D))
-            if criticals is None:
-                raise ValueError("the capture test into %s needs the critical "
-                                 "points of h3" % sink.id)
-        self.criticals = criticals
         k1 = self.k[0]
         self.blocks = ((0, k1), (k1 + 1, k1 + 1 + self.k[1]))  # (first u, t) index
         self.periodic = self.h1.periodic
+        self.seed_outcomes = {}
         self._memo = {}
         self._logs = {}
+
+    def sink_chart(self, sink):
+        """The stable chart of `sink` under h3, once the count into it is
+        defined: no 0-dimensional edge, expected dimension 0, the unknowns
+        balanced, and only decoupled slots missing from the chart."""
+        chart = fl.build_chart(self.h3, sink, "stable", self.r0)
+        k = self.k + (chart.k,)
+        if min(k) == 0:
+            raise DimensionError(
+                "a tree edge has a 0-dimensional chart (frames %r): such "
+                "degenerate edges are outside the tree solver's scope" % (k,))
+        d = sink.grading - self.src1.grading - self.src2.grading
+        if d != 0:
+            raise DimensionError(
+                "expected dimension is %d, not 0: |p0|=%d, |p1|=%d, |p2|=%d "
+                "(only isolated counts are defined)"
+                % (d, sink.grading, self.src1.grading, self.src2.grading))
+        if sum(k) != 2 * self.D:
+            raise RuntimeError(
+                "unknown-count balance violated: frames %r sum to %d, need "
+                "2D=%d (chart and grading bookkeeping disagree)"
+                % (k, sum(k), 2 * self.D))
+        if chart.k + len(self.pins) != self.D:
+            spanned = np.column_stack(
+                [chart.frame, np.eye(self.D)[:, list(self.pins)]])
+            missing = [v * np.sign(v[np.argmax(np.abs(v))]) for v in
+                       np.linalg.svd(spanned.T)[2][spanned.shape[1]:]]
+            raise DimensionError(
+                "the stable chart of sink %s (k3 = %d, pins %r) misses the "
+                "coupled direction(s) %r of R^%d: only decoupled quadratic "
+                "slots can be pinned"
+                % (sink.id, chart.k, self.pins,
+                   [(np.round(v, 6) + 0.0).tolist() for v in missing],
+                   self.D))
+        if self.criticals is None:
+            raise ValueError("the capture test into %s needs the critical "
+                             "points of h3" % sink.id)
+        return chart
+
+    # the sink-free Newton solutions, found on first read
+    intersections = cached_property(lambda self: _intersections(self))
 
     # -- theta packing --------------------------------------------------
 
@@ -359,61 +376,47 @@ def _plausible(problem, theta, bigbox):
 # ---------------------------------------------------------------------------
 # The solver
 
-def solve_trees(problem):
-    """All isolated flow trees of a 0-dimensional problem.
+def solve_trees(problem, sink):
+    """All isolated flow trees from the problem's source pair into `sink`.
 
-    The Newton solutions of the source edges (`_intersections`, shared by
-    every sink with the same pins) are split by the capture test and
-    validated (matching, confinement, the rho/4 positivity bound, Jacobian
-    condition below COND_CAP).  `problem.seed_outcomes` then holds how
-    each Newton seed ended, keyed by `SEED_OUTCOMES`."""
-    if problem.d != 0:
-        raise DimensionError(
-            "expected dimension is %d, not 0: |p0|=%d, |p1|=%d, |p2|=%d "
-            "(only isolated counts are defined)"
-            % (problem.d, problem.sink.grading, problem.src1.grading,
-               problem.src2.grading))
+    The Newton solutions of the source edges (`_intersections`, found on
+    the first call and shared by every sink) are split by the capture test
+    and validated (matching, confinement, the rho/4 positivity bound,
+    Jacobian condition below COND_CAP).  `problem.seed_outcomes[sink.id]`
+    then holds how each Newton seed ended, keyed by `SEED_OUTCOMES`."""
+    problem.sink_chart(sink)
     problem.s.check()
-    if problem.periodic:
-        esc = None
-        bigbox = None
-        diam = 1.0
-    else:
-        outer = problem.h1.outer_box
-        esc = fl.escape_box(outer)
-        bigbox = fl.escape_box(outer, 2.5)
-        diam = float(np.linalg.norm([hi - lo for lo, hi in outer]))
-    solutions, outcomes = _intersections(problem, esc, bigbox, diam)
+    solutions, outcomes = problem.intersections
     outcomes = dict(outcomes)
     trees = []
     for sol in solutions:
-        capture = _capture(problem, sol["meeting"])
-        if capture.termination.as_tuple() != ("converged", problem.sink.id):
+        capture = _capture(problem, sink, sol["meeting"])
+        if capture.termination.as_tuple() != ("converged", sink.id):
             outcomes["captured_elsewhere"] += 1
             continue
         outcomes["converged"] += 1
-        trees.append(_validate(problem, sol, esc, capture))
-    problem.seed_outcomes = outcomes
+        trees.append(_validate(problem, sol, capture))
+    problem.seed_outcomes[sink.id] = outcomes
     return trees
 
 
-def _intersections(problem, esc, bigbox, diam):
+def _escape(problem):
+    """(escape box, plausibility box, diameter) of the source charts'
+    domain; no boxes on the torus."""
+    if problem.periodic:
+        return None, None, 1.0
+    outer = problem.h1.outer_box
+    return (fl.escape_box(outer), fl.escape_box(outer, 2.5),
+            float(np.linalg.norm([hi - lo for lo, hi in outer])))
+
+
+def _intersections(problem):
     """(solutions, outcomes): the Newton solutions deduplicated by meeting
     point, and how many seeds ended in each non-converged outcome.
 
     Seeds come from ranking a coarse product grid of the source charts'
-    endpoints.  The result is cached on h1, keyed by every input it
-    depends on (esc, bigbox and diam follow from h1)."""
-    tol = {**fl.FLOW_TOLERANCES, **problem.tolerances}
-    key = (problem.h2, fl._point_key(problem.src1),
-           fl._point_key(problem.src2), problem.s.s1.tobytes(),
-           problem.s.s2.tobytes(), problem.r0,
-           tuple(tol[name] for name in fl.FLOW_TOLERANCES), problem.pins,
-           problem.s.s3[list(problem.pins)].tobytes())
-    cache = problem.h1.__dict__.setdefault("_tree_cache", {})
-    if key in cache:
-        return cache[key]
-
+    endpoints."""
+    esc, bigbox, diam = _escape(problem)
     tabs = []
     for which in (0, 1):
         chart = problem.charts[which]
@@ -443,7 +446,6 @@ def _intersections(problem, esc, bigbox, diam):
         else:
             solutions.append({"theta": theta, "res": res, "J": J,
                               "meeting": meeting})
-    cache[key] = (solutions, outcomes)
     return solutions, outcomes
 
 
@@ -461,7 +463,7 @@ def _ranked_seeds(problem, tabs):
             for j in np.argsort(score, kind="stable")[:MAX_SEEDS]]
 
 
-def _capture(problem, meeting):
+def _capture(problem, sink, meeting):
     """The forward h3 flow from q3 = meeting - s3, with its pinned slots set
     to exactly 0, stopped at the escape box or at a critical point of h3
     above h3(q3).  A flow that does neither by t_max refuses the count."""
@@ -479,12 +481,11 @@ def _capture(problem, meeting):
             "the h3 flow from the tree meeting point %s neither reached a "
             "critical point nor escaped by t_max = %g, so whether it is a "
             "tree into %s is unknown; raise t_max"
-            % ([round(float(v), 6) for v in meeting], stops.t_max,
-               problem.sink.id))
+            % ([round(float(v), 6) for v in meeting], stops.t_max, sink.id))
     return traj
 
 
-def _validate(problem, sol, esc, capture):
+def _validate(problem, sol, capture):
     """The FlowTree of a solution, after its checks; gamma3 is the capture
     run reversed, so it ends at q3."""
     theta = sol["theta"]
@@ -507,6 +508,7 @@ def _validate(problem, sol, esc, capture):
     trajs.append(fl.Trajectory(
         capture.tag, [(T - t, pt) for t, pt in reversed(capture.samples)],
         fl.Termination("time"), T, np.array(capture.samples[0][1])))
+    esc = _escape(problem)[0]
     if esc is not None:
         for traj in trajs:
             for _, pt in traj.samples:
@@ -522,16 +524,3 @@ def _validate(problem, sol, esc, capture):
             % (meet_val, problem.meeting_floor))
     return FlowTree(theta, trajs[0], trajs[1], trajs[2], sol["meeting"],
                     match, cond)
-
-
-def count_trees(src1, src2, sink, s, fields, r0=1e-3, tolerances=None,
-                meeting_floor=None, criticals=None):
-    """(#_{Z2} of trees from (src1, src2) into sink, the trees, the seed
-    outcomes).  src/sink are critical points already living in the three
-    fields (embedded via iota in the generating-family pipeline; raw
-    critical points in Morse mode), and `criticals` are those of h3."""
-    problem = TreeProblem(fields, src1, src2, sink, s, r0=r0,
-                          tolerances=tolerances, meeting_floor=meeting_floor,
-                          criticals=criticals)
-    trees = solve_trees(problem)
-    return len(trees) % 2, trees, problem.seed_outcomes

@@ -335,10 +335,11 @@ def test_10_every_recorded_sample_stays_confined(multi_run, capsys):
     K_base = fl.escape_box(run.w.outer_box)
     for (pid, qid) in run.delta_counts:
         byid = {p.id: p for p in run.criticals}
-        count = fl.count_lines(byid[pid], byid[qid], run.w, run.criticals,
+        source = fl.LineSource(run.w, byid[pid], run.criticals,
                                r0=run.solver["r0"],
                                m=run.solver["scan_density"],
                                tolerances=run.tol)
+        count = fl.count_lines(source, byid[qid])
         violations += audit_trajectories(count.trajectories, K_base)
 
     # and through each extended field
@@ -347,10 +348,11 @@ def test_10_every_recorded_sample_stays_confined(multi_run, capsys):
         crits = [run.images[pq][p.id] for p in run.criticals]
         byid = {p.id: p for p in crits}
         for (pid, qid) in run.delta_counts:
-            count = fl.count_lines(byid[pid], byid[qid], run.ext[pq], crits,
+            source = fl.LineSource(run.ext[pq], byid[pid], crits,
                                    r0=run.solver["r0"],
                                    m=run.solver["scan_density"],
                                    tolerances=run.tol)
+            count = fl.count_lines(source, byid[qid])
             violations += audit_trajectories(count.trajectories, K_ext)
 
     # recorded trees: every branch sample confined, every meeting point

@@ -122,7 +122,12 @@ REJECTED = [
     ("seeds/rng", -1), ("seeds/rng", 2 ** 64), ("seeds/rng", True),
     ("seeds/grid_density", 1), ("seeds/grid_density", 2.0),
     ("solver/r0", 0), ("solver/scan_density", 7), ("solver/lambda", "a"),
-    ("tolerances/rtol", "x"),
+    ("tolerances/rtol", "x"), ("tolerances/rtol", -1e-9),
+    ("tolerances/atol", 0), ("tolerances/r_conv", 0),
+    ("tolerances/value_window", 0), ("tolerances/t_max", -1),
+    ("tolerances/h0", 0), ("tolerances/h_max", 0),
+    ("tolerances/tol_grad", 0), ("tolerances/tol_value", 0),
+    ("tolerances/tol_dedup", -1), ("tolerances/tol_degenerate", -1),
     ("familyy", {}), ("label", "unknot"),
     ("family/core", MISSING),
 ]

@@ -299,9 +299,11 @@ def isotopy_counts():
     calls = {}
     count = fl.count_lines
 
-    def spied(p, q, field, criticals, **kw):
-        calls[field.tag] = (p, q, field, criticals, kw)
-        return count(p, q, field, criticals, **kw)
+    def spied(source, q):
+        calls[source.field.tag] = (source.p, q, source.field, source.criticals,
+                                   {"r0": source.r0, "m": source.m,
+                                    "tolerances": source.tol})
+        return count(source, q)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fl, "count_lines", spied)
         ct.isotopy_compare(json.loads(json.dumps(UNKNOT)),
@@ -322,7 +324,7 @@ def test_the_lifted_chord_scans_a_pinned_k1_chart(isotopy_counts, tag, pin):
     assert (p.coindex, chart.k, chart.pins) == (2, 1, (pin,))
     assert not chart.frame[pin].any()
     assert all(fl._seed_start(chart, u)[pin] == 0.0 for u in scan.dirs)
-    pinned = fl.count_lines(p, q, W, crits, **kw)
+    pinned = fl.count_lines(fl.LineSource(W, p, crits, **kw), q)
     full = fl.build_chart(W, p, "unstable", kw["r0"])
     assert full.k == 2
     # the pinned frame and the slot span the whole unstable frame

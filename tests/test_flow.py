@@ -103,7 +103,7 @@ def test_chart_leaves_along_the_unstable_eigendirection(saddle2d):
 def test_one_line_between_the_wells(well1d):
     crits = cr.find_critical_points(well1d)
     lo, hi = crits
-    count = fl.count_lines(lo, hi, well1d, crits)
+    count = fl.count_lines(fl.LineSource(well1d, lo, crits), hi)
     assert count.parity == 1
     assert count.clusters == 1
     assert len(count.trajectories) >= 1
@@ -115,7 +115,7 @@ def test_saddle_to_peak_lines_cancel_on_the_torus(torus_field):
     crits = cr.find_critical_points(torus_field)
     assert [round(p.value, 6) for p in crits] == [-1.3, -0.7, 0.7, 1.3]
     saddle, peak = crits[2], crits[3]
-    count = fl.count_lines(saddle, peak, torus_field, crits)
+    count = fl.count_lines(fl.LineSource(torus_field, saddle, crits), peak)
     assert count.parity == 0
     assert count.clusters == 2
 
@@ -123,7 +123,7 @@ def test_saddle_to_peak_lines_cancel_on_the_torus(torus_field):
 def test_pit_to_saddle_lines_cancel_on_the_torus(torus_field):
     crits = cr.find_critical_points(torus_field)
     pit, saddle = crits[0], crits[1]
-    count = fl.count_lines(pit, saddle, torus_field, crits)
+    count = fl.count_lines(fl.LineSource(torus_field, pit, crits), saddle)
     assert count.parity == 0
     assert count.clusters == 2
 
@@ -135,14 +135,14 @@ def test_a_wall_the_scan_cannot_resolve_is_refused(torus_field):
     crits = cr.find_critical_points(torus_field)
     pit, saddle = crits[0], crits[1]
     with pytest.raises(fl.AmbiguousCountError, match=saddle.id):
-        fl.count_lines(pit, saddle, torus_field, crits, m=64,
-                       tolerances={"r_conv": 1e-8})
+        fl.count_lines(fl.LineSource(torus_field, pit, crits, m=64,
+                                     tolerances={"r_conv": 1e-8}), saddle)
 
 
 def test_wrong_grading_gap_has_no_count(torus_field):
     crits = cr.find_critical_points(torus_field)
     pit, peak = crits[0], crits[3]
-    count = fl.count_lines(pit, peak, torus_field, crits)
+    count = fl.count_lines(fl.LineSource(torus_field, pit, crits), peak)
     assert count.parity is None
     assert "dimension" in count.note
 
@@ -152,7 +152,7 @@ def test_descending_targets_count_zero(torus_field):
     saddle = crits[2]
     sunk = cr.CriticalPoint(crits[3].coords, -5.0, 2, 2, crits[3].hess_eigs)
     sunk.id = "sunk"
-    count = fl.count_lines(saddle, sunk, torus_field, crits)
+    count = fl.count_lines(fl.LineSource(torus_field, saddle, crits), sunk)
     assert count.parity == 0
     assert "value" in count.note
 
@@ -171,20 +171,49 @@ def test_the_scalar_loop_runs_on_plain_floats(well1d, monkeypatch):
     chart = fl.build_chart(well1d, lo, "unstable")
     assert chart.k == 1
     fl.chart_point(chart, np.array([1.0]), 0.5)
-    assert fl.count_lines(lo, hi, well1d, [lo, hi]).parity == 1
+    assert fl.count_lines(fl.LineSource(well1d, lo, [lo, hi]), hi).parity == 1
     assert calls
 
 
-def test_scan_cache_tells_apart_every_scan_input(well1d):
+def test_a_scan_reads_its_time_cap_and_tracked_points(well1d):
     crits = cr.find_critical_points(well1d)
     lo, hi = crits
-    first, _ = fl.sphere_scan(well1d, lo, crits)
-    assert ("converged", hi.id) in first.outcomes
-    assert fl.sphere_scan(well1d, lo, crits)[0] is first
+    assert ("converged", hi.id) in fl.sphere_scan(well1d, lo, crits)[0].outcomes
     short, _ = fl.sphere_scan(well1d, lo, crits, tolerances={"t_max": 1e-3})
     assert short.outcomes == [("timeout", "")] * 2
     untracked, _ = fl.sphere_scan(well1d, lo, [lo])
     assert untracked.approach_ids == []
+
+
+def test_counts_from_one_source_share_its_scan(torus_field, monkeypatch):
+    crits = cr.find_critical_points(torus_field)
+    pit, saddles = crits[0], crits[1:3]
+    calls = []
+    scan = fl.sphere_scan
+    monkeypatch.setattr(fl, "sphere_scan",
+                        lambda *a, **k: calls.append(1) or scan(*a, **k))
+    source = fl.LineSource(torus_field, pit, crits, m=64)
+    counts = [fl.count_lines(source, q) for q in saddles]
+    assert calls == [1]
+    assert [(c.parity, c.clusters) for c in counts] == [(0, 2), (0, 2)]
+
+
+def test_a_source_whose_targets_lie_below_it_never_scans(torus_field,
+                                                         monkeypatch):
+    """Every target below the saddle in grading or value returns before
+    the scan is read."""
+    crits = cr.find_critical_points(torus_field)
+    saddle = crits[2]
+    sunk = cr.CriticalPoint(crits[3].coords, -5.0, 2, 2, crits[3].hess_eigs)
+    sunk.id = "sunk"
+
+    def sphere_scan(*a, **k):
+        raise AssertionError("scanned from %s" % saddle.id)
+    monkeypatch.setattr(fl, "sphere_scan", sphere_scan)
+    source = fl.LineSource(torus_field, saddle, crits)
+    counts = [fl.count_lines(source, q) for q in (crits[0], crits[1], sunk)]
+    assert [c.parity for c in counts] == [None, None, 0]
+    assert "scan" not in vars(source)
 
 
 def assert_batch_matches_the_scalar_loop(field, starts, stops):
@@ -586,7 +615,7 @@ def test_a_scan_pins_a_growing_slot_and_starts_its_seeds_there_at_zero(
     assert (off.coindex, chart.k, chart.pins) == (2, 1, (1,))
     assert chart.frame.tolist() == [[1.0], [0.0]]
     assert len(starts) == 2 and all(z[1] == 0.0 for z in starts)
-    count = fl.count_lines(off, hi, stabilized_well, crits)
+    count = fl.count_lines(fl.LineSource(stabilized_well, off, crits), hi)
     assert (count.parity, count.clusters) == (1, 1)
     assert all(z[1] == 0.0 for _, z in count.trajectories[0].samples)
     # the unpinned circle sees the same line
@@ -617,13 +646,14 @@ def test_a_pin_outside_the_charts_side_is_refused(stabilized_well):
 def test_info_logging_names_each_scan_that_runs(stabilized_well, caplog):
     crits = cr.find_critical_points(stabilized_well)
     lo, hi = sorted(crits, key=lambda c: c.value)
-    fl.count_lines(lo, hi, stabilized_well, crits)
+    sources = {m: fl.LineSource(stabilized_well, lo, crits, m=m) for m in (None, 8)}
+    fl.count_lines(sources[None], hi)
     # the default level adds nothing
     assert not [r for r in caplog.records if r.name.startswith("gftrees")]
     caplog.set_level(logging.INFO, logger="gftrees")
     for m in (None, 8, 8):
-        fl.count_lines(lo, hi, stabilized_well, crits, m=m)
-    # m = None hits the scan made at the default level, and the second
+        fl.count_lines(sources[m], hi)
+    # m = None reads the scan made at the default level, and the second
     # m = 8 the first one's
     assert [(r.name, r.getMessage()) for r in caplog.records] == [
         ("gftrees.flow", "scan field from %s: k = 1, pins [1], 2 seeds" % lo.id)]

@@ -122,8 +122,8 @@ def test_pool_workers_adopt_the_parent_prepared_run(multi_config,
 def test_pool_workers_rebuild_the_exact_config(unknot_config, monkeypatch):
     # a float rounded on its way to the workers could change a count
     unknot_config["tolerances"] = {"rtol": 1.0000000000001e-8}
-    monkeypatch.setattr(pl.GFRun, "run_task",
-                        lambda self, task: self.tol["rtol"])
+    monkeypatch.setattr(pl.GFRun, "run_group",
+                        lambda self, tasks: [self.tol["rtol"]] * len(tasks))
     run = pl.GFRun(unknot_config, jobs=2)
     assert run.run_tasks([("a",), ("b",)]) == \
         {("a",): 1.0000000000001e-8, ("b",): 1.0000000000001e-8}
@@ -152,7 +152,8 @@ def test_the_pool_is_no_wider_than_its_task_groups(unknot_config, monkeypatch):
     monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(pl, "_worker_run", None)  # the fake sets it here
     monkeypatch.setattr(pl.GFRun, "prepare", lambda self: self)
-    monkeypatch.setattr(pl.GFRun, "run_task", lambda self, task: task[-1])
+    monkeypatch.setattr(pl.GFRun, "run_group",
+                        lambda self, tasks: [t[-1] for t in tasks])
     # the two line counts from c1 share a group
     tasks = [("delta", "w", "c1", "c2"), ("delta", "w", "c1", "c3"),
              ("m2", "c1", "c1", "c2")]
@@ -164,7 +165,7 @@ def test_the_pool_is_no_wider_than_its_task_groups(unknot_config, monkeypatch):
 def test_tree_counts_from_one_source_pair_share_a_task_group(unknot_config,
                                                              monkeypatch):
     """The m2 tasks of every sink above one (p1, p2) share that pair's
-    cached Newton solutions, so they run in one worker."""
+    Newton solutions, so they run in one worker."""
     groups = []
 
     class InlinePool:
@@ -185,11 +186,18 @@ def test_tree_counts_from_one_source_pair_share_a_task_group(unknot_config,
     monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(pl, "_worker_run", None)  # the fake sets it here
     monkeypatch.setattr(pl.GFRun, "prepare", lambda self: self)
-    monkeypatch.setattr(pl.GFRun, "run_task", lambda self, task: task[-1])
+    monkeypatch.setattr(pl.GFRun, "run_group",
+                        lambda self, tasks: [t[-1] for t in tasks])
     tasks = [("m2", "c3", "c3", "c4"), ("m2", "c3", "c4", "c5"),
              ("m2", "c3", "c3", "c5")]
     pl.GFRun(unknot_config, jobs=2).run_tasks(tasks)
     assert sorted(groups) == [[tasks[0], tasks[2]], [tasks[1]]]
+    # the inline path runs the same groups
+    inline = []
+    monkeypatch.setattr(pl.GFRun, "run_group", lambda self, tasks:
+                        inline.append(tasks) or [t[-1] for t in tasks])
+    pl.GFRun(unknot_config).run_tasks(tasks)
+    assert inline == [[tasks[0], tasks[2]], [tasks[1]]]
 
 
 def test_family_checks_pass_on_the_unknot(unknot_run):

@@ -22,15 +22,15 @@ def axis_of(p):
     return int(np.argmin(np.abs(np.asarray(p.coords) - 0.5)))
 
 
-def tree_problem(run, task, s=None):
-    """The TreeProblem of one m2 task of a prepared run, built as the
-    pipeline builds it."""
+def tree_problem(run, task):
+    """(TreeProblem, sink) of one m2 task of a prepared run, built as the
+    pipeline builds them."""
     spaces = [run.spaces[key] for key in run.TREE_SPACES]
     ends = [crits[i] for (_, crits, _), i in zip(spaces, task[1:])]
-    return tr.TreeProblem(tuple(field for field, _, _ in spaces), *ends,
-                          run.s if s is None else s, r0=run.solver["r0"],
-                          tolerances=run.tol, meeting_floor=run.meeting_floor,
-                          criticals=list(spaces[2][1].values()))
+    problem = tr.TreeProblem(tuple(field for field, _, _ in spaces), *ends[:2],
+                             run.s, list(spaces[2][1].values()), r0=run.solver["r0"],
+                             tolerances=run.tol, meeting_floor=run.meeting_floor)
+    return problem, ends[2]
 
 
 @pytest.fixture(scope="module")
@@ -68,24 +68,25 @@ def test_grading_mismatch_is_rejected(morse_run):
     g_saddle = r.crits[1][1]      # grading 1
     h_saddle = r.crits[2][1]      # grading 1 != 2
     with pytest.raises(tr.DimensionError, match="expected dimension is -1"):
-        tr.count_trees(f_saddle, g_saddle, h_saddle, r.s, tuple(r.fields))
+        tr.solve_trees(tr.TreeProblem(tuple(r.fields), f_saddle, g_saddle, r.s),
+                       h_saddle)
 
 
 def test_zero_dimensional_charts_are_out_of_scope(morse_run):
     r = morse_run
     # pits have index 0, so the sink's stable chart would be 0-dimensional
+    problem = tr.TreeProblem(tuple(r.fields), r.crits[0][0], r.crits[1][0], r.s)
     with pytest.raises(tr.DimensionError, match="0-dimensional chart"):
-        tr.TreeProblem(tuple(r.fields), r.crits[0][0], r.crits[1][0],
-                       r.crits[2][0], r.s)
+        tr.solve_trees(problem, r.crits[2][0])
 
 
 def test_nonzero_expected_dimension_is_rejected(morse_run):
     r = morse_run
     problem = tr.TreeProblem(tuple(r.fields), r.crits[0][1], r.crits[1][1],
-                             r.crits[2][1], r.s)  # d = 1 - 2 = -1
-    assert problem.d == -1
-    with pytest.raises(tr.DimensionError, match="expected dimension"):
-        tr.solve_trees(problem)
+                             r.s)
+    # d = 1 - 2 = -1
+    with pytest.raises(tr.DimensionError, match="expected dimension is -1"):
+        tr.solve_trees(problem, r.crits[2][1])
 
 
 def test_saddle_products_follow_the_axis_rule(morse_run):
@@ -115,10 +116,9 @@ def test_found_trees_satisfy_the_matching_conditions(morse_run):
     p1 = r.crits[0][1]            # f-saddle on axis 0
     p2 = r.crits[1][1]            # g-saddle on axis 1
     top = r.crits[2][3]
-    problem = tr.TreeProblem(tuple(r.fields), p1, p2, top, r.s,
-                             r0=r.solver["r0"], tolerances=r.tol,
-                             criticals=r.crits[2])
-    trees = tr.solve_trees(problem)
+    problem = tr.TreeProblem(tuple(r.fields), p1, p2, r.s, r.crits[2],
+                             r0=r.solver["r0"], tolerances=r.tol)
+    trees = tr.solve_trees(problem, top)
     assert len(trees) == 1
     (t,) = trees
     resid = np.linalg.norm(tr.tree_residual(t.theta, problem))
@@ -152,10 +152,10 @@ def test_a_local_maximum_sink_is_reached_by_a_capture_run(morse_run):
     r = morse_run
     crits = [{p.id: p for p in c} for c in r.crits]
     problem = tr.TreeProblem(tuple(r.fields), crits[0]["c1"], crits[1]["c1"],
-                             crits[2]["c3"], r.s, r0=r.solver["r0"],
-                             tolerances=r.tol, criticals=r.crits[2])
+                             r.s, r.crits[2], r0=r.solver["r0"],
+                             tolerances=r.tol)
     assert problem.pins == ()
-    (t,) = tr.solve_trees(problem)
+    (t,) = tr.solve_trees(problem, crits[2]["c3"])
     assert len(t.theta) == problem.k[0] + problem.k[1] + 2
     assert tr.tree_residual(t.theta, problem).shape == (2,)
     # the reversed capture run starts at the maximum's r_conv ball
@@ -170,18 +170,17 @@ def test_a_capture_run_that_times_out_refuses_the_count(morse_run):
     r = morse_run
     crits = [{p.id: p for p in c} for c in r.crits]
     problem = tr.TreeProblem(tuple(r.fields), crits[0]["c1"], crits[1]["c1"],
-                             crits[2]["c3"], r.s, r0=r.solver["r0"],
-                             tolerances={**r.tol, "t_max": 0.05},
-                             criticals=r.crits[2])
+                             r.s, r.crits[2], r0=r.solver["r0"],
+                             tolerances={**r.tol, "t_max": 0.05})
     with pytest.raises(fl.AmbiguousCountError, match="into c3"):
-        tr.solve_trees(problem)
+        tr.solve_trees(problem, crits[2]["c3"])
 
 
 def test_a_basin_sink_needs_the_critical_points_it_is_tested_against(morse_run):
     r = morse_run
+    problem = tr.TreeProblem(tuple(r.fields), r.crits[0][1], r.crits[1][1], r.s)
     with pytest.raises(ValueError, match="critical points of h3"):
-        tr.TreeProblem(tuple(r.fields), r.crits[0][1], r.crits[1][1],
-                       r.crits[2][3], r.s)
+        tr.solve_trees(problem, r.crits[2][3])
 
 
 def test_seed_outcomes_cover_every_seed_tried(morse_run, multi_run):
@@ -200,22 +199,26 @@ def test_seed_outcomes_cover_every_seed_tried(morse_run, multi_run):
 
 def test_sinks_above_one_source_pair_share_one_newton_pass(multi_config,
                                                           monkeypatch):
+    """(c3, c3; c4) and (c3, c3; c5) on one TreeProblem: the second
+    solve_trees runs no Newton step and evaluates no residual."""
     run = pl.GFRun(multi_config).prepare()
     calls = []
+    residuals = []
     newton = tr._newton
+    residual = tr.tree_residual
     monkeypatch.setattr(tr, "_newton",
                         lambda *a: calls.append(1) or newton(*a))
-    spaces = [run.spaces[key] for key in run.TREE_SPACES]
-    fields = tuple(field for field, _, _ in spaces)
+    monkeypatch.setattr(tr, "tree_residual",
+                        lambda *a: residuals.append(1) or residual(*a))
+    problem, _ = tree_problem(run, ("m2", "c3", "c3", "c4"))
+    sinks = run.spaces[run.TREE_SPACES[2]][1]
     counted = []
     for sink in ("c4", "c5"):
-        ends = [crits[i] for (_, crits, _), i in zip(spaces, ("c3", "c3", sink))]
-        tr.count_trees(*ends, run.s, fields, r0=run.solver["r0"],
-                       tolerances=run.tol, meeting_floor=run.meeting_floor,
-                       criticals=list(spaces[2][1].values()))
-        counted.append(len(calls))
-    assert counted[0] > 0
+        tr.solve_trees(problem, sinks[sink])
+        counted.append((len(calls), len(residuals)))
+    assert counted[0][0] > 0 and counted[0][1] > 0
     assert counted[1] == counted[0]
+    assert set(problem.seed_outcomes) == {sinks["c4"].id, sinks["c5"].id}
 
 
 def test_skipped_unit_products_are_recorded_not_counted(morse_run):
@@ -244,50 +247,37 @@ def test_a_sink_missing_a_coupled_direction_is_refused(morse_run):
         for sink in r.crits[2][1:3]:
             assert g_saddle.grading == sink.grading == 1
             missing = str(np.eye(2)[axis_of(sink)].tolist())
+            problem = tr.TreeProblem(tuple(r.fields), pit, g_saddle, r.s,
+                                     r.crits[2], r0=r.solver["r0"],
+                                     tolerances=r.tol)
             with pytest.raises(tr.DimensionError, match="coupled direction") as e:
-                tr.TreeProblem(tuple(r.fields), pit, g_saddle, sink, r.s,
-                               r0=r.solver["r0"], tolerances=r.tol,
-                               criticals=r.crits[2])
+                tr.solve_trees(problem, sink)
             assert missing in str(e.value), (sink.id, str(e.value))
 
 
 def test_stabilized_sinks_pin_their_quadratic_slots(stabilized_multi):
     task = ("m2", "c3", "c3", "c4")
     plus = stabilized_multi[("+",)]
-    problem = tree_problem(plus, task)
+    problem, sink = tree_problem(plus, task)
+    chart = problem.sink_chart(sink)
     assert problem.pins == (2,)
-    assert problem.D == 7 and problem.k == (4, 4, 6)
+    assert problem.D == 7 and problem.k + (chart.k,) == (4, 4, 6)
     theta = problem.pack([(np.eye(4)[0], 0.5), (np.eye(4)[1], 0.5)])
     assert len(theta) == problem.k[0] + problem.k[1] + 2 == 10
     assert tr.tree_residual(theta, problem).shape == (problem.D + 1,)
-    assert tree_problem(stabilized_multi[("+", "-")], task).pins == (2, 9)
+    assert tree_problem(stabilized_multi[("+", "-")], task)[0].pins == (2, 9)
 
     # the capture run starts with each pinned slot at exactly 0 and stays
     # there: from just below the sink along its fastest stable direction,
     # shifted along the pin too, it converges into the sink
     s3 = problem.s.s3
-    chart = problem.charts[2]
     fastest = chart.frame[:, np.argmax(np.abs(chart.rates))]
-    meeting = np.asarray(problem.sink.coords) + s3 + 1e-3 * fastest
+    meeting = np.asarray(sink.coords) + s3 + 1e-3 * fastest
     meeting[2] += 0.05
-    capture = tr._capture(problem, meeting)
+    capture = tr._capture(problem, sink, meeting)
     assert capture.samples[0][1][2] == 0.0
     assert all(pt[2] == 0.0 for _, pt in capture.samples)
     assert capture.termination.as_tuple() == ("converged", "c4")
-
-    # s3 on a pinned slot is part of the Newton cache key; off the pins
-    # it is not
-    def cache_size_after(slot):
-        s = tr.PerturbationTriple(problem.s.s1, problem.s.s2, s3.copy(),
-                                  problem.s.seed, problem.s.delta_pert)
-        if slot is not None:
-            s.s3[slot] *= 0.5
-        tr.solve_trees(tree_problem(plus, task, s))
-        return len(problem.h1.__dict__["_tree_cache"])
-
-    base = cache_size_after(None)
-    assert cache_size_after(0) == base
-    assert cache_size_after(2) == base + 1
 
 
 def test_every_supported_m2_task_builds_a_tree_problem(multi_run, morse_run,
@@ -299,5 +289,5 @@ def test_every_supported_m2_task_builds_a_tree_problem(multi_run, morse_run,
         tasks = run.m2_tasks()
         assert tasks
         for task in tasks:
-            problem = tree_problem(run, task)
-            assert problem.k[2] + len(problem.pins) == problem.D
+            problem, sink = tree_problem(run, task)
+            assert problem.sink_chart(sink).k + len(problem.pins) == problem.D

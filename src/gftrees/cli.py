@@ -180,6 +180,17 @@ def cmd_morse_torus(args):
 
 # -- wiring -----------------------------------------------------------------
 
+def _jobs(text):
+    # argparse puts "argument --jobs:" in front of the message and exits 2
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+    return jobs
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="gftrees",
@@ -193,8 +204,8 @@ def build_parser():
             p.add_argument("config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None,
                        help="override the perturbation RNG seed")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for counting tasks")
+        p.add_argument("--jobs", type=_jobs, default=1,
+                       help="worker processes for counting tasks (>= 1)")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="write the report here instead of stdout")
         p.add_argument("--strict", action="store_true",

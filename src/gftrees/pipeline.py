@@ -2,9 +2,13 @@
 
 A run is staged so that expensive counting tasks (one flow-line pair or
 one tree triple each), grouped by their source, can be distributed over a
-process pool; forked workers count on the parent's prepared run, which
-keeps every count a pure function of (config, task) and the aggregation
-order fixed.
+process pool.  The pool's units of work are the line-count groups and the
+ranked Newton seeds of each tree pair.  The parent refuses every undefined
+tree count and tabulates every pair before the workers fork, so forked
+workers count on the parent's prepared run and tabulated pairs; the
+parent merges each pair's seeds in rank order and splits them by sink.
+That keeps every count a pure function of (config, task) and the
+aggregation order fixed.
 """
 
 from __future__ import annotations
@@ -203,6 +207,8 @@ class GFRun:
             raise ValueError("%s requires mode %r, got %r" % (
                 type(self).__name__, self.MODE, self.config["mode"]))
         self.jobs = int(jobs)
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1, got %d" % self.jobs)
         self.seed = int(self.config["seeds"]["rng"])
         self.tol = self.config["tolerances"]
         self.solver = self.config["solver"]
@@ -261,6 +267,15 @@ class GFRun:
         return [("delta", pq, p, q)
                 for (_, _, p, q) in self.delta_tasks() for pq in PAIRS]
 
+    def tree_problem(self, p1, p2):
+        """The sink-free TreeProblem of the source pair (p1, p2)."""
+        (f1, c1, _), (f2, c2, _), (f3, sinks, _) = (
+            self.spaces[k] for k in self.TREE_SPACES)
+        return tr.TreeProblem(
+            (f1, f2, f3), c1[p1], c2[p2], self.s, list(sinks.values()),
+            r0=self.solver["r0"], tolerances=self.tol,
+            meeting_floor=self.meeting_floor)
+
     def run_group(self, tasks):
         """The results of tasks that share one source, t[:3], in task order:
         the line counts of one LineSource or the tree counts of one
@@ -270,51 +285,97 @@ class GFRun:
             self.prepare()
         # the source: (space, p) of a delta group, (p1, p2) of an m2 group
         kind, a, b = tasks[0][:3]
-        if kind == "delta":
-            field, crits, _ = self.spaces[a]
-            source = fl.LineSource(field, crits[b], list(crits.values()), r0=self.solver["r0"],
-                                   m=self.solver["scan_density"], tolerances=self.tol)
+        if kind != "delta":
+            return self.count_trees(tasks, self.tree_problem(a, b))
+        field, crits, _ = self.spaces[a]
+        source = fl.LineSource(field, crits[b], list(crits.values()), r0=self.solver["r0"],
+                               m=self.solver["scan_density"], tolerances=self.tol)
 
-            def count(qid):
-                c = fl.count_lines(source, crits[qid])
-                return {"parity": c.parity, "clusters": c.clusters, "note": c.note}
-        else:
-            (f1, c1, _), (f2, c2, _), (f3, sinks, _) = (
-                self.spaces[k] for k in self.TREE_SPACES)
-            problem = tr.TreeProblem(
-                (f1, f2, f3), c1[a], c2[b], self.s, list(sinks.values()),
-                r0=self.solver["r0"], tolerances=self.tol,
-                meeting_floor=self.meeting_floor)
+        def count(qid):
+            c = fl.count_lines(source, crits[qid])
+            return {"parity": c.parity, "clusters": c.clusters, "note": c.note}
+        return _logged(tasks, count)
 
-            def count(sid):
-                trees = tr.solve_trees(problem, sinks[sid])
-                return {"parity": len(trees) % 2, "trees": trees,
-                        "seeds": problem.seed_outcomes[sinks[sid].id]}
-        results = []
-        for task in tasks:
-            results.append(count(task[3]))
-            log.info("counted %s: parity %d", " ".join(map(str, task)),
-                     results[-1]["parity"])
-        return results
+    def count_trees(self, tasks, problem):
+        """The tree counts of the m2 tasks of one source pair on its
+        `problem`, in task order."""
+        sinks = self.spaces[self.TREE_SPACES[2]][1]
+
+        def count(sid):
+            trees = tr.solve_trees(problem, sinks[sid])
+            return {"parity": len(trees) % 2, "trees": trees,
+                    "seeds": problem.seed_outcomes[sinks[sid].id]}
+        return _logged(tasks, count)
 
     def run_tasks(self, tasks):
-        """Deterministic map task -> result, inline or over a process pool,
-        one task group per source."""
+        """Deterministic map task -> result, one task group per source.
+
+        With jobs = 1 each group runs inline by `run_group`.  With more
+        jobs the units of work are the line-count groups and the ranked
+        Newton seeds of each tree pair.  Before the first submit forks the
+        workers, the parent refuses every undefined tree count
+        (`tr.check_count`) and tabulates each pair's seeds, so the workers
+        inherit the charts, step logs and compiled fields.  The parent then
+        merges each pair's seeds in rank order and runs its capture tests
+        and checks, sink by sink, and drops the pair's problem once its
+        group is counted."""
         groups = {}
         for t in tasks:
             groups.setdefault(t[:3], []).append(t)
-        if self.jobs <= 1 or len(groups) <= 1:
-            done = [self.run_group(g) for g in groups.values()]
+        groups = list(groups.values())
+        if self.jobs <= 1:
+            done = [self.run_group(g) for g in groups]
         else:
-            # forked workers inherit this prepared run (fork pickles no
-            # initargs) and all start at the first submit, so a pool wider
-            # than the task groups would only start idle interpreters
-            with ProcessPoolExecutor(max_workers=min(self.jobs, len(groups)),
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_adopt, initargs=(self,)) as pool:
-                done = [fut.result() for fut in
-                        [pool.submit(_pool_group, g) for g in groups.values()]]
-        return {t: r for g, got in zip(groups.values(), done) for t, r in zip(g, got)}
+            done = self._run_units(groups)
+        return {t: r for g, got in zip(groups, done) for t, r in zip(g, got)}
+
+    def _run_units(self, groups):
+        if not self.prepared:
+            self.prepare()
+        problems = {}   # by group index, the m2 groups
+        for i, g in enumerate(groups):
+            if g[0][0] == "m2":
+                problems[i] = self.tree_problem(*g[0][1:3])
+                sinks = self.spaces[self.TREE_SPACES[2]][1]
+                for t in g:
+                    tr.check_count(problems[i], sinks[t[3]])
+        # the units of each group: a line-count group is one (rank None),
+        # a tree pair one per ranked seed; reading `seeds` tabulates it
+        ranks = {i: range(len(problems[i].seeds)) if i in problems else [None]
+                 for i in range(len(groups))}
+
+        def unit(i, rank):
+            if rank is None:
+                return self.run_group(groups[i])
+            return tr.run_seed(problems[i], rank)
+        units = sum(map(len, ranks.values()))
+        if units <= 1:
+            # a pool of one only adds its start-up
+            return [self.count_trees(g, problems[i]) if i in problems
+                    else self.run_group(g) for i, g in enumerate(groups)]
+        # forked workers inherit `unit` with this prepared run and the
+        # tabulated pairs (fork pickles no initargs) and all start at the
+        # first submit, so a pool wider than the units would only start
+        # idle interpreters
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, units),
+                                   mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_adopt, initargs=(unit,))
+        try:
+            futures = {i: [pool.submit(_pool_unit, i, rank) for rank in rs]
+                       for i, rs in ranks.items()}
+            done = []
+            for i, g in enumerate(groups):
+                got = [f.result() for f in futures.pop(i)]
+                if i not in problems:
+                    done.append(got[0])
+                    continue
+                problem = problems.pop(i)
+                problem.intersections = tr.merge_seeds(problem, got)
+                done.append(self.count_trees(g, problem))
+            return done
+        finally:
+            # on an error, units not yet started never run
+            pool.shutdown(cancel_futures=True)
 
     def count(self):
         """Run every delta and m2 task.  Keeps the found trees and the m2
@@ -385,18 +446,31 @@ def parity_table(counts):
     return table
 
 
-_worker_run = None
+def _logged(tasks, count):
+    """[count(t[3]) for t in tasks], with one INFO line per task."""
+    results = []
+    for task in tasks:
+        results.append(count(task[3]))
+        log.info("counted %s: parity %d", " ".join(map(str, task)),
+                 results[-1]["parity"])
+    return results
 
 
-def _adopt(run):
-    """Pool initializer: under fork `run` is the parent's prepared run,
-    inherited rather than pickled."""
-    global _worker_run
-    _worker_run = run
+_worker_unit = None
 
 
-def _pool_group(tasks):
-    return _worker_run.run_group(tasks)
+def _adopt(unit):
+    """Pool initializer: under fork `unit` is the parent's unit runner,
+    with its prepared run and tabulated pairs, inherited rather than
+    pickled."""
+    global _worker_unit
+    _worker_unit = unit
+
+
+def _pool_unit(i, rank):
+    """One unit of pool work: the results of line-count group i (rank
+    None), or the `tr.run_seed` result of one ranked seed of tree pair i."""
+    return _worker_unit(i, rank)
 
 
 def gf_run(config, jobs=1):

@@ -35,8 +35,14 @@ damped Newton with finite-difference Jacobians from seeds ranked over a
 coarse product grid of the source charts' endpoints.  Every seed's
 outcome goes into a histogram, `SEED_OUTCOMES`.  The Newton solutions do
 not depend on p0, so a `TreeProblem` holds one source pair and no sink:
-its first `solve_trees` finds them, every sink above the pair reads them,
-and the capture test splits them by sink.
+every sink above the pair reads them, and the capture test splits them by
+sink.  Finding them takes three steps: `problem.seeds` tabulates the
+charts and ranks the seeds, `run_seed` runs Newton from one ranked seed
+and returns picklable data, and `merge_seeds` deduplicates the meeting
+points in rank order and counts the outcomes.  The seeds are independent,
+so `merge_seeds` gives the same solutions for any split of the ranks and
+any arrival order.  Inline, the first `solve_trees` runs every seed in rank
+order; a process pool can run each seed as its own unit of work.
 
 Chart endpoints are memoized per (edge, u, t), and each (edge, u) path
 keeps a step log of its integrator states (see `flow.integrate`'s
@@ -182,6 +188,8 @@ class TreeProblem:
                              "points of h3" % sink.id)
         return chart
 
+    # the ranked Newton seeds, tabulated on first read
+    seeds = cached_property(lambda self: _seeds(self))
     # the sink-free Newton solutions, found on first read
     intersections = cached_property(lambda self: _intersections(self))
 
@@ -376,16 +384,24 @@ def _plausible(problem, theta, bigbox):
 # ---------------------------------------------------------------------------
 # The solver
 
+def check_count(problem, sink):
+    """Refuse an undefined count into `sink` before any tabulation or
+    Newton: the sink checks of `sink_chart`, then the perturbation bound."""
+    problem.sink_chart(sink)
+    problem.s.check()
+
+
 def solve_trees(problem, sink):
     """All isolated flow trees from the problem's source pair into `sink`.
 
-    The Newton solutions of the source edges (`_intersections`, found on
-    the first call and shared by every sink) are split by the capture test
-    and validated (matching, confinement, the rho/4 positivity bound,
-    Jacobian condition below COND_CAP).  `problem.seed_outcomes[sink.id]`
-    then holds how each Newton seed ended, keyed by `SEED_OUTCOMES`."""
-    problem.sink_chart(sink)
-    problem.s.check()
+    After `check_count`, the Newton solutions of the source edges
+    (`problem.intersections`, found on the first call unless merged from
+    pooled seeds already, and shared by every sink) are split by the
+    capture test and validated (matching, confinement, the rho/4
+    positivity bound, Jacobian condition below COND_CAP).
+    `problem.seed_outcomes[sink.id]` then holds how each Newton seed ended,
+    keyed by `SEED_OUTCOMES`."""
+    check_count(problem, sink)
     solutions, outcomes = problem.intersections
     outcomes = dict(outcomes)
     trees = []
@@ -410,13 +426,10 @@ def _escape(problem):
             float(np.linalg.norm([hi - lo for lo, hi in outer])))
 
 
-def _intersections(problem):
-    """(solutions, outcomes): the Newton solutions deduplicated by meeting
-    point, and how many seeds ended in each non-converged outcome.
-
-    Seeds come from ranking a coarse product grid of the source charts'
-    endpoints."""
-    esc, bigbox, diam = _escape(problem)
+def _seeds(problem):
+    """Packed Newton seeds, best first, ranked over a coarse product grid
+    of the source charts' endpoints."""
+    esc, _, diam = _escape(problem)
     tabs = []
     for which in (0, 1):
         chart = problem.charts[which]
@@ -428,25 +441,52 @@ def _intersections(problem):
             keep = np.all((E > np.array(esc)[:, 0]) & (E < np.array(esc)[:, 1]), axis=1)
             E, params = E[keep], [p for p, k in zip(params, keep) if k]
         tabs.append((E, params))
+    return _ranked_seeds(problem, tabs)
 
+
+def run_seed(problem, rank):
+    """Damped Newton from `problem.seeds[rank]`, as picklable data:
+    (rank, outcome, theta, res, J, meeting), the last four None unless
+    the outcome is "converged"."""
+    end, got = _newton(problem, problem.seeds[rank], _escape(problem)[1])
+    if got is None:
+        return rank, end, None, None, None, None
+    theta, res, J = got
+    meeting = problem.endpoint(1, *problem.split(theta)[1]) + problem.s.s2
+    if problem.periodic:
+        meeting = np.mod(meeting, 1.0)
+    return rank, end, theta, res, J, meeting
+
+
+def merge_seeds(problem, results):
+    """(solutions, outcomes) from the `run_seed` results of every ranked
+    seed, given in any order: the converged seeds deduplicated by meeting
+    point, and how many seeds ended in each non-converged outcome.  The
+    merge runs in rank order, so of two seeds that meet at one point the
+    better-ranked one is the solution and the other a duplicate."""
+    results = sorted(results, key=lambda r: r[0])
+    if [r[0] for r in results] != list(range(len(problem.seeds))):
+        raise RuntimeError(
+            "internal error: seed results %r are not the %d ranked seeds "
+            "once each" % ([r[0] for r in results], len(problem.seeds)))
     outcomes = dict.fromkeys(SEED_OUTCOMES, 0)
     solutions = []
-    for theta0 in _ranked_seeds(problem, tabs):
-        end, got = _newton(problem, theta0, bigbox)
-        if got is None:
+    for _, end, theta, res, J, meeting in results:
+        if theta is None:
             outcomes[end] += 1
-            continue
-        theta, res, J = got
-        meeting = problem.endpoint(1, *problem.split(theta)[1]) + problem.s.s2
-        if problem.periodic:
-            meeting = np.mod(meeting, 1.0)
-        if any(np.linalg.norm(problem._wrap(sol["meeting"] - meeting))
-               < DEDUP_RADIUS for sol in solutions):
+        elif any(np.linalg.norm(problem._wrap(sol["meeting"] - meeting))
+                 < DEDUP_RADIUS for sol in solutions):
             outcomes["duplicate"] += 1
         else:
             solutions.append({"theta": theta, "res": res, "J": J,
                               "meeting": meeting})
     return solutions, outcomes
+
+
+def _intersections(problem):
+    """`merge_seeds` over every ranked seed, run in rank order."""
+    return merge_seeds(problem, [run_seed(problem, rank)
+                                 for rank in range(len(problem.seeds))])
 
 
 def _ranked_seeds(problem, tabs):

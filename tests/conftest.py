@@ -8,6 +8,7 @@ copies, so tests may mutate them freely.
 import copy
 import json
 import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -155,3 +156,31 @@ def prepare_calls(monkeypatch):
             return original(self)
         monkeypatch.setattr(cls, "prepare", spy)
     return calls
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Pools that run each unit in this process at its submit.  Returns
+    {"widths": each pool's width, "units": each submitted unit's
+    arguments}; a unit that raises hands its error to its future."""
+    seen = {"widths": [], "units": []}
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            seen["widths"].append(max_workers)
+            initializer(*initargs)
+
+        def submit(self, fn, *args):
+            seen["units"].append(args)
+            fut = Future()
+            try:
+                fut.set_result(fn(*args))
+            except Exception as e:
+                fut.set_exception(e)
+            return fut
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+    monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(pl, "_worker_unit", None)  # the fake sets it here
+    return seen

@@ -175,6 +175,17 @@ def test_a_seed_override_past_64_bits_exits_2(tmp_path, capsys):
     assert "seeds/rng" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_1_exit_2(tmp_path, capsys, jobs):
+    # these ran inline once, as if --jobs 1 had been given
+    path = write_config(tmp_path, UNKNOT)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["chords", path, "--jobs", jobs])
+    out, err = capsys.readouterr()
+    assert e.value.code == 2 and out == ""
+    assert "argument --jobs: must be an integer >= 1, got '%s'" % jobs in err
+
+
 def test_bad_expression_exits_2(tmp_path, capsys):
     bad = json.loads(json.dumps(UNKNOT))
     bad["family"]["core"] = "e1^3/3 + (x1^2 - 1*e1"

@@ -1,12 +1,16 @@
 """End-to-end runs: frozen small-family answers, determinism, comparisons."""
 
 import json
-from concurrent.futures import Future
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from gftrees import cli
+from gftrees import flow as fl
 from gftrees import pipeline as pl
+from gftrees import trees as tr
 
 
 def test_unknot_run_frozen_facts(unknot_run):
@@ -129,75 +133,141 @@ def test_pool_workers_rebuild_the_exact_config(unknot_config, monkeypatch):
         {("a",): 1.0000000000001e-8, ("b",): 1.0000000000001e-8}
 
 
-def test_the_pool_is_no_wider_than_its_task_groups(unknot_config, monkeypatch):
-    """Forked workers all start at the first submit: --jobs 64 on two task
-    groups must not start 64 interpreters."""
-    widths = []
-
-    class InlinePool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            widths.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-    monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(pl, "_worker_run", None)  # the fake sets it here
-    monkeypatch.setattr(pl.GFRun, "prepare", lambda self: self)
+def test_the_pool_is_no_wider_than_its_task_groups(multi_config, monkeypatch,
+                                                   inline_pool):
+    """Forked workers all start at the first submit, so a pool is no wider
+    than min(jobs, units): a unit is a line-count group or one ranked
+    Newton seed of a tree pair."""
+    run = pl.GFRun(multi_config, jobs=64).prepare()
     monkeypatch.setattr(pl.GFRun, "run_group",
                         lambda self, tasks: [t[-1] for t in tasks])
-    # the two line counts from c1 share a group
-    tasks = [("delta", "w", "c1", "c2"), ("delta", "w", "c1", "c3"),
-             ("m2", "c1", "c1", "c2")]
-    run = pl.GFRun(unknot_config, jobs=64)
-    assert run.run_tasks(tasks) == {t: t[-1] for t in tasks}
-    assert widths == [2]
+    # the two line counts from c3 share a group
+    lines = [("delta", "w", "c3", "c4"), ("delta", "w", "c3", "c5"),
+             ("delta", "w", "c4", "c5")]
+    assert run.run_tasks(lines) == {t: t[-1] for t in lines}
+    trees = [("m2", "c3", "c3", "c4"), ("m2", "c3", "c3", "c5")]
+    run.run_tasks(lines + trees)
+    run.jobs = 3
+    run.run_tasks(lines + trees)
+    # multichord's one tree pair has MAX_SEEDS ranked seeds
+    assert inline_pool["widths"] == [2, 2 + tr.MAX_SEEDS, 3]
 
 
-def test_tree_counts_from_one_source_pair_share_a_task_group(unknot_config,
-                                                             monkeypatch):
+def test_tree_counts_from_one_source_pair_share_a_task_group(multi_config,
+                                                             monkeypatch,
+                                                             inline_pool):
     """The m2 tasks of every sink above one (p1, p2) share that pair's
-    Newton solutions, so they run in one worker."""
-    groups = []
+    Newton solutions: the parent tabulates the pair once, before the first
+    submit; each ranked seed is one unit and runs once; and the parent
+    counts both sinks on the merged seeds."""
+    run = pl.GFRun(multi_config, jobs=2).prepare()
+    tabulated, newton_ranks, counted = [], [], []
+    seeds, newton, count_trees = tr._seeds, tr._newton, pl.GFRun.count_trees
+    monkeypatch.setattr(tr, "_seeds", lambda problem: tabulated.append(
+        (os.getpid(), len(inline_pool["units"]))) or seeds(problem))
 
-    class InlinePool:
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            groups.append(args[0])
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-    monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(pl, "_worker_run", None)  # the fake sets it here
-    monkeypatch.setattr(pl.GFRun, "prepare", lambda self: self)
-    monkeypatch.setattr(pl.GFRun, "run_group",
-                        lambda self, tasks: [t[-1] for t in tasks])
-    tasks = [("m2", "c3", "c3", "c4"), ("m2", "c3", "c4", "c5"),
-             ("m2", "c3", "c3", "c5")]
-    pl.GFRun(unknot_config, jobs=2).run_tasks(tasks)
-    assert sorted(groups) == [[tasks[0], tasks[2]], [tasks[1]]]
-    # the inline path runs the same groups
+    def newton_spy(problem, theta0, bigbox):
+        newton_ranks.append([r for r, s in enumerate(problem.seeds)
+                             if s is theta0])
+        return newton(problem, theta0, bigbox)
+    monkeypatch.setattr(tr, "_newton", newton_spy)
+    monkeypatch.setattr(pl.GFRun, "count_trees", lambda self, tasks, problem:
+                        counted.append(tasks) or count_trees(self, tasks, problem))
+    tasks = [("delta", "w", "c3", "c4"), ("m2", "c3", "c3", "c4"),
+             ("delta", "w", "c3", "c5"), ("m2", "c3", "c3", "c5")]
+    pooled = run.run_tasks(tasks)
+    assert tabulated == [(os.getpid(), 0)]
+    assert inline_pool["units"] == [(0, None)] + [(1, rank) for rank in
+                                                  range(tr.MAX_SEEDS)]
+    assert newton_ranks == [[rank] for rank in range(tr.MAX_SEEDS)]
+    assert counted == [[tasks[1], tasks[3]]]
+    # the inline path runs the same groups, and gets the same results
     inline = []
+    run_group = pl.GFRun.run_group
     monkeypatch.setattr(pl.GFRun, "run_group", lambda self, tasks:
-                        inline.append(tasks) or [t[-1] for t in tasks])
-    pl.GFRun(unknot_config).run_tasks(tasks)
-    assert inline == [[tasks[0], tasks[2]], [tasks[1]]]
+                        inline.append(tasks) or run_group(self, tasks))
+    run.jobs = 1
+    assert run.run_tasks(tasks) == pooled
+    assert inline == [[tasks[0], tasks[2]], [tasks[1], tasks[3]]]
+    assert counted[1:] == [[tasks[1], tasks[3]]]
+
+
+def test_a_refused_pair_is_refused_before_any_tabulation(monkeypatch,
+                                                         inline_pool):
+    """An f-pit and a g-saddle into an (f+g)-saddle: the sink misses a
+    coupled direction.  Pooled, the refusal comes before any pair is
+    tabulated or any Newton step runs, with the inline run's message."""
+    calls = []
+    tabulate, newton = tr._tabulate, tr._newton
+    monkeypatch.setattr(tr, "_tabulate",
+                        lambda *a: calls.append("tabulate") or tabulate(*a))
+    monkeypatch.setattr(tr, "_newton",
+                        lambda *a: calls.append("newton") or newton(*a))
+    tasks = [("m2", "c1", "c1", "c3"), ("m2", "c0", "c1", "c1")]
+    refusals = []
+    for jobs in (1, 2):
+        calls.clear()
+        run = pl.MorseRun(jobs=jobs).prepare()
+        with pytest.raises(tr.DimensionError, match="coupled direction") as e:
+            run.run_tasks(tasks)
+        refusals.append((str(e.value), bool(calls)))
+    # inline, the first pair is counted before the second is refused
+    assert refusals[1] == (refusals[0][0], False) and refusals[0][1]
+    assert inline_pool["widths"] == []
+
+
+def test_a_seed_error_in_a_worker_exits_as_the_inline_run(
+        tmp_path, capsys, monkeypatch, multi_config, inline_pool):
+    """A StiffnessError from the sixth-ranked seed surfaces from a pooled
+    run as the same exception, message and exit code as from --jobs 1."""
+    newton = tr._newton
+
+    def stiff(problem, theta0, bigbox):
+        if theta0 is problem.seeds[5]:
+            raise fl.StiffnessError("step size underflow at seed 5")
+        return newton(problem, theta0, bigbox)
+    monkeypatch.setattr(tr, "_newton", stiff)
+    path = tmp_path / "multi.json"
+    path.write_text(json.dumps(multi_config))
+    got = []
+    for jobs in ("1", "2"):
+        code = cli.main(["cohomology", str(path), "--jobs", jobs])
+        got.append((code, *capsys.readouterr()))
+    assert got[1] == got[0]
+    assert got[0] == (1, "", "StiffnessError: step size underflow at seed 5\n")
+    assert inline_pool["widths"] == [2]
+
+
+def test_no_worker_outlives_a_pooled_run(multi_run, multi_config, monkeypatch):
+    """After a pooled run, and after one whose seed raises in a worker, no
+    child process is left; the workers tabulate no tree pair."""
+    parent = os.getpid()
+    seeds, newton = tr._seeds, tr._newton
+
+    def parent_only(problem):
+        if os.getpid() != parent:
+            raise RuntimeError("a pool worker tabulated a tree pair")
+        return seeds(problem)
+    monkeypatch.setattr(tr, "_seeds", parent_only)
+    pooled = pl.gf_run(multi_config, jobs=2)
+    assert pl.canonical_json(pooled.report()) == \
+        pl.canonical_json(multi_run.report())
+    assert multiprocessing.active_children() == []
+
+    def stiff(problem, theta0, bigbox):
+        if theta0 is problem.seeds[5]:
+            raise fl.StiffnessError("step size underflow at seed 5")
+        return newton(problem, theta0, bigbox)
+    monkeypatch.setattr(tr, "_newton", stiff)
+    with pytest.raises(fl.StiffnessError, match="at seed 5"):
+        pl.gf_run(multi_config, jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_jobs_below_1_are_refused(unknot_config):
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            pl.GFRun(unknot_config, jobs=jobs)
 
 
 def test_family_checks_pass_on_the_unknot(unknot_run):

@@ -23,14 +23,10 @@ def axis_of(p):
 
 
 def tree_problem(run, task):
-    """(TreeProblem, sink) of one m2 task of a prepared run, built as the
-    pipeline builds them."""
-    spaces = [run.spaces[key] for key in run.TREE_SPACES]
-    ends = [crits[i] for (_, crits, _), i in zip(spaces, task[1:])]
-    problem = tr.TreeProblem(tuple(field for field, _, _ in spaces), *ends[:2],
-                             run.s, list(spaces[2][1].values()), r0=run.solver["r0"],
-                             tolerances=run.tol, meeting_floor=run.meeting_floor)
-    return problem, ends[2]
+    """(TreeProblem, sink) of one m2 task of a prepared run, built by the
+    pipeline."""
+    return (run.tree_problem(*task[1:3]),
+            run.spaces[run.TREE_SPACES[2]][1][task[3]])
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +215,77 @@ def test_sinks_above_one_source_pair_share_one_newton_pass(multi_config,
     assert counted[0][0] > 0 and counted[0][1] > 0
     assert counted[1] == counted[0]
     assert set(problem.seed_outcomes) == {sinks["c4"].id, sinks["c5"].id}
+
+
+# ways to deal a pair's ranked seeds out to units of work, in arrival order
+SEED_SPLITS = {
+    "odd then even": lambda n: [list(range(1, n, 2)), list(range(0, n, 2))],
+    "reversed": lambda n: [list(reversed(range(n)))],
+    "one per unit": lambda n: [[int(r)] for r in
+                               np.random.default_rng(0).permutation(n)],
+}
+
+
+def solved(problem, sinks):
+    """Everything a count reads from one TreeProblem, exactly: the merged
+    solutions, and each sink's trees and seed histogram."""
+    got = []
+    for sink in sinks:
+        trees = tr.solve_trees(problem, sink)
+        got.append((sink.id, [(t.theta.tolist(), t.meeting.tolist())
+                              for t in trees],
+                    problem.seed_outcomes[sink.id]))
+    solutions, outcomes = problem.intersections
+    return got, [(sol["theta"].tolist(), sol["meeting"].tolist(),
+                  sol["res"].tolist(), sol["J"].tolist())
+                 for sol in solutions], outcomes
+
+
+@pytest.mark.parametrize("case", [("torus", ("c1", "c1"), ("c3",)),
+                                  ("torus", ("c2", "c2"), ("c3",)),
+                                  ("multichord", ("c3", "c3"), ("c4", "c5"))],
+                         ids=["torus-c1c1", "torus-c2c2", "multichord-c3c3"])
+def test_seeds_split_over_units_merge_to_the_one_pass_solve(
+        case, morse_run, multi_run, monkeypatch):
+    """The ranked seeds of one pair, run in any subsets and merged in any
+    arrival order, give the one-pass solutions, meeting points and seed
+    histograms bit for bit, each seed running Newton once.  Each unit
+    starts from an empty endpoint memo and step log."""
+    name, pair, sink_ids = case
+    run = {"torus": morse_run, "multichord": multi_run}[name]
+    sinks = [run.spaces[run.TREE_SPACES[2]][1][s] for s in sink_ids]
+    want = solved(tree_problem(run, ("m2",) + pair + sink_ids[:1])[0], sinks)
+    if name == "torus":
+        # a duplicate meeting point: only rank order says which seed counts
+        assert want[2]["duplicate"] > 0
+    newton = tr._newton
+    ranks = []
+
+    def newton_spy(problem, theta0, bigbox):
+        ranks.extend(r for r, s in enumerate(problem.seeds) if s is theta0)
+        return newton(problem, theta0, bigbox)
+    monkeypatch.setattr(tr, "_newton", newton_spy)
+    for split, deal in SEED_SPLITS.items():
+        problem, _ = tree_problem(run, ("m2",) + pair + sink_ids[:1])
+        n = len(problem.seeds)
+        results = []
+        ranks.clear()
+        for unit in deal(n):
+            problem._memo.clear()
+            problem._logs.clear()
+            results += [tr.run_seed(problem, rank) for rank in unit]
+        assert sorted(ranks) == list(range(n)), split
+        problem.intersections = tr.merge_seeds(problem, results)
+        assert solved(problem, sinks) == want, split
+
+
+def test_a_merge_needs_every_ranked_seed_once(morse_run):
+    problem, _ = tree_problem(morse_run, ("m2", "c1", "c1", "c3"))
+    results = [tr.run_seed(problem, rank) for rank in range(3)]
+    with pytest.raises(RuntimeError, match="once each"):
+        tr.merge_seeds(problem, results)
+    with pytest.raises(RuntimeError, match="once each"):
+        tr.merge_seeds(problem, results + results[:1])
 
 
 def test_skipped_unit_products_are_recorded_not_counted(morse_run):

@@ -190,6 +190,15 @@ def test_tree_counts_from_one_source_pair_share_a_task_group(multi_config,
     assert run.run_tasks(tasks) == pooled
     assert inline == [[tasks[0], tasks[2]], [tasks[1], tasks[3]]]
     assert counted[1:] == [[tasks[1], tasks[3]]]
+    # two source pairs: two problems, each tabulated once before any submit
+    torus = pl.MorseRun(jobs=2).prepare()
+    tabulated.clear()
+    inline_pool["units"].clear()
+    pairs = [("m2", "c1", "c1", "c3"), ("m2", "c2", "c2", "c3")]
+    torus.run_tasks(pairs)
+    assert tabulated == [(os.getpid(), 0)] * 2
+    assert sorted({i for i, _ in inline_pool["units"]}) == [0, 1]
+    assert counted[2:] == [pairs[:1], pairs[1:]]
 
 
 def test_a_refused_pair_is_refused_before_any_tabulation(monkeypatch,

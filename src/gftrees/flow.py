@@ -2,7 +2,10 @@
 counting isolated connecting trajectories.
 
 The ODE is z' = +grad(field) (or - for backward time), integrated with an
-adaptive Dormand-Prince 4(5) pair.  A trajectory stops when it enters the
+adaptive Dormand-Prince 4(5) pair.  One scalar loop, `_integrate_core`,
+runs on plain floats; its step is a straight-line function compiled once
+per dimension D, each coordinate's stages written out with the operands
+of the formulas.  A trajectory stops when it enters the
 r_conv-ball of a known critical point with a matching value window, when it
 leaves the escape box, or at a time cap.  A terminal-mode path that is
 queried at many times, such as a tree chart's (chart, u), keeps a step
@@ -19,7 +22,9 @@ p -> q holds it at exactly 0; the scan's chart leaves such slots out (its
 capture run does.  A scan runs all
 its seeds as one batch through `integrate_batch`, a numpy twin of the
 scalar loop that reproduces it bit for bit: both square with x * x and
-sum left to right.  Below SCALAR_ROWS active rows a `grad_vec` call
+sum left to right.  Its event test measures every row against every
+tracked point in one pass and keeps each row's first event in the
+scalar loop's order.  Below SCALAR_ROWS active rows a `grad_vec` call
 costs more than the scalar grads of its rows, so the batch hands its last
 few rows to the scalar loop, which resumes each from its step state; a
 batch that starts that small, like the two seeds of a k = 1 scan, runs on
@@ -40,6 +45,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -116,6 +122,62 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
 
+# The compiled `_dp_step` of each dimension D.  Each coordinate's stages
+# are written out with the operands of the formulas above, in their order,
+# so every float rounds as the formulas round it.
+_STEPS = {}
+
+
+def _dp_step(D):
+    """`step(f, z, k1, h, rtol, atol) -> (z1, k7, err)`, one Dormand-Prince
+    step on D coordinates from the loop-top state (z, k1): seven calls of
+    `f` on lists of floats, the 5th-order state z1, the slope k7 = f(z1)
+    and the scaled error norm.  A non-finite z1 returns (z1, None, None)
+    before k7 is evaluated."""
+    step = _STEPS.get(D)
+    if step is None:
+        step = _STEPS[D] = _build_step(D)
+    return step
+
+
+def _build_step(D):
+    R = range(D)
+
+    def unpack(name, value):
+        return "%s, = %s" % (", ".join("%s%d" % (name, i) for i in R), value)
+
+    def stage(name, terms):
+        """`name_i` = f(x_i + h * (terms_i)), unpacked."""
+        y = ", ".join("x{0} + h * ({1})".format(i, terms.format(i)) for i in R)
+        return unpack(name, "f([%s])" % y)
+
+    body = [unpack("x", "z"), unpack("a", "k1"),
+            # h * _A21 * k1_i, unbracketed as in the formula
+            unpack("b", "f([%s])" % ", ".join("x%d + h * _A21 * a%d" % (i, i) for i in R)),
+            stage("c", "_A31 * a{0} + _A32 * b{0}"),
+            stage("d", "_A41 * a{0} + _A42 * b{0} + _A43 * c{0}"),
+            stage("e", "_A51 * a{0} + _A52 * b{0} + _A53 * c{0} + _A54 * d{0}"),
+            stage("g", "_A61 * a{0} + _A62 * b{0} + _A63 * c{0} + _A64 * d{0} + _A65 * e{0}"),
+            *["n{0} = x{0} + h * (_B1 * a{0} + _B3 * c{0} + _B4 * d{0} + _B5 * e{0}"
+              " + _B6 * g{0})".format(i) for i in R],
+            "z1 = [%s]" % ", ".join("n%d" % i for i in R),
+            "if not (%s):" % " and ".join("isfinite(n%d)" % i for i in R),
+            "    return z1, None, None",
+            "k7 = f(z1)",
+            unpack("m", "k7"),
+            "errsq = 0.0"]
+    for i in R:
+        body += ["q = h * (_E1 * a{0} + _E3 * c{0} + _E4 * d{0} + _E5 * e{0} + _E6 * g{0}"
+                 " + _E7 * m{0}) / (atol + rtol * max(abs(x{0}), abs(n{0})))".format(i),
+                 "errsq += q * q"]
+    body.append("return z1, k7, sqrt(errsq / %d)" % D)
+    src = "def _step(f, z, k1, h, rtol, atol):\n" + "".join("    %s\n" % ln for ln in body)
+    env = {k: v for k, v in globals().items() if k[:2] in ("_A", "_B", "_E")}
+    env.update(isfinite=math.isfinite, sqrt=math.sqrt)
+    exec(compile(src, "<gftrees:dp_step_%d>" % D, "exec"), env)
+    return env["_step"]
+
+
 def _periodic_delta(a, b):
     d = a - b
     return d - round(d)
@@ -157,13 +219,14 @@ def _segment_dist(z0, z1, c, periodic):
 # Row-wise twins of the scalar helpers for the batched loop.  Each performs
 # the scalar operations in the scalar order, squaring with x * x as they
 # do (a `** 2` on a Python float is libm's pow, which may round otherwise),
-# so every row rounds the same.
+# so every row rounds the same.  Each takes a (n, D) array of rows and one
+# point c, or a (C, 1, D) stack of points for a (C, n) result.
 
 def _row_sum(X):
-    """Sum of each row's columns, left to right from 0 as `_sum` adds."""
-    total = np.zeros(X.shape[0])
-    for i in range(X.shape[1]):
-        total = total + X[:, i]
+    """Sum over the last axis, left to right from 0 as `_sum` adds."""
+    total = np.zeros(X.shape[:-1])
+    for i in range(X.shape[-1]):
+        total = total + X[..., i]
     return total
 
 
@@ -182,11 +245,12 @@ def _segment_dist_rows(Z0, Z1, c, periodic):
     vv = _row_sum(vx * vx)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.maximum(0.0, np.minimum(1.0, _row_sum(vx * wx) / vv))
-    r = wx - s[:, None] * vx
+    r = wx - s[..., None] * vx
     d = np.sqrt(_row_sum(r * r))
     flat = vv == 0.0
     if flat.any():
-        d[flat] = np.sqrt(_row_sum(wx[flat] * wx[flat]))
+        w = wx[..., flat, :]
+        d[..., flat] = np.sqrt(_row_sum(w * w))
     return d
 
 
@@ -218,6 +282,11 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
                     start=None):
     """Returns (reason, t, z, payload) with reason "cap" | "stop".
 
+    Each step is `_dp_step(D)`: the stages, the 5th-order state, its
+    finiteness check and the error norm as one straight-line function of
+    the loop-top state, with seven calls of `f`, as the Dormand-Prince
+    formulas write them.
+
     `log`, a StepLog owned by one start point, is the path's step log:
     its loop-top states (t, z, k1, h) from t = 0 on, each reached from the
     one before by a step the time cap did not shorten, so every cap passes
@@ -231,7 +300,7 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
     (t, z, k1, h), starts the loop there instead, without a log:
     `integrate_batch` hands a row to the scalar loop this way.
     """
-    D = len(z0)
+    step = _dp_step(len(z0))
     if start is not None:
         t, z, k1, h = start
     elif log:
@@ -260,32 +329,10 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
         if h < 1e-13:
             raise StiffnessError("step size underflow at t=%.6g near %s"
                                  % (t, [round(v, 6) for v in z]))
-        y = [z[i] + h * _A21 * k1[i] for i in range(D)]
-        k2 = f(y)
-        y = [z[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(D)]
-        k3 = f(y)
-        y = [z[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(D)]
-        k4 = f(y)
-        y = [z[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
-             for i in range(D)]
-        k5 = f(y)
-        y = [z[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i]
-                         + _A65 * k5[i]) for i in range(D)]
-        k6 = f(y)
-        z1 = [z[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i]
-                          + _B6 * k6[i]) for i in range(D)]
-        if not all(math.isfinite(v) for v in z1):
+        z1, k7, err = step(f, z, k1, h, rtol, atol)
+        if k7 is None:
             raise StiffnessError("state blew up at t=%.6g near %s"
                                  % (t, [round(v, 3) for v in z]))
-        k7 = f(z1)
-        errsq = 0.0
-        for i in range(D):
-            e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
-                     + _E6 * k6[i] + _E7 * k7[i])
-            sc = atol + rtol * max(abs(z[i]), abs(z1[i]))
-            q = e / sc
-            errsq += q * q
-        err = math.sqrt(errsq / D)
         if err > 1.0:
             h *= max(0.2, 0.9 * err ** -0.2)
             continue
@@ -406,11 +453,15 @@ def integrate_batch(field, starts, stops, tolerances=None):
 
     One Dormand-Prince loop over a (B, D) array through `field.grad_vec`.
     Each row keeps its own t, h and active flag, and each pass evaluates
-    only the active rows.  The event inspector runs the scalar rules row by
-    row: escape faces first, in coordinate order with - before +; then the
-    tracked points in list order, updating the approach and testing capture
-    and the segment jump.  A row's first stop or reject ends its pass over
-    the tracked points.  Once fewer than SCALAR_ROWS rows are active, each
+    only the active rows.  The event test runs the scalar rules on all
+    rows at once: the escape faces as one comparison, then each row's
+    distance, start distance and segment distance to every tracked point
+    as (rows, points) arrays.  Each row takes its first event in the
+    scalar order (escape faces in coordinate order with - before +, then
+    the tracked points in list order, a capture where the value matches
+    or a segment jump), and its approach falls only at the points before
+    and at that event; only rows inside a convergence ball call
+    `field.value`.  Once fewer than SCALAR_ROWS rows are active, each
     of them resumes the scalar loop from its loop-top state (t, z, k1, h),
     the `start` of `_integrate_core`, with its approach so far and no step
     log; a batch of fewer rows runs each through `integrate` from its
@@ -431,16 +482,20 @@ def integrate_batch(field, starts, stops, tolerances=None):
     f = field.grad_vec
     periodic = field.periodic
     tracked = stops.criticals
-    centers = [np.asarray(c.coords, dtype=float) for c in tracked]
     esc = stops.escape_box
     t_cap, r_conv, vwin = stops.t_max, stops.r_conv, stops.value_window
     limit = t_cap * (1.0 - 1e-15)
 
     Z = np.array(starts, dtype=float)
     B, D = Z.shape
-    A = np.empty((B, len(tracked)))
-    for j, c in enumerate(centers):
-        A[:, j] = _dist_rows(Z, c, periodic)
+    C = len(tracked)
+    stack = np.array([c.coords for c in tracked], dtype=float).reshape(C, 1, D)
+    columns = np.arange(C)
+    if esc is not None:
+        lo, hi = np.array(esc, dtype=float).T
+        # -z0, +z0, -z1, ...: the order the scalar inspector tests them in
+        faces = [sign + "z%d" % i for i in range(D) for sign in "-+"]
+    A = _dist_rows(Z, stack, periodic).T.copy()
     T = np.zeros(B)
     H = np.full(B, min(tol["h0"], h_max))
     K1 = f(Z)
@@ -483,45 +538,47 @@ def integrate_batch(field, starts, stops, tolerances=None):
         Q = E / SC
         err = np.sqrt(_row_sum(Q * Q) / D)
         ok = ~(err > 1.0)
-        # `err ** -0.2` stays a Python float: numpy's power need not match libm
-        grown = np.array([max(0.2, 0.9 * e ** -0.2) if e > 1.0
-                          else 5.0 if e < 1e-10 else min(5.0, 0.9 * e ** -0.2)
-                          for e in err.tolist()])
+        # `err ** -0.2` stays a Python float: numpy's power need not match
+        # libm.  fmax and fmin pick as the builtins max and min do, and a
+        # nan err grows by 5.0, as min(5.0, nan) does.
+        g = 0.9 * np.array(list(map(pow, np.maximum(err, 1e-10).tolist(), repeat(-0.2))))
+        grown = np.where(err > 1.0, np.fmax(0.2, g),
+                         np.where(err < 1e-10, 5.0, np.fmin(5.0, g)))
 
         # the event inspector, on the rows whose step met the tolerance
         idx = np.flatnonzero(ok)
         z0, z1 = Z[idx], Z1[idx]
-        pending = np.ones(idx.size, dtype=bool)
+        n = idx.size
         hits = {}
-        reject = np.zeros(idx.size, dtype=bool)
+        pending = np.ones(n, dtype=bool)
+        reject = np.zeros(n, dtype=bool)
         if esc is not None:
-            for i, (lo, hi) in enumerate(esc):
-                for out, face in ((z1[:, i] < lo, "-z%d" % i), (z1[:, i] > hi, "+z%d" % i)):
-                    out &= pending
-                    for r in np.flatnonzero(out).tolist():
-                        hits[r] = Termination("escaped", face)
-                    pending &= ~out
-        a = A[idx]
-        for j, (c, center) in enumerate(zip(tracked, centers)):
-            p = np.flatnonzero(pending)
-            if not p.size:
-                break
-            d1 = _dist_rows(z1[p], center, periodic)
-            a[p, j] = np.minimum(a[p, j], d1)
+            off = np.stack((z1 < lo, z1 > hi), axis=-1).reshape(n, 2 * D)
+            pending = ~off.any(axis=1)
+            first = off.argmax(axis=1)
+            for r in np.flatnonzero(~pending).tolist():
+                hits[r] = Termination("escaped", faces[first[r]])
+        if C and pending.any():
+            d1 = _dist_rows(z1, stack, periodic).T
             near = d1 < r_conv
-            for r in p[near].tolist():
-                if abs(field.value(z1[r].tolist()) - c.value) < vwin:
-                    hits[r] = Termination("converged", c.id)
-                    pending[r] = False
-            p = p[~near]
-            p = p[_dist_rows(z0[p], center, periodic) > r_conv]
-            ds = _segment_dist_rows(z0[p], z1[p], center, periodic)
-            a[p, j] = np.minimum(a[p, j], ds)
+            seg = ~near & (_dist_rows(z0, stack, periodic).T > r_conv)
+            ds = _segment_dist_rows(z0, z1, stack, periodic).T
             # the step would jump across the convergence ball
-            jump = p[ds < r_conv]
-            reject[jump] = True
-            pending[jump] = False
-        A[idx] = a
+            jump = seg & (ds < r_conv)
+            # each row's first event among the tracked points; C for none
+            stop = np.where(jump.any(axis=1), jump.argmax(axis=1), C)
+            reject = pending & (stop < C)
+            for r in np.flatnonzero(pending & near.any(axis=1)).tolist():
+                for j in np.flatnonzero(near[r, :stop[r]]).tolist():
+                    if abs(field.value(z1[r].tolist()) - tracked[j].value) < vwin:
+                        hits[r] = Termination("converged", tracked[j].id)
+                        reject[r], stop[r] = False, j
+                        break
+            # the approach to each point a row reached before its event
+            reached = pending[:, None] & (columns <= stop[:, None])
+            a = A[idx]
+            a = np.where(reached, np.minimum(a, d1), a)
+            A[idx] = np.where(reached & seg, np.minimum(a, ds), a)
         grown[idx[reject]] = 0.25
 
         accept = ok.copy()

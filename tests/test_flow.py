@@ -341,6 +341,70 @@ def test_a_k1_scan_runs_on_the_scalar_loop(well1d, monkeypatch):
         [[traj.approach[i] for i in scan.approach_ids] for traj in want]).tobytes()
 
 
+def linear_stops(coords_values, box):
+    """Tracked points (id "c1", "c2", ...) at the given (coords, value)."""
+    crits = []
+    for j, (coords, value) in enumerate(coords_values, 1):
+        c = cr.CriticalPoint(np.array(coords, dtype=float), value, 0, 0,
+                             np.zeros(len(coords)))
+        c.id = "c%d" % j
+        crits.append(c)
+    return fl.Stops(crits, box, 400.0, 1e-4, 1e-3)
+
+
+def test_a_step_that_passes_one_point_and_jumps_the_next_lowers_both_approaches():
+    """On f = x1 every row runs right along its line at unit speed.  Row 0's
+    step from x1 = 0.656 to 1.156 passes c1 = (1.1, 0.01) at 0.01 and jumps
+    the ball around c2 = (1, 0), so it is rejected with its approach to c1
+    lowered to that segment distance; c3 = (1.1, -0.02), tracked after c2,
+    keeps the approach of the accepted steps.  The row then converges at
+    c2, and no accepted step comes within 0.09 of c1 or c3."""
+    field = fa.ScalarField(2, ex.parse("x1", ex.VarLayout(2, 0)))
+    stops = linear_stops([([1.1, 0.01], 1.1), ([1.0, 0.0], 1.0), ([1.1, -0.02], 1.1)],
+                         [[-20.0, 20.0]] * 2)
+    starts = [[0.0, 0.0]] + [[-2.0 - 0.5 * i, 0.0] for i in range(fl.SCALAR_ROWS)]
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    assert {r.termination.as_tuple() for r in rows} == {("converged", "c2")}
+    assert rows[0].approach["c1"] == pytest.approx(0.01, rel=1e-9)
+    assert rows[0].approach["c3"] > 0.09
+    assert rows[0].final[0] < 1.01
+
+
+def test_a_step_into_a_ball_outside_its_value_window_then_rejects_at_the_next_point():
+    """On f = x1, c1 sits at the end of one of row 0's steps with a value
+    1.0 off and c2 at that step's midpoint: the step lands in c1's ball,
+    fails its value window, and is rejected for jumping c2's ball.  The
+    row then converges at c2, short of c1, with its approach to c1 at 0."""
+    field = fa.ScalarField(1, ex.parse("x1", ex.VarLayout(1, 0)))
+    box = [[-20.0, 20.0]]
+    free = fl.integrate(field, [0.0], stops=linear_stops([], box), tolerances={"t_max": 1.0})
+    (_, (z0,)), (_, (z1,)) = free.samples[3:5]
+    assert z1 - z0 > 4 * 1e-4
+    mid = 0.5 * (z0 + z1)
+    stops = linear_stops([([z1], z1 + 1.0), ([mid], mid)], box)
+    starts = [[0.0]] + [[-1.0 - 0.5 * i] for i in range(fl.SCALAR_ROWS)]
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    assert {r.termination.as_tuple() for r in rows} == {("converged", "c2")}
+    assert rows[0].approach["c1"] == 0.0
+    assert rows[0].final[0] < z1
+
+
+@pytest.mark.parametrize("text, face", [("x1 - x2", "+z0"), ("x2 - x1", "-z0")])
+def test_a_step_out_through_two_faces_reports_the_first_in_coordinate_order(text, face):
+    """Every row starts on the diagonal z0 = -z1 and runs along it, so it
+    leaves through a z0 face and a z1 face in the same step; the scalar
+    rules test faces in coordinate order, - before +, and report the z0
+    face."""
+    field = fa.ScalarField(2, ex.parse(text, ex.VarLayout(2, 0)))
+    stops = linear_stops([([5.0, 5.0], 0.0)], [[-1.0, 1.0], [-1.0, 1.0]])
+    starts = [[0.0, 0.0]] + [[0.1 * i, -0.1 * i] for i in range(1, fl.SCALAR_ROWS + 2)]
+    if face == "-z0":
+        starts = [[-a, -b] for a, b in starts]
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    assert {r.termination.as_tuple() for r in rows} == {("escaped", face)}
+    assert all(abs(r.final[0]) > 1.0 and abs(r.final[1]) > 1.0 for r in rows)
+
+
 def adversarial_deltas(rng, c, n, lo):
     """Points z = c + d, d drawn with first coordinate in [lo, 0.45) and
     second in [-0.45, 0.45), kept where libm's `** 2` rounds a square of
@@ -447,6 +511,189 @@ def test_a_batched_scan_through_adversarial_squares_matches_the_scalar_loop():
     rows = assert_batch_matches_the_scalar_loop(field, starts.tolist(), stops)
     assert {r.termination.as_tuple() for r in rows} == {("escaped", "+z0")}
     assert [r.approach["c"] for r in rows] == fl._dist_rows(starts, c.coords, False).tolist()
+
+
+def reference_integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
+                             inspector=None, record=None, periodic=False, log=None,
+                             start=None):
+    """The scalar Dormand-Prince loop as it was written with list
+    comprehensions, the reference that `_integrate_core` and its
+    generated per-dimension step must match bit for bit."""
+    from gftrees.flow import (_A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53,
+                              _A54, _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4,
+                              _B5, _B6, _E1, _E3, _E4, _E5, _E6, _E7)
+    D = len(z0)
+    if start is not None:
+        t, z, k1, h = start
+    elif log:
+        j = fl._resume_index(log, t_cap, h_max)
+        t, z, k1, h = log[j]
+        if j == len(log) - 1:
+            log.pop()
+        else:
+            log.last_cap, log.last_index = t_cap, j
+            log = None
+    else:
+        z = list(z0)
+        t = 0.0
+        if record is not None:
+            record.append((0.0, tuple(z)))
+        k1 = f(z)
+        h = min(h0, h_max)
+    updating = log is not None
+    while t < t_cap * (1.0 - 1e-15):
+        if updating:
+            log.append((t, tuple(z), tuple(k1), h))
+            updating = t_cap - t >= min(h, h_max)
+        h = min(h, t_cap - t, h_max)
+        if h < 1e-13:
+            raise fl.StiffnessError("step size underflow at t=%.6g near %s"
+                                    % (t, [round(v, 6) for v in z]))
+        y = [z[i] + h * _A21 * k1[i] for i in range(D)]
+        k2 = f(y)
+        y = [z[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in range(D)]
+        k3 = f(y)
+        y = [z[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i]) for i in range(D)]
+        k4 = f(y)
+        y = [z[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i] + _A54 * k4[i])
+             for i in range(D)]
+        k5 = f(y)
+        y = [z[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i] + _A64 * k4[i]
+                         + _A65 * k5[i]) for i in range(D)]
+        k6 = f(y)
+        z1 = [z[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i]
+                          + _B6 * k6[i]) for i in range(D)]
+        if not all(math.isfinite(v) for v in z1):
+            raise fl.StiffnessError("state blew up at t=%.6g near %s"
+                                    % (t, [round(v, 3) for v in z]))
+        k7 = f(z1)
+        errsq = 0.0
+        for i in range(D):
+            e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i]
+                     + _E6 * k6[i] + _E7 * k7[i])
+            sc = atol + rtol * max(abs(z[i]), abs(z1[i]))
+            q = e / sc
+            errsq += q * q
+        err = math.sqrt(errsq / D)
+        if err > 1.0:
+            h *= max(0.2, 0.9 * err ** -0.2)
+            continue
+        verdict = inspector(z, z1, h) if inspector is not None else None
+        if verdict is not None and verdict[0] == "reject":
+            h *= verdict[1]
+            continue
+        t += h
+        z = [v % 1.0 for v in z1] if periodic else z1
+        k1 = k7
+        if record is not None:
+            record.append((t, tuple(z)))
+        if verdict is not None:
+            return ("stop", t, z, verdict[1])
+        h *= 5.0 if err < 1e-10 else min(5.0, 0.9 * err ** -0.2)
+    if updating:
+        log.append((t, tuple(z), tuple(k1), h))
+    if log is not None:
+        log.last_cap, log.last_index = t_cap, len(log) - 1
+    return ("cap", t, z, None)
+
+
+def sine_torus(D):
+    """sum_i sin(2 pi x_i) / (i + 1) on the D-torus: its peak is at 0.25 in
+    every slot, and a slot started in (0.75, 1) flows up across 1."""
+    text = " + ".join("sin(2*pi*x%d)/%d" % (i + 1, i + 1) for i in range(D))
+    return fa.ScalarField(D, ex.parse(text, ex.VarLayout(D, 0)), periodic=True)
+
+
+def coupled_quadratic(D):
+    """A quadratic with alternating-sign diagonal and a coupling chain, whose
+    flow from a generic point leaves every box."""
+    terms = ["%g*x%d^2" % ((-1) ** i * (0.5 + 0.1 * i), i + 1) for i in range(D)]
+    terms += ["0.2*x%d*x%d" % (i + 1, i + 2) for i in range(D - 1)]
+    return fa.ScalarField(D, ex.parse(" + ".join(terms), ex.VarLayout(D, 0)))
+
+
+def both_loops(run):
+    """run(core) with the generated step and with the reference loop."""
+    return run(fl._integrate_core), run(reference_integrate_core)
+
+
+TOL = (1e-8, 1e-10, 1e-3, 0.5)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 10])
+def test_the_generated_step_matches_the_list_comprehension_loop(D):
+    """Terminal runs forward, backward and across the periodic wrap, a
+    ladder of caps resumed from step logs, and event-mode runs that
+    converge and escape: the same (t, z), samples, step logs,
+    terminations and approaches as the reference loop, bit for bit."""
+    torus, quad = sine_torus(D), coupled_quadratic(D)
+    starts = {torus: [0.8 + 0.015 * i for i in range(D)],
+              quad: [0.11 + 0.07 * i for i in range(D)]}
+    for field, start in starts.items():
+        for sign in (1.0, -1.0):
+            g = field.grad
+            f = g if sign > 0 else (lambda z, g=g: [-v for v in g(z)])
+
+            def terminal(core):
+                record = []
+                return core(f, start, 2.5, *TOL, record=record,
+                            periodic=field.periodic), record
+            got, want = both_loops(terminal)
+            assert got == want
+            if field is torus and sign > 0:
+                # every slot ran up across 1 and was wrapped back to 0
+                (_, p), (_, q) = got[1][0], got[1][-1]
+                assert all(a > 0.75 and b < 0.3 for a, b in zip(p, q))
+
+            def ladder(core):
+                log = fl.StepLog()
+                out = [core(f, start, cap, *TOL, periodic=field.periodic, log=log)
+                       for cap in (0.7, 2.0, 1.3, 1.3 + 1e-5, 3.0, 0.2)]
+                return out, list(log), log.last_cap, log.last_index
+            got, want = both_loops(ladder)
+            assert got == want
+
+    peak = cr.CriticalPoint(np.full(D, 0.25), sum(1.0 / (i + 1) for i in range(D)), D, D,
+                            np.zeros(D))
+    peak.id = "peak"
+    saddle = cr.CriticalPoint(np.array([0.75] + [0.25] * (D - 1)), peak.value - 2.0,
+                              D - 1, D - 1, np.zeros(D))
+    saddle.id = "saddle"
+    for field, stops, kind in (
+            (torus, fl.Stops([saddle, peak], None, 400.0, 1e-4, 1e-7), "converged"),
+            (quad, fl.Stops([], [[-3.0, 3.0]] * D, 400.0, 1e-4, 1e-7), "escaped")):
+        start = starts[field]
+
+        def event(core):
+            approach = {c.id: fl._dist(start, c.coords, field.periodic)
+                        for c in stops.criticals}
+            record = []
+            out = core(field.grad, start, stops.t_max, *TOL,
+                       inspector=fl._inspector(field, stops, approach), record=record,
+                       periodic=field.periodic)
+            return out, record, approach
+        got, want = both_loops(event)
+        assert got == want
+        assert got[0][0] == "stop" and got[0][3].kind == kind
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 5, 7, 10])
+def test_a_state_that_blows_up_raises_as_the_list_comprehension_loop(D):
+    """A right-hand side that turns infinite past z0 = 0.05 makes a
+    non-finite step: both loops raise the same StiffnessError after the
+    same right-hand side calls."""
+    def run(core):
+        calls = []
+
+        def f(z):
+            calls.append(tuple(z))
+            return [math.inf if z[0] > 0.05 else 1.0] * D
+        with pytest.raises(fl.StiffnessError, match="state blew up") as info:
+            core(f, [0.0] * D, 10.0, *TOL)
+        # repr, since nan != nan
+        return str(info.value), repr(calls)
+    got, want = both_loops(run)
+    assert got == want
 
 
 # A cap below h0, an ascending run with an FD-style 1e-5 nudge, then a

@@ -45,7 +45,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field as dfield
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -219,38 +218,42 @@ def _segment_dist(z0, z1, c, periodic):
 # Row-wise twins of the scalar helpers for the batched loop.  Each performs
 # the scalar operations in the scalar order, squaring with x * x as they
 # do (a `** 2` on a Python float is libm's pow, which may round otherwise),
-# so every row rounds the same.  Each takes a (n, D) array of rows and one
-# point c, or a (C, 1, D) stack of points for a (C, n) result.
+# so every row rounds the same.  The distance helpers take a (n, D) array
+# of rows and one point c, or a (C, 1, D) stack of points for a (C, n)
+# result, and work one coordinate at a time on (C, n) arrays, summing the
+# coordinates' terms left to right with `_sum`.
 
 def _row_sum(X):
-    """Sum over the last axis, left to right from 0 as `_sum` adds."""
-    total = np.zeros(X.shape[:-1])
-    for i in range(X.shape[-1]):
-        total = total + X[..., i]
+    """Sum of each row's columns, left to right from 0 as `_sum` adds."""
+    total = np.zeros(X.shape[0])
+    for i in range(X.shape[1]):
+        total = total + X[:, i]
     return total
 
 
 def _dist_rows(Z, c, periodic):
-    d = Z - c
+    d = [Z[:, i] - c[..., i] for i in range(Z.shape[1])]
     if periodic:
-        d = d - np.round(d)
-    return np.sqrt(_row_sum(d * d))
+        d = [v - np.round(v) for v in d]
+    return np.sqrt(_sum([v * v for v in d]))
 
 
 def _segment_dist_rows(Z0, Z1, c, periodic):
+    R = range(Z0.shape[1])
+    z0 = [Z0[:, i] for i in R]
+    c = [c[..., i] for i in R]
     if periodic:
-        c = c + np.round(Z0 - c)
-    vx = Z1 - Z0
-    wx = c - Z0
-    vv = _row_sum(vx * vx)
+        c = [c[i] + np.round(z0[i] - c[i]) for i in R]
+    vx = [Z1[:, i] - z0[i] for i in R]
+    wx = [c[i] - z0[i] for i in R]
+    vv = _sum([v * v for v in vx])
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.maximum(0.0, np.minimum(1.0, _row_sum(vx * wx) / vv))
-    r = wx - s[..., None] * vx
-    d = np.sqrt(_row_sum(r * r))
+        s = np.maximum(0.0, np.minimum(1.0, _sum([vx[i] * wx[i] for i in R]) / vv))
+    r = [wx[i] - s * vx[i] for i in R]
+    d = np.sqrt(_sum([v * v for v in r]))
     flat = vv == 0.0
     if flat.any():
-        w = wx[..., flat, :]
-        d[..., flat] = np.sqrt(_row_sum(w * w))
+        d[..., flat] = np.sqrt(_sum([w[..., flat] * w[..., flat] for w in wx]))
     return d
 
 
@@ -362,7 +365,9 @@ def _inspector(field, stops, approach):
     faces first, in coordinate order with - before +; then the tracked
     points in list order, lowering `approach` (critical id -> closest
     distance so far) and testing capture and the segment jump."""
-    tracked = stops.criticals
+    # each point's coordinates as Python floats: the helpers run several
+    # times faster on them than on numpy float64 scalars, to the same bits
+    tracked = [(c, [float(v) for v in c.coords]) for c in stops.criticals]
     r_conv = stops.r_conv
     vwin = stops.value_window
     esc = stops.escape_box
@@ -375,17 +380,17 @@ def _inspector(field, stops, approach):
                     return ("stop", Termination("escaped", "-z%d" % i))
                 if z1[i] > hi:
                     return ("stop", Termination("escaped", "+z%d" % i))
-        for c in tracked:
-            d1 = _dist(z1, c.coords, periodic)
+        for c, coords in tracked:
+            d1 = _dist(z1, coords, periodic)
             if d1 < approach[c.id]:
                 approach[c.id] = d1
             if d1 < r_conv:
                 if abs(field.value(z1) - c.value) < vwin:
                     return ("stop", Termination("converged", c.id))
                 continue
-            d0 = _dist(z0, c.coords, periodic)
+            d0 = _dist(z0, coords, periodic)
             if d0 > r_conv:
-                ds = _segment_dist(z0, z1, c.coords, periodic)
+                ds = _segment_dist(z0, z1, coords, periodic)
                 if ds < approach[c.id]:
                     approach[c.id] = ds
                 if ds < r_conv:
@@ -521,7 +526,8 @@ def integrate_batch(field, starts, stops, tolerances=None):
             i = int(np.argmax(H < 1e-13))
             raise StiffnessError("step size underflow at t=%.6g near %s"
                                  % (T[i], [round(v, 6) for v in Z[i].tolist()]))
-        h = H[:, None]
+        # h on every coordinate: a (B, 1) operand would broadcast more slowly
+        h = np.repeat(H[:, None], D, axis=1)
         k2 = f(Z + h * _A21 * K1)
         k3 = f(Z + h * (_A31 * K1 + _A32 * k2))
         k4 = f(Z + h * (_A41 * K1 + _A42 * k2 + _A43 * k3))
@@ -541,28 +547,26 @@ def integrate_batch(field, starts, stops, tolerances=None):
         # `err ** -0.2` stays a Python float: numpy's power need not match
         # libm.  fmax and fmin pick as the builtins max and min do, and a
         # nan err grows by 5.0, as min(5.0, nan) does.
-        g = 0.9 * np.array(list(map(pow, np.maximum(err, 1e-10).tolist(), repeat(-0.2))))
+        g = 0.9 * np.array([e ** -0.2 for e in np.maximum(err, 1e-10).tolist()])
         grown = np.where(err > 1.0, np.fmax(0.2, g),
                          np.where(err < 1e-10, 5.0, np.fmin(5.0, g)))
 
         # the event inspector, on the rows whose step met the tolerance
-        idx = np.flatnonzero(ok)
-        z0, z1 = Z[idx], Z1[idx]
-        n = idx.size
-        hits = {}
-        pending = np.ones(n, dtype=bool)
-        reject = np.zeros(n, dtype=bool)
+        pending = ok.copy()
+        reject = np.zeros(rows.size, dtype=bool)
+        stopped = {}
         if esc is not None:
-            off = np.stack((z1 < lo, z1 > hi), axis=-1).reshape(n, 2 * D)
-            pending = ~off.any(axis=1)
+            off = np.stack((Z1 < lo, Z1 > hi), axis=-1).reshape(rows.size, 2 * D)
+            left = pending & off.any(axis=1)
             first = off.argmax(axis=1)
-            for r in np.flatnonzero(~pending).tolist():
-                hits[r] = Termination("escaped", faces[first[r]])
+            for r in np.flatnonzero(left).tolist():
+                stopped[r] = Termination("escaped", faces[first[r]])
+            pending &= ~left
         if C and pending.any():
-            d1 = _dist_rows(z1, stack, periodic).T
+            d1 = _dist_rows(Z1, stack, periodic).T
             near = d1 < r_conv
-            seg = ~near & (_dist_rows(z0, stack, periodic).T > r_conv)
-            ds = _segment_dist_rows(z0, z1, stack, periodic).T
+            seg = ~near & (_dist_rows(Z, stack, periodic).T > r_conv)
+            ds = _segment_dist_rows(Z, Z1, stack, periodic).T
             # the step would jump across the convergence ball
             jump = seg & (ds < r_conv)
             # each row's first event among the tracked points; C for none
@@ -570,24 +574,21 @@ def integrate_batch(field, starts, stops, tolerances=None):
             reject = pending & (stop < C)
             for r in np.flatnonzero(pending & near.any(axis=1)).tolist():
                 for j in np.flatnonzero(near[r, :stop[r]]).tolist():
-                    if abs(field.value(z1[r].tolist()) - tracked[j].value) < vwin:
-                        hits[r] = Termination("converged", tracked[j].id)
+                    if abs(field.value(Z1[r].tolist()) - tracked[j].value) < vwin:
+                        stopped[r] = Termination("converged", tracked[j].id)
                         reject[r], stop[r] = False, j
                         break
             # the approach to each point a row reached before its event
             reached = pending[:, None] & (columns <= stop[:, None])
-            a = A[idx]
-            a = np.where(reached, np.minimum(a, d1), a)
-            A[idx] = np.where(reached & seg, np.minimum(a, ds), a)
-        grown[idx[reject]] = 0.25
+            A = np.where(reached, np.minimum(A, d1), A)
+            A = np.where(reached & seg, np.minimum(A, ds), A)
+        grown[reject] = 0.25
 
-        accept = ok.copy()
-        accept[idx[reject]] = False
-        T[accept] += H[accept]
-        Z[accept] = np.remainder(Z1[accept], 1.0) if periodic else Z1[accept]
-        K1[accept] = K7[accept]
+        accept = (ok & ~reject)[:, None]
+        T = np.where(accept[:, 0], T + H, T)
+        Z = np.where(accept, np.remainder(Z1, 1.0) if periodic else Z1, Z)
+        K1 = np.where(accept, K7, K1)
         H = H * grown
-        stopped = {int(idx[r]): term for r, term in hits.items()}
 
     ids = [c.id for c in tracked]
     for r, b in enumerate(rows.tolist()):

@@ -341,7 +341,7 @@ def test_a_k1_scan_runs_on_the_scalar_loop(well1d, monkeypatch):
         [[traj.approach[i] for i in scan.approach_ids] for traj in want]).tobytes()
 
 
-def linear_stops(coords_values, box):
+def linear_stops(coords_values, box, t_max=400.0):
     """Tracked points (id "c1", "c2", ...) at the given (coords, value)."""
     crits = []
     for j, (coords, value) in enumerate(coords_values, 1):
@@ -349,7 +349,7 @@ def linear_stops(coords_values, box):
                              np.zeros(len(coords)))
         c.id = "c%d" % j
         crits.append(c)
-    return fl.Stops(crits, box, 400.0, 1e-4, 1e-3)
+    return fl.Stops(crits, box, t_max, 1e-4, 1e-3)
 
 
 def test_a_step_that_passes_one_point_and_jumps_the_next_lowers_both_approaches():
@@ -377,7 +377,7 @@ def test_a_step_into_a_ball_outside_its_value_window_then_rejects_at_the_next_po
     row then converges at c2, short of c1, with its approach to c1 at 0."""
     field = fa.ScalarField(1, ex.parse("x1", ex.VarLayout(1, 0)))
     box = [[-20.0, 20.0]]
-    free = fl.integrate(field, [0.0], stops=linear_stops([], box), tolerances={"t_max": 1.0})
+    free = fl.integrate(field, [0.0], stops=linear_stops([], box, t_max=1.0))
     (_, (z0,)), (_, (z1,)) = free.samples[3:5]
     assert z1 - z0 > 4 * 1e-4
     mid = 0.5 * (z0 + z1)
@@ -403,6 +403,27 @@ def test_a_step_out_through_two_faces_reports_the_first_in_coordinate_order(text
     rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
     assert {r.termination.as_tuple() for r in rows} == {("escaped", face)}
     assert all(abs(r.final[0]) > 1.0 and abs(r.final[1]) > 1.0 for r in rows)
+
+
+def test_a_step_that_fails_the_tolerance_is_not_inspected(monkeypatch):
+    """On f = x1 + 0.005 sin(100 x1) the speed swings between 0.5 and 1.5,
+    so steps fail the error tolerance, and at the time cap some failed
+    step had ended closer to c than any accepted state: the event test
+    measures every row's endpoint but lowers only the approach of rows
+    whose step met the tolerance, as the scalar loop does."""
+    field = fa.ScalarField(1, ex.parse("x1 + 0.005*sin(100*x1)", ex.VarLayout(1, 0)))
+    stops = linear_stops([([10.0], 10.0)], [[-50.0, 50.0]], t_max=1.0)
+    measured = []
+    dist = fl._dist_rows
+
+    def recorded(Z, c, periodic):
+        measured.append(dist(Z, c, periodic))
+        return measured[-1]
+    monkeypatch.setattr(fl, "_dist_rows", recorded)
+    starts = [[-0.1 * i] for i in range(fl.SCALAR_ROWS + 2)]
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    assert {r.termination.as_tuple() for r in rows} == {("timeout", "")}
+    assert min(d.min() for d in measured) < min(r.approach["c1"] for r in rows)
 
 
 def adversarial_deltas(rng, c, n, lo):

@@ -400,12 +400,24 @@ def _inspector(field, stops, approach):
     return inspector
 
 
+def _tolerances(tolerances, stops=None):
+    """FLOW_TOLERANCES updated by `tolerances`.  In event mode `stops` sets
+    t_max, r_conv and value_window, and `tolerances` may only repeat them."""
+    given = tolerances or {}
+    for key in ("t_max", "r_conv", "value_window"):
+        if stops is not None and given.get(key, getattr(stops, key)) != getattr(stops, key):
+            raise ValueError("tolerance %s = %r disagrees with the stop rule's %r"
+                             % (key, given[key], getattr(stops, key)))
+    return {**FLOW_TOLERANCES, **given}
+
+
 def integrate(field, start, direction="forward", stops=None, tolerances=None,
               terminal_t=None, record_samples=True, resume=None):
     """Integrate z' = +-grad(field) from `start`.
 
     Event mode (stops given): run until capture at a critical point, exit
-    from the escape box, or stops.t_max.  Terminal mode (terminal_t given):
+    from the escape box, or stops.t_max; `tolerances` that disagree with
+    `stops` raise ValueError.  Terminal mode (terminal_t given):
     run for exactly that much time.  In terminal mode without samples,
     `resume` is the StepLog of one (field, start, direction, tolerances)
     path, which grows between calls: a later call at any time resumes
@@ -413,9 +425,7 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
     """
     # on numpy float64 scalars the scalar loop takes about twice as long
     start = [float(v) for v in start]
-    tol = dict(FLOW_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = _tolerances(tolerances, stops)
     sign = +1.0 if direction == "forward" else -1.0
     g = field.grad
     if sign > 0:
@@ -475,14 +485,13 @@ def integrate_batch(field, starts, stops, tolerances=None):
     step-growth rule `err ** -0.2` runs on Python floats.  Every row
     therefore takes the steps of `integrate(field, row, stops=stops)` and
     ends with its Termination, t, final point and approach, bit for bit.
-    Returns one Trajectory per row, without samples.
+    Returns one Trajectory per row, without samples.  `tolerances` that
+    disagree with `stops` raise ValueError, as in `integrate`.
     """
+    tol = _tolerances(tolerances, stops)
     if len(starts) < SCALAR_ROWS:
         return [integrate(field, s, stops=stops, tolerances=tolerances,
                           record_samples=False) for s in starts]
-    tol = dict(FLOW_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
     rtol, atol, h_max = tol["rtol"], tol["atol"], tol["h_max"]
     f = field.grad_vec
     periodic = field.periodic

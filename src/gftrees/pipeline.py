@@ -1,14 +1,14 @@
 """End-to-end runs: config -> family -> chords -> counts -> cohomology ring.
 
 A run is staged so that expensive counting tasks (one flow-line pair or
-one tree triple each), grouped by their source, can be distributed over a
-process pool.  The pool's units of work are the line-count groups and the
-ranked Newton seeds of each tree pair.  The parent refuses every undefined
-tree count and tabulates every pair before the workers fork, so forked
-workers count on the parent's prepared run and tabulated pairs; the
-parent merges each pair's seeds in rank order and splits them by sink.
-That keeps every count a pure function of (config, task) and the
-aggregation order fixed.
+one tree triple each), grouped by their source, run as units of work: the
+line-count groups and the ranked Newton seeds of each tree pair.  For any
+number of jobs the parent first refuses every undefined tree count and
+tabulates every pair, then runs the units, in this process or on a forked
+pool whose workers count on the parent's prepared run and tabulated
+pairs, and then merges each pair's seeds in rank order and splits them by
+sink.  That keeps every count a pure function of (config, task), and the
+refusals and the aggregation order the same for any number of jobs.
 """
 
 from __future__ import annotations
@@ -277,18 +277,11 @@ class GFRun:
             meeting_floor=self.meeting_floor)
 
     def run_group(self, tasks):
-        """The results of tasks that share one source, t[:3], in task order:
-        the line counts of one LineSource or the tree counts of one
-        TreeProblem, as picklable data (counts, and the found FlowTrees of
-        an m2 task) so they can cross processes."""
-        if not self.prepared:
-            self.prepare()
-        # the source: (space, p) of a delta group, (p1, p2) of an m2 group
-        kind, a, b = tasks[0][:3]
-        if kind != "delta":
-            return self.count_trees(tasks, self.tree_problem(a, b))
-        field, crits, _ = self.spaces[a]
-        source = fl.LineSource(field, crits[b], list(crits.values()), r0=self.solver["r0"],
+        """The line counts of delta tasks that share one LineSource, t[:3],
+        in task order, as picklable data so they can cross processes."""
+        _, space, p = tasks[0][:3]
+        field, crits, _ = self.spaces[space]
+        source = fl.LineSource(field, crits[p], list(crits.values()), r0=self.solver["r0"],
                                m=self.solver["scan_density"], tolerances=self.tol)
 
         def count(qid):
@@ -310,72 +303,48 @@ class GFRun:
     def run_tasks(self, tasks):
         """Deterministic map task -> result, one task group per source.
 
-        With jobs = 1 each group runs inline by `run_group`.  With more
-        jobs the units of work are the line-count groups and the ranked
-        Newton seeds of each tree pair.  Before the first submit forks the
-        workers, the parent refuses every undefined tree count
-        (`tr.check_count`) and tabulates each pair's seeds, so the workers
-        inherit the charts, step logs and compiled fields.  The parent then
-        merges each pair's seeds in rank order and runs its capture tests
-        and checks, sink by sink, and drops the pair's problem once its
-        group is counted."""
+        The same steps run for any `jobs`.  The parent refuses every
+        undefined tree count (`tr.check_count`) and then tabulates each
+        tree pair's seeds.  The units of work are the line-count groups,
+        each run by `run_group`, and the ranked Newton seeds of each pair,
+        each run by `tr.run_seed`; they run by `_run_units`, here or on a
+        forked pool, whose workers inherit the prepared run and the
+        tabulated pairs.  The parent then merges each pair's seeds in rank
+        order and runs its capture tests and checks, sink by sink."""
+        if not self.prepared:
+            self.prepare()
         groups = {}
         for t in tasks:
             groups.setdefault(t[:3], []).append(t)
         groups = list(groups.values())
-        if self.jobs <= 1:
-            done = [self.run_group(g) for g in groups]
-        else:
-            done = self._run_units(groups)
-        return {t: r for g, got in zip(groups, done) for t, r in zip(g, got)}
-
-    def _run_units(self, groups):
-        if not self.prepared:
-            self.prepare()
+        sinks = self.spaces[self.TREE_SPACES[2]][1]
         problems = {}   # by group index, the m2 groups
         for i, g in enumerate(groups):
             if g[0][0] == "m2":
                 problems[i] = self.tree_problem(*g[0][1:3])
-                sinks = self.spaces[self.TREE_SPACES[2]][1]
                 for t in g:
                     tr.check_count(problems[i], sinks[t[3]])
-        # the units of each group: a line-count group is one (rank None),
-        # a tree pair one per ranked seed; reading `seeds` tabulates it
-        ranks = {i: range(len(problems[i].seeds)) if i in problems else [None]
-                 for i in range(len(groups))}
+        # a line-count group is one unit (rank None), a tree pair one per
+        # ranked seed; reading `seeds` tabulates the pair
+        units = [(i, rank) for i in range(len(groups)) for rank in
+                 (range(len(problems[i].seeds)) if i in problems else [None])]
 
         def unit(i, rank):
             if rank is None:
                 return self.run_group(groups[i])
             return tr.run_seed(problems[i], rank)
-        units = sum(map(len, ranks.values()))
-        if units <= 1:
-            # a pool of one only adds its start-up
-            return [self.count_trees(g, problems[i]) if i in problems
-                    else self.run_group(g) for i, g in enumerate(groups)]
-        # forked workers inherit `unit` with this prepared run and the
-        # tabulated pairs (fork pickles no initargs) and all start at the
-        # first submit, so a pool wider than the units would only start
-        # idle interpreters
-        pool = ProcessPoolExecutor(max_workers=min(self.jobs, units),
-                                   mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_adopt, initargs=(unit,))
-        try:
-            futures = {i: [pool.submit(_pool_unit, i, rank) for rank in rs]
-                       for i, rs in ranks.items()}
-            done = []
-            for i, g in enumerate(groups):
-                got = [f.result() for f in futures.pop(i)]
-                if i not in problems:
-                    done.append(got[0])
-                    continue
-                problem = problems.pop(i)
-                problem.intersections = tr.merge_seeds(problem, got)
-                done.append(self.count_trees(g, problem))
-            return done
-        finally:
-            # on an error, units not yet started never run
-            pool.shutdown(cancel_futures=True)
+        got = dict(zip(units, _run_units(unit, units, self.jobs)))
+        results = {}
+        for i, g in enumerate(groups):
+            if i in problems:
+                problem = problems[i]
+                problem.intersections = tr.merge_seeds(
+                    problem, [got[i, rank] for rank in range(len(problem.seeds))])
+                done = self.count_trees(g, problem)
+            else:
+                done = got[i, None]
+            results.update(zip(g, done))
+        return results
 
     def count(self):
         """Run every delta and m2 task.  Keeps the found trees and the m2
@@ -454,6 +423,26 @@ def _logged(tasks, count):
         log.info("counted %s: parity %d", " ".join(map(str, task)),
                  results[-1]["parity"])
     return results
+
+
+def _run_units(unit, units, jobs):
+    """[unit(*u) for u in units], in unit order: in this process when
+    jobs is 1 or there is only one unit, else on a forked pool no wider
+    than the units.  The first unit to raise, in unit order, raises here."""
+    if jobs == 1 or len(units) <= 1:
+        return [unit(*u) for u in units]
+    # forked workers inherit `unit` with the prepared run and the tabulated
+    # pairs (fork pickles no initargs) and all start at the first submit, so
+    # a pool wider than the units would only start idle interpreters
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(units)),
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt, initargs=(unit,))
+    try:
+        futures = [pool.submit(_pool_unit, *u) for u in units]
+        return [f.result() for f in futures]
+    finally:
+        # on an error, units not yet started never run
+        pool.shutdown(cancel_futures=True)
 
 
 _worker_unit = None
@@ -552,30 +541,29 @@ def compare_runs(run_a, run_b, correspondence="by grading+value", tol_value=1e-6
     return _plain(verdict)
 
 
-def stabilization_compare(config, signs=("+",), jobs=1):
-    """Ring of F versus ring of F stabilized by the given sign sequence."""
+def _variant_compare(config, edits, suffix, jobs):
+    """Ring of F versus ring of F with `edits` made to its family section
+    and `suffix` added to its label."""
     cfg2 = json.loads(json.dumps(config))
-    fam2 = dict(cfg2["family"])
-    fam2["stabilize"] = list(fam2.get("stabilize", [])) + list(signs)
-    fam2["label"] = fam2.get("label", "family") + "-stab"
-    cfg2["family"] = fam2
+    fam2 = cfg2["family"]
+    fam2.update(edits, label=fam2.get("label", "family") + suffix)
     a = gf_run(config, jobs=jobs)
     b = gf_run(cfg2, jobs=jobs)
     return a, b, compare_runs(a, b)
+
+
+def stabilization_compare(config, signs=("+",), jobs=1):
+    """Ring of F versus ring of F stabilized by the given sign sequence."""
+    signs = list(config["family"].get("stabilize", [])) + list(signs)
+    return _variant_compare(config, {"stabilize": signs}, "-stab", jobs)
 
 
 def fpd_compare(config, components, jobs=1):
     """Ring of F versus ring of F precomposed with a fiber twist."""
-    cfg2 = json.loads(json.dumps(config))
-    fam2 = dict(cfg2["family"])
-    if "fpd" in fam2:
+    if "fpd" in config["family"]:
         raise ValueError("base config already carries a fiber twist")
-    fam2["fpd"] = {"components": list(components)}
-    fam2["label"] = fam2.get("label", "family") + "-fpd"
-    cfg2["family"] = fam2
-    a = gf_run(config, jobs=jobs)
-    b = gf_run(cfg2, jobs=jobs)
-    return a, b, compare_runs(a, b)
+    return _variant_compare(config, {"fpd": {"components": list(components)}},
+                            "-fpd", jobs)
 
 
 def reseed_compare(config, seed_a, seed_b, jobs=1):

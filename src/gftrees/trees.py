@@ -41,8 +41,9 @@ charts and ranks the seeds, `run_seed` runs Newton from one ranked seed
 and returns picklable data, and `merge_seeds` deduplicates the meeting
 points in rank order and counts the outcomes.  The seeds are independent,
 so `merge_seeds` gives the same solutions for any split of the ranks and
-any arrival order.  Inline, the first `solve_trees` runs every seed in rank
-order; a process pool can run each seed as its own unit of work.
+any arrival order.  The pipeline runs each seed as a unit of work and
+sets `problem.intersections` to their merge; without it, the first
+`solve_trees` runs every seed in rank order, the library's one-call solve.
 
 Chart endpoints are memoized per (edge, u, t), and each (edge, u) path
 keeps a step log of its integrator states (see `flow.integrate`'s
@@ -395,8 +396,8 @@ def solve_trees(problem, sink):
     """All isolated flow trees from the problem's source pair into `sink`.
 
     After `check_count`, the Newton solutions of the source edges
-    (`problem.intersections`, found on the first call unless merged from
-    pooled seeds already, and shared by every sink) are split by the
+    (`problem.intersections`, found on the first call unless the seeds
+    were run and merged already, and shared by every sink) are split by the
     capture test and validated (matching, confinement, the rho/4
     positivity bound, Jacobian condition below COND_CAP).
     `problem.seed_outcomes[sink.id]` then holds how each Newton seed ended,

@@ -352,6 +352,25 @@ def linear_stops(coords_values, box, t_max=400.0):
     return fl.Stops(crits, box, t_max, 1e-4, 1e-3)
 
 
+@pytest.mark.parametrize("key, other", [("t_max", 1.0), ("r_conv", 1e-3),
+                                        ("value_window", 1e-4)])
+def test_event_mode_refuses_a_stop_setting_that_disagrees_with_its_stops(key, other):
+    """In event mode `stops` is the one source of t_max, r_conv and the
+    value window.  A `tolerances` entry that disagrees raises instead of
+    being ignored: {"t_max": 1.0} used to run on to the escape at t = 20."""
+    field = fa.ScalarField(1, ex.parse("x1", ex.VarLayout(1, 0)))
+    stops = linear_stops([], [[-20.0, 20.0]])
+    for n in (1, fl.SCALAR_ROWS):
+        with pytest.raises(ValueError, match="tolerance %s" % key):
+            fl.integrate_batch(field, [[0.0]] * n, stops, {key: other})
+    with pytest.raises(ValueError, match="tolerance %s" % key):
+        fl.integrate(field, [0.0], stops=stops, tolerances={key: other})
+    traj = fl.integrate(field, [0.0], stops=stops,
+                        tolerances={key: getattr(stops, key)})
+    assert traj.termination.as_tuple() == ("escaped", "+z0")
+    assert 20.0 < traj.t_final < 21.0
+
+
 def test_a_step_that_passes_one_point_and_jumps_the_next_lowers_both_approaches():
     """On f = x1 every row runs right along its line at unit speed.  Row 0's
     step from x1 = 0.656 to 1.156 passes c1 = (1.1, 0.01) at 0.01 and jumps

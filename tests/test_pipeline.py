@@ -129,18 +129,39 @@ def test_pool_workers_rebuild_the_exact_config(unknot_config, monkeypatch):
     monkeypatch.setattr(pl.GFRun, "run_group",
                         lambda self, tasks: [self.tol["rtol"]] * len(tasks))
     run = pl.GFRun(unknot_config, jobs=2)
-    assert run.run_tasks([("a",), ("b",)]) == \
-        {("a",): 1.0000000000001e-8, ("b",): 1.0000000000001e-8}
+    want = {("a",): 1.0000000000001e-8, ("b",): 1.0000000000001e-8}
+    assert run.run_tasks([("a",), ("b",)]) == want
+    run.jobs = 1
+    assert run.run_tasks([("a",), ("b",)]) == want
+
+
+def unit_spy(monkeypatch, counts=None):
+    """The units that run, in order: the task list of each line-count
+    group and the rank of each tree seed.  With `counts`, a line-count
+    group returns counts(tasks) instead of counting."""
+    ran = []
+    run_group, run_seed = pl.GFRun.run_group, tr.run_seed
+
+    def group_spy(self, tasks):
+        ran.append(tasks)
+        return counts(tasks) if counts else run_group(self, tasks)
+
+    def seed_spy(problem, rank):
+        ran.append(rank)
+        return run_seed(problem, rank)
+    monkeypatch.setattr(pl.GFRun, "run_group", group_spy)
+    monkeypatch.setattr(tr, "run_seed", seed_spy)
+    return ran
 
 
 def test_the_pool_is_no_wider_than_its_task_groups(multi_config, monkeypatch,
                                                    inline_pool):
     """Forked workers all start at the first submit, so a pool is no wider
     than min(jobs, units): a unit is a line-count group or one ranked
-    Newton seed of a tree pair."""
+    Newton seed of a tree pair.  Inline, the same units run in the same
+    order."""
     run = pl.GFRun(multi_config, jobs=64).prepare()
-    monkeypatch.setattr(pl.GFRun, "run_group",
-                        lambda self, tasks: [t[-1] for t in tasks])
+    ran = unit_spy(monkeypatch, lambda tasks: [t[-1] for t in tasks])
     # the two line counts from c3 share a group
     lines = [("delta", "w", "c3", "c4"), ("delta", "w", "c3", "c5"),
              ("delta", "w", "c4", "c5")]
@@ -148,8 +169,16 @@ def test_the_pool_is_no_wider_than_its_task_groups(multi_config, monkeypatch,
     trees = [("m2", "c3", "c3", "c4"), ("m2", "c3", "c3", "c5")]
     run.run_tasks(lines + trees)
     run.jobs = 3
-    run.run_tasks(lines + trees)
+    ran.clear()
+    pooled = run.run_tasks(lines + trees)
     # multichord's one tree pair has MAX_SEEDS ranked seeds
+    assert inline_pool["widths"] == [2, 2 + tr.MAX_SEEDS, 3]
+    assert ran == [lines[:2], lines[2:]] + list(range(tr.MAX_SEEDS))
+    pooled_units = list(ran)
+    run.jobs = 1
+    ran.clear()
+    assert run.run_tasks(lines + trees) == pooled
+    assert ran == pooled_units
     assert inline_pool["widths"] == [2, 2 + tr.MAX_SEEDS, 3]
 
 
@@ -157,14 +186,16 @@ def test_tree_counts_from_one_source_pair_share_a_task_group(multi_config,
                                                              monkeypatch,
                                                              inline_pool):
     """The m2 tasks of every sink above one (p1, p2) share that pair's
-    Newton solutions: the parent tabulates the pair once, before the first
-    submit; each ranked seed is one unit and runs once; and the parent
-    counts both sinks on the merged seeds."""
+    Newton solutions: for any jobs, the parent tabulates the pair once,
+    before any unit runs; each ranked seed is one unit and runs once; and
+    the parent counts both sinks on the merged seeds.  Inline, the same
+    units run in the same order, with the same results."""
     run = pl.GFRun(multi_config, jobs=2).prepare()
+    ran = unit_spy(monkeypatch)
     tabulated, newton_ranks, counted = [], [], []
     seeds, newton, count_trees = tr._seeds, tr._newton, pl.GFRun.count_trees
     monkeypatch.setattr(tr, "_seeds", lambda problem: tabulated.append(
-        (os.getpid(), len(inline_pool["units"]))) or seeds(problem))
+        (os.getpid(), len(ran))) or seeds(problem))
 
     def newton_spy(problem, theta0, bigbox):
         newton_ranks.append([r for r, s in enumerate(problem.seeds)
@@ -175,24 +206,25 @@ def test_tree_counts_from_one_source_pair_share_a_task_group(multi_config,
                         counted.append(tasks) or count_trees(self, tasks, problem))
     tasks = [("delta", "w", "c3", "c4"), ("m2", "c3", "c3", "c4"),
              ("delta", "w", "c3", "c5"), ("m2", "c3", "c3", "c5")]
+
+    def counted_once():
+        assert tabulated == [(os.getpid(), 0)]
+        assert ran == [[tasks[0], tasks[2]]] + list(range(tr.MAX_SEEDS))
+        assert newton_ranks == [[rank] for rank in range(tr.MAX_SEEDS)]
+        assert counted[-1] == [tasks[1], tasks[3]]
+        for spied in (tabulated, ran, newton_ranks):
+            spied.clear()
     pooled = run.run_tasks(tasks)
-    assert tabulated == [(os.getpid(), 0)]
     assert inline_pool["units"] == [(0, None)] + [(1, rank) for rank in
                                                   range(tr.MAX_SEEDS)]
-    assert newton_ranks == [[rank] for rank in range(tr.MAX_SEEDS)]
-    assert counted == [[tasks[1], tasks[3]]]
-    # the inline path runs the same groups, and gets the same results
-    inline = []
-    run_group = pl.GFRun.run_group
-    monkeypatch.setattr(pl.GFRun, "run_group", lambda self, tasks:
-                        inline.append(tasks) or run_group(self, tasks))
+    counted_once()
     run.jobs = 1
     assert run.run_tasks(tasks) == pooled
-    assert inline == [[tasks[0], tasks[2]], [tasks[1], tasks[3]]]
-    assert counted[1:] == [[tasks[1], tasks[3]]]
-    # two source pairs: two problems, each tabulated once before any submit
+    counted_once()
+    assert inline_pool["widths"] == [2]
+    assert len(counted) == 2
+    # two source pairs: two problems, each tabulated once before any unit
     torus = pl.MorseRun(jobs=2).prepare()
-    tabulated.clear()
     inline_pool["units"].clear()
     pairs = [("m2", "c1", "c1", "c3"), ("m2", "c2", "c2", "c3")]
     torus.run_tasks(pairs)
@@ -204,8 +236,8 @@ def test_tree_counts_from_one_source_pair_share_a_task_group(multi_config,
 def test_a_refused_pair_is_refused_before_any_tabulation(monkeypatch,
                                                          inline_pool):
     """An f-pit and a g-saddle into an (f+g)-saddle: the sink misses a
-    coupled direction.  Pooled, the refusal comes before any pair is
-    tabulated or any Newton step runs, with the inline run's message."""
+    coupled direction.  For any jobs, the refusal comes before any pair is
+    tabulated or any Newton step runs, with one message."""
     calls = []
     tabulate, newton = tr._tabulate, tr._newton
     monkeypatch.setattr(tr, "_tabulate",
@@ -220,8 +252,27 @@ def test_a_refused_pair_is_refused_before_any_tabulation(monkeypatch,
         with pytest.raises(tr.DimensionError, match="coupled direction") as e:
             run.run_tasks(tasks)
         refusals.append((str(e.value), bool(calls)))
-    # inline, the first pair is counted before the second is refused
-    assert refusals[1] == (refusals[0][0], False) and refusals[0][1]
+    assert refusals[1] == refusals[0] and not refusals[0][1]
+    assert inline_pool["widths"] == []
+
+
+def test_a_failing_line_group_ahead_of_a_refused_pair_fails_alike_for_any_jobs(
+        monkeypatch, inline_pool):
+    """A line-count group that raises, listed ahead of an undefined tree
+    pair: every --jobs refuses the pair before any unit runs, so each
+    raises the same exception with the same message."""
+    def ambiguous(source, q):
+        raise fl.AmbiguousCountError("a seed neither converged nor escaped")
+    monkeypatch.setattr(fl, "count_lines", ambiguous)
+    tasks = [("delta", 0, "c0", "c1"), ("m2", "c0", "c1", "c1")]
+    got = []
+    for jobs in (1, 2):
+        run = pl.MorseRun(jobs=jobs).prepare()
+        with pytest.raises(Exception) as e:
+            run.run_tasks(tasks)
+        got.append((type(e.value), str(e.value)))
+    assert got[1] == got[0]
+    assert got[0][0] is tr.DimensionError
     assert inline_pool["widths"] == []
 
 
@@ -311,6 +362,12 @@ def test_compare_runs_on_identical_configs(unknot_run, unknot_config):
     verdict = pl.compare_runs(unknot_run, fresh)
     assert verdict["pass"]
     assert verdict["generator_map"] == {"c1": "c1"}
+
+
+def test_a_fiber_twist_comparison_refuses_a_twisted_base(unknot_config):
+    unknot_config["family"]["fpd"] = {"components": ["e1"]}
+    with pytest.raises(ValueError, match="already carries a fiber twist"):
+        pl.fpd_compare(unknot_config, ["e1"])
 
 
 def test_morse_rho_is_the_least_value_gap():

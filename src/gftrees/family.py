@@ -38,6 +38,15 @@ class FamilyError(ValueError):
     pass
 
 
+# Rows per call of a compiled vector function.  The generated code keeps
+# dozens of arrays of shape (B,) alive at once: a 14 MB tracemalloc peak
+# for the 20,256-row gradient bound on multichord's D = 4 extended fields,
+# against 2.9 MB in blocks, which also run faster than one call.  Every
+# generated statement works row by row, so a row has the same bits in any
+# block.
+VEC_ROWS = 1024
+
+
 # ---------------------------------------------------------------------------
 # Scalar fields: compiled expression blocks plus decoupled quadratic blocks
 
@@ -116,6 +125,15 @@ class ScalarField:
             self._fns[kind] = fn
         return fn
 
+    def _rows(self, kind, Z):
+        """The compiled vector function `kind` on the rows of Z, in blocks
+        of VEC_ROWS rows, concatenated."""
+        fn = self._fn(kind)
+        if len(Z) <= VEC_ROWS:
+            return fn(Z)
+        return np.concatenate([fn(Z[a:a + VEC_ROWS])
+                               for a in range(0, len(Z), VEC_ROWS)])
+
     def value(self, z):
         v = self._fn("value")(z)
         for i, c in self.quad_blocks:
@@ -135,22 +153,29 @@ class ScalarField:
         return h
 
     def value_vec(self, Z):
+        """`value` of each row of a (B, D) array, as a (B,) array.
+
+        Like `grad_vec` and `hess_vec`, it evaluates more than VEC_ROWS
+        rows in blocks of VEC_ROWS.  Every statement works row by row, so
+        each row has the bits of its scalar `value` in any block."""
         Z = np.asarray(Z, dtype=float)
-        v = self._fn("value_vec")(Z)
+        v = self._rows("value_vec", Z)
         for i, c in self.quad_blocks:
             v = v + c * Z[:, i] * Z[:, i]
         return v
 
     def grad_vec(self, Z):
+        """`grad` of each row, (B, D), in row blocks as in `value_vec`."""
         Z = np.asarray(Z, dtype=float)
-        g = self._fn("grad_vec")(Z)
+        g = self._rows("grad_vec", Z)
         for i, c in self.quad_blocks:
             g[:, i] += 2.0 * c * Z[:, i]
         return g
 
     def hess_vec(self, Z):
+        """`hess` of each row, (B, D, D), in row blocks as in `value_vec`."""
         Z = np.asarray(Z, dtype=float)
-        h = self._fn("hess_vec")(Z)
+        h = self._rows("hess_vec", Z)
         for i, c in self.quad_blocks:
             h[:, i, i] += 2.0 * c
         return h

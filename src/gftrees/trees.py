@@ -52,7 +52,11 @@ instead of from t = 0, with a bit-identical result.  So the tabulation's
 ascending time grid integrates each direction once, plus a few
 cap-shortened steps per grid time, and a finite-difference time column, a
 line-search candidate or a Newton iterate at a smaller time than the
-path's last query resumes from the state before its time.
+path's last query resumes from the state before its time.  A rejected
+line-search candidate keeps no log of the paths it started (its new
+directions are queried at no other time), only its memo entries; a
+candidate on its iterate's path, as on a k = 1 chart, leaves that path's
+log in place, and so does every finite-difference column.
 
 The solver's settings are the module constants `MAX_SEEDS`, `TIME_POINTS`,
 `MAX_ITER`, `TOL_MATCH`, `FD_STEP`, `DEDUP_RADIUS` and `COND_CAP`; no
@@ -205,7 +209,7 @@ class TreeProblem:
 
     def endpoint(self, which, u, t):
         chart = self.charts[which]
-        path = (which, np.asarray(u).tobytes())
+        path = _path(which, u)
         key = path + (float(t),)
         got = self._memo.get(key)
         if got is None:
@@ -226,6 +230,12 @@ class TreeProblem:
         if self.periodic:
             return v - np.round(v)
         return v
+
+
+def _path(which, u):
+    """The key of the (edge, u) path: its step log's, and the memo's
+    without the time."""
+    return which, np.asarray(u).tobytes()
 
 
 @dataclass
@@ -325,18 +335,36 @@ def _newton(problem, theta0, bigbox):
             cand = theta - step
             _clamp_times(problem, cand)
             _retract_dirs(problem, cand)
+            fresh = _unlogged_paths(problem, cand)
             cres = _augmented(cand, problem)
             cnorm = float(np.max(np.abs(cres)))
             if cnorm < norm:
                 theta, res, norm = cand, cres, cnorm
                 improved = True
                 break
+            _drop_logs(problem, fresh)
             step *= 0.5
         if not improved:
             return "line_search_stall", None
         if not _plausible(problem, theta, bigbox):
             return "implausible", None
     return "max_iter", None
+
+
+def _unlogged_paths(problem, theta):
+    """The paths of theta's source edges that keep no step log yet."""
+    paths = [_path(which, u) for which, (u, _) in enumerate(problem.split(theta))]
+    return [path for path in paths if path not in problem._logs]
+
+
+def _drop_logs(problem, paths):
+    """Forget the step logs of a rejected line-search candidate's own
+    paths, those it started.  The candidate's new directions are queried
+    at no other time, so no later query would resume from them; its memo
+    entries stay.  (A finite-difference column's paths are kept: on a
+    k = 1 chart its direction is the same at every iteration.)"""
+    for path in paths:
+        problem._logs.pop(path, None)
 
 
 def _fd_jacobian(problem, theta, res):

@@ -5,6 +5,7 @@ package: for a fiber-cubic family e^3/3 + c(x)*e the chords sit over the
 critical points of c with c < 0, at value (4/3)*(-c)^(3/2).
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,37 @@ def test_perturbation_bound_scales_with_the_gradient(unknot_config):
     assert b.rho == pytest.approx(4.0 / 3.0, abs=1e-8)
     assert b.lipschitz_L > 0
     assert b.delta_pert == pytest.approx(b.rho / (4 * b.lipschitz_L), rel=1e-12)
+
+
+def test_perturbation_bound_samples_the_gradient_in_row_blocks(multi_config,
+                                                              monkeypatch):
+    """Multichord's gradient bound reads 20,256 sample rows of three D = 4
+    fields.  One `grad_vec` call on all of them kept dozens of row-length
+    temporaries alive at once, a 14.4 MB tracemalloc peak; in blocks of
+    `VEC_ROWS` the peak is 2.9 MB, mostly the sample itself and the
+    gradient rows.  The bound sits between the two.  The bound's L is
+    still the largest norm of a scalar `grad` row of the sample."""
+    from gftrees.pipeline import lipschitz_box
+    fam, crits, exts = embed_parts(multi_config)
+    fields = [exts[pq] for pq in PAIRS]
+    K = lipschitz_box(fam)
+    samples = []
+    grad_vec = fa.ScalarField.grad_vec
+    monkeypatch.setattr(fa.ScalarField, "grad_vec",
+                        lambda self, Z: samples.append(Z) or grad_vec(self, Z))
+    first = cr.rho_and_perturbation_bound(crits, fields, K, seed=11)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        b = cr.rho_and_perturbation_bound(crits, fields, K, seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+    assert [len(P) for P in samples] == [20256] * 3
+    norms = [np.linalg.norm([f.grad(z) for z in P.tolist()], axis=1)
+             for f, P in zip(fields, samples)]
+    assert b.lipschitz_L == first.lipschitz_L == max(map(np.max, norms))
 
 
 def _newton_every_iteration(field, Z, box, iters=60, tol_grad=1e-9):

@@ -6,6 +6,7 @@ import pytest
 
 from gftrees import continuation as ct
 from gftrees import family as fa
+from gftrees import pipeline as pl
 
 PAIRS = ((1, 2), (2, 3), (1, 3))
 
@@ -215,9 +216,11 @@ def _edge_grid(field, base=16, seed=0):
     return np.concatenate(rows)
 
 
-@pytest.mark.parametrize("which", ["w", "w_{1,2;3}", "W_{1,2;3}"])
+@pytest.mark.parametrize("which", ["w", "w_{1,2;3}", "W_{1,2;3}", "torus f+g"])
 def test_vector_flavours_return_the_scalar_rows(which, unknot_config,
                                                 unknot_moved_config):
+    """Row for row, bit for bit, also past VEC_ROWS rows: the edge grid
+    tiled over two whole row blocks and a ragged third."""
     fam0 = fa.family_from_config(unknot_config["family"])
     fam1 = fa.family_from_config(unknot_moved_config["family"])
     Q = fa.QuadraticLike.scaled_identity(fam0.N, 0.15)
@@ -225,18 +228,25 @@ def test_vector_flavours_return_the_scalar_rows(which, unknot_config,
         field = fam0.difference()
     elif which == "w_{1,2;3}":
         field = fa.extend(fam0, (1, 2), Q)
-    else:
+    elif which == "W_{1,2;3}":
         field = ct.blend_field(fa.extend(fam0, (1, 2), Q),
                                fa.extend(fam1, (1, 2), Q), 0.1)
+    else:
+        field = fa.morse_mode_fields(pl.DEMO_MORSE["f"], pl.DEMO_MORSE["g"],
+                                     pl.DEMO_MORSE["n"])[2]
     Z = _edge_grid(field)
     rows = [list(z) for z in Z]
+    reps = -(-(2 * fa.VEC_ROWS + 1) // len(Z))
+    tiled = np.tile(Z, (reps, 1))[:2 * fa.VEC_ROWS + len(Z) // 2]
+    assert len(tiled) % fa.VEC_ROWS != 0 and len(tiled) > 2 * fa.VEC_ROWS
     bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
-    assert np.array_equal(bits(field.value_vec(Z)),
-                          bits([field.value(z) for z in rows]))
-    assert np.array_equal(bits(field.grad_vec(Z)),
-                          bits([field.grad(z) for z in rows]))
-    assert np.array_equal(bits(field.hess_vec(Z)),
-                          bits([field.hess(z) for z in rows]))
+    for vec, scalar in ((field.value_vec, field.value),
+                        (field.grad_vec, field.grad),
+                        (field.hess_vec, field.hess)):
+        want = bits([scalar(z) for z in rows])
+        assert np.array_equal(bits(vec(Z)), want)
+        got = bits(vec(tiled))
+        assert np.array_equal(got, np.concatenate([want] * reps)[:len(tiled)])
 
 
 def test_a_field_derives_its_partials_once_for_both_flavours(unknot_family,

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from gftrees import family as fa
 from gftrees import flow as fl
 from gftrees import pipeline as pl
 from gftrees import trees as tr
@@ -277,6 +278,91 @@ def test_seeds_split_over_units_merge_to_the_one_pass_solve(
         assert sorted(ranks) == list(range(n)), split
         problem.intersections = tr.merge_seeds(problem, results)
         assert solved(problem, sinks) == want, split
+
+
+def _logged_run(run, task, monkeypatch):
+    """Tabulate and run every ranked seed of `task`'s pair on a new
+    TreeProblem, spying on it: (problem, picklable run_seed results,
+    scalar grad calls, and the record of paths by (edge, u) bytes: each
+    chart_point query and dropped log in order, the tabulated paths, and
+    the paths of accepted iterates and of FD columns)."""
+    problem, _ = tree_problem(run, task)
+    seen = {"events": [], "accepted": set(), "fd": set(), "grads": 0,
+            "in_fd": False}
+
+    def path(chart, u):
+        which = [c is chart for c in problem.charts].index(True)
+        return tr._path(which, u)
+
+    def chart_point(chart, u, t, **kw):
+        seen["events"].append(("query", path(chart, u)))
+        if seen["in_fd"]:
+            seen["fd"].add(path(chart, u))
+        return chart_point_(chart, u, t, **kw)
+
+    def drop_logs(problem_, paths):
+        seen["events"] += [("drop", p) for p in paths if p in problem_._logs]
+        return drop_logs_(problem_, paths)
+
+    def fd_jacobian(*a):
+        seen["in_fd"] = True
+        try:
+            return fd_jacobian_(*a)
+        finally:
+            seen["in_fd"] = False
+
+    def plausible(problem_, theta, bigbox):
+        seen["accepted"].update(tr._path(w, u) for w, (u, _)
+                                in enumerate(problem_.split(theta)))
+        return plausible_(problem_, theta, bigbox)
+
+    def grad(self, z):
+        seen["grads"] += 1
+        return grad_(self, z)
+
+    chart_point_, drop_logs_ = fl.chart_point, tr._drop_logs
+    fd_jacobian_, plausible_, grad_ = tr._fd_jacobian, tr._plausible, fa.ScalarField.grad
+    with monkeypatch.context() as m:
+        m.setattr(fl, "chart_point", chart_point)
+        m.setattr(tr, "_drop_logs", drop_logs)
+        m.setattr(tr, "_fd_jacobian", fd_jacobian)
+        m.setattr(tr, "_plausible", plausible)
+        m.setattr(fa.ScalarField, "grad", grad)
+        n = len(problem.seeds)
+        seen["tabulated"] = {p for _, p in seen["events"]}
+        results = [tr.run_seed(problem, rank) for rank in range(n)]
+    results = [[np.asarray(v).tolist() if v is not None else None for v in r]
+               for r in results]
+    return problem, results, seen
+
+
+@pytest.mark.parametrize("case", [("multichord", ("m2", "c3", "c3", "c4")),
+                                  ("torus", ("m2", "c1", "c1", "c3"))],
+                         ids=["multichord-c3c3", "torus-c1c1"])
+def test_rejected_candidates_keep_no_step_log(case, morse_run, multi_run,
+                                              monkeypatch):
+    """A rejected line-search candidate drops the step logs of the paths it
+    started, and no dropped path is queried again, so every seed's result
+    and the integration work are those of a run that keeps every log.  The
+    logs left are of tabulated directions, accepted iterates and FD
+    columns."""
+    name, task = case
+    run = {"torus": morse_run, "multichord": multi_run}[name]
+    problem, results, seen = _logged_run(run, task, monkeypatch)
+    dropped = set()
+    for kind, path in seen["events"]:
+        if kind == "drop":
+            dropped.add(path)
+        else:
+            assert path not in dropped
+    if name == "multichord":
+        assert dropped
+    assert set(problem._logs) <= seen["tabulated"] | seen["accepted"] | seen["fd"]
+    monkeypatch.setattr(tr, "_drop_logs", lambda problem, paths: None)
+    kept, want, want_seen = _logged_run(run, task, monkeypatch)
+    assert results == want
+    assert seen["grads"] == want_seen["grads"]
+    assert len(problem._logs) + len(dropped) == len(kept._logs)
 
 
 def test_a_merge_needs_every_ranked_seed_once(morse_run):

@@ -282,10 +282,11 @@ def test_seeds_split_over_units_merge_to_the_one_pass_solve(
 
 def _logged_run(run, task, monkeypatch):
     """Tabulate and run every ranked seed of `task`'s pair on a new
-    TreeProblem, spying on it: (problem, picklable run_seed results,
-    scalar grad calls, and the record of paths by (edge, u) bytes: each
-    chart_point query and dropped log in order, the tabulated paths, and
-    the paths of accepted iterates and of FD columns)."""
+    TreeProblem, with spies: (problem, the run_seed results with arrays
+    as bytes, what the spies saw).  They count scalar grad calls and
+    record paths by (edge, u): each chart_point query and dropped log in
+    order, the tabulated paths, and those of accepted iterates and of FD
+    columns."""
     problem, _ = tree_problem(run, task)
     seen = {"events": [], "accepted": set(), "fd": set(), "grads": 0,
             "in_fd": False}
@@ -331,7 +332,7 @@ def _logged_run(run, task, monkeypatch):
         n = len(problem.seeds)
         seen["tabulated"] = {p for _, p in seen["events"]}
         results = [tr.run_seed(problem, rank) for rank in range(n)]
-    results = [[np.asarray(v).tolist() if v is not None else None for v in r]
+    results = [[v.tobytes() if isinstance(v, np.ndarray) else v for v in r]
                for r in results]
     return problem, results, seen
 

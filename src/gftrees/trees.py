@@ -360,9 +360,10 @@ def _unlogged_paths(problem, theta):
 def _drop_logs(problem, paths):
     """Forget the step logs of a rejected line-search candidate's own
     paths, those it started.  The candidate's new directions are queried
-    at no other time, so no later query would resume from them; its memo
-    entries stay.  (A finite-difference column's paths are kept: on a
-    k = 1 chart its direction is the same at every iteration.)"""
+    at no other time, so no later query would resume from them (one that
+    did would integrate from t = 0, to the same bits); its memo entries
+    stay.  (A finite-difference column's paths are kept: on a k = 1 chart
+    its direction is the same at every iteration.)"""
     for path in paths:
         problem._logs.pop(path, None)
 

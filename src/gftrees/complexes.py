@@ -21,6 +21,8 @@ import numpy as np
 
 from . import gf2
 
+VALUE_MATCH_TOL = 1e-6   # `compare_rings` matches generator values this close
+
 
 @dataclass
 class Generator:
@@ -302,13 +304,13 @@ def product_squares(ring0, ring1, f_a, f_b, f_t):
 # ---------------------------------------------------------------------------
 # Ring comparisons
 
-def _match_generators(C1, C2, tol_value):
+def _match_generators(C1, C2):
     """Bijection generator-of-C1 -> generator-of-C2 by (grading, value)."""
     used = set()
     mapping = {}
     for g in C1.generators:
         hits = [h for h in C2.generators
-                if h.grading == g.grading and abs(h.value - g.value) < tol_value
+                if h.grading == g.grading and abs(h.value - g.value) < VALUE_MATCH_TOL
                 and h.id not in used]
         if len(hits) != 1:
             raise ValueError(
@@ -340,19 +342,22 @@ def _check_bijection(C1, C2, mapping):
                          % (len(C1.generators), len(C2.generators)))
 
 
-def _is_cochain_map(C1, C2, mapping):
+def cochain_map_defects(C0, C1, table):
+    """delta1 . Phi + Phi . delta0 over Z2 for the chain map Phi of a
+    {id in C0: target ids in C1} table, listed generator by generator."""
+    P = table_matrix(table, C0.generators, C1.generators)
+    d0 = table_matrix(C0.delta, C0.generators, C0.generators)
+    d1 = table_matrix(C1.delta, C1.generators, C1.generators)
+    D = (d1.astype(int) @ P + P.astype(int) @ d0) % 2
     defects = []
-    for g in C1.generators:
-        img_of_delta = {mapping[t] for t in C1.delta.get(g.id, ())}
-        delta_of_img = set(C2.delta.get(mapping[g.id], ()))
-        if img_of_delta != delta_of_img:
-            defects.append({"generator": g.id,
-                            "phi(delta(g))": sorted(img_of_delta),
-                            "delta(phi(g))": sorted(delta_of_img)})
+    for g, col in zip(C0.generators, D.T):
+        bad = sorted(h.id for h, bit in zip(C1.generators, col) if bit)
+        if bad:
+            defects.append({"generator": g.id, "defect": bad})
     return defects
 
 
-def compare_rings(R1, R2, correspondence="by grading+value", tol_value=1e-6):
+def compare_rings(R1, R2, correspondence="by grading+value"):
     """Verdict on R1 ~= R2 as graded rings.
 
     `correspondence` is either "by grading+value" (match generators by
@@ -363,15 +368,16 @@ def compare_rings(R1, R2, correspondence="by grading+value", tol_value=1e-6):
     """
     C1, C2 = R1.complex, R2.complex
     if correspondence == "by grading+value":
-        mapping = _match_generators(C1, C2, tol_value)
+        mapping = _match_generators(C1, C2)
     else:
         mapping = dict(correspondence)
     _check_bijection(C1, C2, mapping)
 
     rank_ok = R1.ranks == R2.ranks
-    chain_defects = _is_cochain_map(C1, C2, mapping)
+    table = {a: (b,) for a, b in mapping.items()}
+    chain_defects = cochain_map_defects(C1, C2, table)
 
-    f = induced_map(R1, R2, {a: (b,) for a, b in mapping.items()})
+    f = induced_map(R1, R2, table)
     product_defects = [{"class": c.label, "problem": "image is not a cocycle class"}
                        for g, cs in R1.classes.items()
                        for c, ok in zip(cs, f[g][1]) if not ok]

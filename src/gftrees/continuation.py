@@ -27,6 +27,8 @@ from .pipeline import GFRun, PAIRS, _plain
 
 log = logging.getLogger(__name__)
 
+T_SAMPLES = 5   # equispaced slices t in [0, 1] whose rho^t bounds eps
+
 
 class PathError(ValueError):
     pass
@@ -78,7 +80,7 @@ def slice_field(f0, f1, t):
 class FamilyPath:
     """A convex path between two runs of families of identical shape."""
 
-    def __init__(self, run0, run1, eps=None, t_samples=5):
+    def __init__(self, run0, run1, eps=None):
         f0, f1 = run0.family, run1.family
         if (f0.n, f0.N) != (f1.n, f1.N):
             raise PathError("endpoint families have different dimensions")
@@ -95,7 +97,7 @@ class FamilyPath:
         self.run0, self.run1 = run0, run1
         self.constant = (f0.field.expr_part.key() == f1.field.expr_part.key())
         self.warnings = []
-        self.rho_slices = self._sample_rho(t_samples)
+        self.rho_slices = self._sample_rho()
         rho_min = min(self.rho_slices.values())
         if eps is None:
             # the t-profile must dominate the blend coupling sigma'(t)(w1-w0)
@@ -110,7 +112,7 @@ class FamilyPath:
                 "the values move too much along this path for one "
                 "continuation step, subdivide it" % (self.eps, rho_min))
 
-    def _sample_rho(self, t_samples):
+    def _sample_rho(self):
         """Least positive critical value of each slice, and the largest
         |w1 - w0| over the slices' critical points.
 
@@ -128,7 +130,7 @@ class FamilyPath:
             ends[1.0] = self.run1.criticals
         out = {}
         self.value_drift = 0.0
-        for t in np.linspace(0.0, 1.0, t_samples):
+        for t in np.linspace(0.0, 1.0, T_SAMPLES):
             t = float(t)
             if self.constant and t > 0:
                 out[t] = out[0.0]
@@ -201,7 +203,7 @@ def _scope_gate(path):
             "outside the shooting scan's validated scope." % (bad,))
 
 
-def continuation_matrix(path, which="w", r0=None, scan_density=None):
+def continuation_matrix(path, which="w"):
     """Z2 matrix of the continuation map for w or an extended pair.
 
     Returns (matrix dict {(src_id, dst_id): parity over equal-grading
@@ -211,8 +213,6 @@ def continuation_matrix(path, which="w", r0=None, scan_density=None):
     run0, run1 = path.run0, path.run1
     tol = run0.tol
     solver = run0.config["solver"]
-    r0 = solver["r0"] if r0 is None else r0
-    scan_density = solver["scan_density"] if scan_density is None else scan_density
     if which == "w":
         f0, f1 = run0.w, run1.w
         gens0, gens1 = run0.chords, run1.chords
@@ -244,8 +244,8 @@ def continuation_matrix(path, which="w", r0=None, scan_density=None):
     t_checks = []
     obstructed = []
     for p, lp in zip(gens0, lifted0):
-        source = fl.LineSource(W, lp, criticals, r0=r0, m=scan_density,
-                               tolerances=tol)
+        source = fl.LineSource(W, lp, criticals, r0=solver["r0"],
+                               m=solver["scan_density"], tolerances=tol)
         for q, lq in zip(gens1, lifted1):
             if q.grading != p.grading:
                 continue
@@ -301,20 +301,6 @@ def invertible_by_grading(phi, run0, run1):
     return out
 
 
-def cochain_map_defects(phi, run0, run1):
-    """delta1 . Phi + Phi . delta0 over Z2, listed entry-by-entry."""
-    P = cx.table_matrix(phi_table(phi), run0.chords, run1.chords)
-    d0 = cx.table_matrix(run0.complex.delta, run0.chords, run0.chords)
-    d1 = cx.table_matrix(run1.complex.delta, run1.chords, run1.chords)
-    D = (d1.astype(int) @ P + P.astype(int) @ d0) % 2
-    defects = []
-    for p, col in zip(run0.chords, D.T):
-        bad = sorted(q.id for q, bit in zip(run1.chords, col) if bit)
-        if bad:
-            defects.append({"generator": p.id, "defect": bad})
-    return defects
-
-
 def diagram_check(run0, run1, phi12, phi23, phi13):
     """Commutativity on cohomology: Phi13* mu2_0 = mu2_1 (Phi12* x Phi23*)."""
     r0 = {g: r for g, r in run0.ring.ranks.items() if r}
@@ -364,7 +350,8 @@ def constant_path_check(config, jobs=1):
     report = {
         "phi": {"%s->%s" % k: v for k, v in sorted(phi.items())},
         "identity": is_identity(phi, run, run),
-        "cochain_defects": cochain_map_defects(phi, run, run),
+        "cochain_defects": cx.cochain_map_defects(run.complex, run.complex,
+                                                  phi_table(phi)),
         "diagnostics": diag,
     }
     report["pass"] = bool(report["identity"] and not report["cochain_defects"]
@@ -372,23 +359,21 @@ def constant_path_check(config, jobs=1):
     return run, _plain(report)
 
 
-def isotopy_compare(config0, config1, jobs=1, eps=None):
+def isotopy_compare(config0, config1, jobs=1):
     """Full invariance check along a path of families: the three extended
     continuation maps, cochain-map identities, and the product diagram on
     cohomology."""
     run0, run1 = _aligned_runs(config0, config1, jobs=jobs)
-    path = FamilyPath(run0, run1, eps=eps)
+    path = FamilyPath(run0, run1)
     phi_w, diag_w = continuation_matrix(path, "w")
     phis = {}
     diags = {"w": diag_w}
     for pq in PAIRS:
         phis[pq], diags["%d%d" % pq] = continuation_matrix(path, pq)
     chain_defects = {
-        "w": cochain_map_defects(phi_w, run0, run1),
-        "12": cochain_map_defects(phis[(1, 2)], run0, run1),
-        "23": cochain_map_defects(phis[(2, 3)], run0, run1),
-        "13": cochain_map_defects(phis[(1, 3)], run0, run1),
-    }
+        key: cx.cochain_map_defects(run0.complex, run1.complex, phi_table(phi))
+        for key, phi in (("w", phi_w), ("12", phis[(1, 2)]),
+                         ("23", phis[(2, 3)]), ("13", phis[(1, 3)]))}
     product_defects = diagram_check(run0, run1, phis[(1, 2)], phis[(2, 3)],
                                     phis[(1, 3)])
     inv = invertible_by_grading(phi_w, run0, run1)

@@ -3,8 +3,9 @@
 Chords of the Legendrian correspond to critical points of w with positive
 critical value; the value-0 set {e = e'} is a degenerate submanifold and is
 excluded by a value filter rather than classified.  Root finding is grid +
-batched Newton; completeness is heuristic and cross-checked by the
-grid-doubling invariance test and the blend-annulus floor.
+batched Newton over the field's inner box; completeness is heuristic: a
+test checks that doubling the grid changes nothing, and the cutoff shell
+is only sampled on a 7-point grid (`family.blend_annulus_floor`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ TOLERANCES = {
     "tol_degenerate": 1e-6,
     "tol_value": 1e-7,
 }
+
+GRID_DENSITY = 7        # root-search seeds per axis (`seeds.grid_density`)
+NEWTON_ITERS = 60       # batched Newton steps of the root search, at most
+BOUND_GRID = 4          # grid points per axis of the gradient-bound sample
+BOUND_SAMPLES = 20000   # uniform draws of the gradient-bound sample
 
 
 class DegenerateRootError(RuntimeError):
@@ -92,13 +98,13 @@ def _seed_grid(field, box, density):
     return np.column_stack([m.ravel() for m in mesh])
 
 
-def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
+def _newton_polish(field, Z, box, tol_grad=1e-9):
     """Batched Newton on grad(field) = 0.  Returns converged points.
 
     An iteration is a pure function of the whole batch Z, so once a full
     step (after the periodic wrap and the row filter) returns Z with the
     same bits, every later iteration would return it too: the loop stops
-    there with the result of all `iters` iterations.  Bits, not `==`,
+    there with the result of all NEWTON_ITERS iterations.  Bits, not `==`,
     decide, since -0.0 == 0.0.  A batch with a row that cycles or never
     settles runs every iteration.
     """
@@ -107,7 +113,7 @@ def _newton_polish(field, Z, box, iters=60, tol_grad=1e-9):
     hi = np.array([b[1] for b in box])
     span = np.max(hi - lo)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         if len(Z) == 0:
             break
         G = field.grad_vec(Z)
@@ -176,9 +182,9 @@ def _dedup(points, tol, periodic):
     return np.array([_cluster_mean(pts[idx], periodic) for idx in comps])
 
 
-def find_critical_points(field, box=None, grid_density=7, tolerances=None,
+def find_critical_points(field, grid_density=GRID_DENSITY, tolerances=None,
                          exclude_zero_value=True):
-    """All isolated nondegenerate critical points of `field` in `box`.
+    """All isolated nondegenerate critical points of `field` in its inner box.
 
     Roots with |value| < tol_value are treated as part of the degenerate
     {e = e'} submanifold and dropped (disable with exclude_zero_value=False
@@ -189,10 +195,9 @@ def find_critical_points(field, box=None, grid_density=7, tolerances=None,
     tol = dict(TOLERANCES)
     if tolerances:
         tol.update(tolerances)
+    box = field.inner_box
     if box is None:
-        box = field.inner_box
-    if box is None:
-        raise ValueError("field carries no box; pass one explicitly")
+        raise ValueError("field carries no box to search")
     seeds = _seed_grid(field, box, grid_density)
     roots = _newton_polish(field, seeds, box, tol_grad=tol["tol_grad"])
     roots = _dedup(roots, tol["tol_dedup"], field.periodic)
@@ -265,8 +270,7 @@ def iota(p, pair, fam, ext_field, tolerances=None):
 # ---------------------------------------------------------------------------
 # rho and the admissible perturbation radius
 
-def rho_and_perturbation_bound(crits, fields, K, grid_density=4,
-                               samples=20000, seed=0):
+def rho_and_perturbation_bound(crits, fields, K, seed=0):
     """rho = least positive critical value; L = max sampled |grad| of the
     given fields over the box K; delta_pert = rho / (4 L), so any
     perturbation of size < delta_pert moves field values by < rho/4 along
@@ -278,9 +282,9 @@ def rho_and_perturbation_bound(crits, fields, K, grid_density=4,
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in K])
     hi = np.array([b[1] for b in K])
-    pts = [rng.uniform(lo, hi, (samples, len(K)))]
-    if grid_density ** len(K) <= 40000:
-        axes = [np.linspace(l, h, grid_density) for l, h in K]
+    pts = [rng.uniform(lo, hi, (BOUND_SAMPLES, len(K)))]
+    if BOUND_GRID ** len(K) <= 40000:
+        axes = [np.linspace(l, h, BOUND_GRID) for l, h in K]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts.append(np.column_stack([m.ravel() for m in mesh]))
     P = np.concatenate(pts)

@@ -46,6 +46,11 @@ class FamilyError(ValueError):
 # block.
 VEC_ROWS = 1024
 
+EXTERIOR_SAMPLES = 10000   # GeneratingFamily.check_exterior_linearity
+JUMP_POINTS = 1000         # jump_identity_residual
+MINIMUM_SAMPLES = 400      # QuadraticLike.check_minimum
+FPD_SAMPLES = 500          # precompose_fpd, outside and inside the outer box
+
 
 # ---------------------------------------------------------------------------
 # Scalar fields: compiled expression blocks plus decoupled quadratic blocks
@@ -200,9 +205,9 @@ class QuadraticLike:
         quads = [(k, float(lam)) for k in range(N)]
         return cls(N, ScalarField(N, None, quads, tag="Q"))
 
-    def check_minimum(self, box=None, samples=400, rng=None):
+    def check_minimum(self, rng=None):
         """0 is a critical point, positive definite, value 0; and the
-        sampled gradient does not vanish elsewhere in the box."""
+        sampled gradient does not vanish elsewhere in [-1.5, 1.5]^N."""
         zero = np.zeros(self.N)
         v = self.field.value(list(zero))
         g = np.array(self.field.grad(list(zero)))
@@ -211,10 +216,9 @@ class QuadraticLike:
             raise FamilyError("stabilizing term is not critical with value 0 at the origin")
         if np.min(np.linalg.eigvalsh(h)) <= 0:
             raise FamilyError("stabilizing term is not positive definite at the origin")
-        if box is None:
-            box = [[-2.0, 2.0]] * self.N
         rng = np.random.default_rng(0) if rng is None else rng
-        pts = np.column_stack([rng.uniform(lo, hi, samples) for lo, hi in box])
+        pts = np.column_stack([rng.uniform(-1.5, 1.5, MINIMUM_SAMPLES)
+                               for _ in range(self.N)])
         norms = np.linalg.norm(self.field.grad_vec(pts), axis=1)
         dists = np.linalg.norm(pts, axis=1)
         offenders = (dists > 0.3) & (norms < 1e-8)
@@ -294,25 +298,26 @@ class GeneratingFamily:
 
     # -- invariants -----------------------------------------------------
 
-    def check_exterior_linearity(self, samples=10000, seed=0, tol=1e-12):
+    def check_exterior_linearity(self, seed=0):
         """F - A.e - sum_j s_j e_j^2 over the tail slots vanishes wherever
-        the coordinates before the tail leave their outer box (exactly, up
-        to round-off).  The cutoff never reads the tail, which carries its
-        quadratic everywhere, so tail slots range over their whole 2x box."""
+        the coordinates before the tail leave their outer box (to 1e-12 on
+        EXTERIOR_SAMPLES points).  The cutoff never reads the tail, which
+        carries its quadratic everywhere, so tail slots range over their
+        whole 2x box."""
         rng = np.random.default_rng(seed)
         core = self.dim - len(self.quad_tail)
-        pts = _sample_exterior(self.outer_box[:core], samples, rng)
+        pts = _sample_exterior(self.outer_box[:core], EXTERIOR_SAMPLES, rng)
         mid = np.array([0.5 * (lo + hi) for lo, hi in self.outer_box[core:]])
         half = np.array([0.5 * (hi - lo) for lo, hi in self.outer_box[core:]])
         pts = np.hstack([pts, rng.uniform(mid - 2.0 * half, mid + 2.0 * half,
-                                          (samples, len(mid)))])
-        lin = np.zeros(samples)
+                                          (EXTERIOR_SAMPLES, len(mid)))])
+        lin = np.zeros(EXTERIOR_SAMPLES)
         for k in range(self.N0):
             lin += self.slope[k] * pts[:, self.n + k]
         for j, s in enumerate(self.quad_tail):
             lin += s * pts[:, self.n + self.N0 + j] * pts[:, self.n + self.N0 + j]
         resid = np.max(np.abs(self.field.value_vec(pts) - lin))
-        if resid > tol:
+        if resid > 1e-12:
             raise FamilyError("field is not linear outside the outer box "
                               "(max residual %.3e)" % resid)
         return resid
@@ -401,7 +406,7 @@ def extend(fam, pair, Q):
                              periodic=fam.field.periodic)
 
 
-def jump_identity_residual(w12, w23, w13, Q, fam, points=1000, seed=0):
+def jump_identity_residual(w12, w23, w13, Q, fam, seed=0):
     """Max residual of w_{1,3;3} = w_{1,2;3} + w_{2,3;3} - (Q(e1)+Q(e2)+Q(e3)).
 
     (Each pairwise extension carries its own stabilizing term, so summing
@@ -410,18 +415,20 @@ def jump_identity_residual(w12, w23, w13, Q, fam, points=1000, seed=0):
     rng = np.random.default_rng(seed)
     n, N = fam.n, fam.N
     _, outer = fam.extended_boxes()
-    pts = np.column_stack([rng.uniform(lo, hi, points) for lo, hi in outer])
-    qsum = np.zeros(points)
+    pts = np.column_stack([rng.uniform(lo, hi, JUMP_POINTS) for lo, hi in outer])
+    qsum = np.zeros(JUMP_POINTS)
     for c in (1, 2, 3):
         qsum += Q.field.value_vec(pts[:, n + (c - 1) * N: n + c * N])
     resid = w13.value_vec(pts) - (w12.value_vec(pts) + w23.value_vec(pts) - qsum)
     return float(np.max(np.abs(resid)))
 
 
-def blend_annulus_floor(w, grid=7):
-    """Min |grad w| over a grid on the blend annulus (outer w-box minus
-    inner w-box).  A healthy family keeps this away from 0, so the cutoff
-    introduces no spurious chords."""
+def blend_annulus_floor(w):
+    """Min |grad w| on the blend annulus (outer w-box minus inner w-box)
+    over a grid of 7 points per axis, 5 when w.dim > 5.  A positive floor
+    does not rule out chords in the shell: ROADMAP item 1 found some on
+    multichord and unknot, whose floors read 1.08 and 1.0."""
+    grid = 7 if w.dim <= 5 else 5
     inner = np.array(w.inner_box)
     outer = np.array(w.outer_box)
     axes = [np.linspace(lo, hi, grid) for lo, hi in outer]
@@ -448,7 +455,7 @@ def stabilize(fam, sign):
     out = GeneratingFamily(fam.n, fam.N + 1, fam.core, fam.slope,
                            inner, outer,
                            quad_tail=fam.quad_tail + (s,),
-                           field=None if fam.field is None else _append_quad(fam, s),
+                           field=_append_quad(fam, s),
                            label="%s%s" % (fam.label, "+" if s > 0 else "-"))
     return out
 
@@ -463,7 +470,7 @@ def _append_quad(fam, s):
                        periodic=f.periodic)
 
 
-def precompose_fpd(fam, components, samples=500, seed=0):
+def precompose_fpd(fam, components):
     """Precompose with the fiber-preserving map (x, e) -> (x, phi_x(e)).
 
     `components` are N expression strings (or Exprs) in the family's
@@ -482,9 +489,9 @@ def precompose_fpd(fam, components, samples=500, seed=0):
     if len(phi) != N:
         raise FamilyError("need %d fiber components, got %d" % (N, len(phi)))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # identity outside the outer box
-    ext = _sample_exterior(fam.outer_box, samples, rng)
+    ext = _sample_exterior(fam.outer_box, FPD_SAMPLES, rng)
     for k, p in enumerate(phi):
         pf = ex.compile_value(p, fam.dim, vector=True)
         resid = np.max(np.abs(pf(ext) - ext[:, n + k]))
@@ -492,8 +499,8 @@ def precompose_fpd(fam, components, samples=500, seed=0):
             raise FamilyError("fiber map is not the identity outside the outer box "
                               "(component %d, residual %.3e)" % (k + 1, resid))
     # nonsingular fiber Jacobian inside
-    inside = np.column_stack([rng.uniform(lo, hi, samples) for lo, hi in fam.outer_box])
-    jac = np.empty((samples, N, N))
+    inside = np.column_stack([rng.uniform(lo, hi, FPD_SAMPLES) for lo, hi in fam.outer_box])
+    jac = np.empty((FPD_SAMPLES, N, N))
     for k, p in enumerate(phi):
         for m in range(N):
             d = fold(ex.diff(p, n + m))

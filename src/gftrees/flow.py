@@ -63,6 +63,8 @@ FLOW_TOLERANCES = {
     "h_max": 0.5,
 }
 
+R0 = 1e-3   # default chart radius, and the default of a config's `solver.r0`
+
 
 class StiffnessError(RuntimeError):
     pass
@@ -636,7 +638,7 @@ class ManifoldChart:
         return self.frame.shape[1]
 
 
-def build_chart(field, p, side, r0=1e-3, pins=()):
+def build_chart(field, p, side, r0=R0, pins=()):
     """Eigenframe chart of W^-(p) (unstable, coindex directions) or
     W^+(p) (stable, index directions) for the positive gradient flow.
 
@@ -752,7 +754,7 @@ def pinned_slots(field):
     return tuple(i for i, c in field.quad_blocks if c > 0)
 
 
-def sphere_scan(field, p, criticals, r0=1e-3, m=None, tolerances=None):
+def sphere_scan(field, p, criticals, r0=R0, m=None, tolerances=None):
     """Integrate from a dense sample of the coupled sub-sphere of p's
     unstable sphere, the part orthogonal to the field's `pinned_slots`;
     record each seed's outcome and its closest approach to every higher
@@ -777,7 +779,7 @@ class LineSource:
     """The line counts from one critical point p of `field`: every target
     reads p's one sphere scan, made on first need."""
 
-    def __init__(self, field, p, criticals, r0=1e-3, m=None, tolerances=None):
+    def __init__(self, field, p, criticals, r0=R0, m=None, tolerances=None):
         self.field, self.p, self.criticals = field, p, criticals
         self.r0, self.m = r0, m
         self.tol = {**FLOW_TOLERANCES, **(tolerances or {})}

@@ -87,9 +87,10 @@ SECTIONS = {
     "seeds": ("seed setting", {
         "rng": (lambda v: _is_int(v) and 0 <= v <= 2 ** 64 - 1,
                 "an integer in [0, 2^64-1]", 0),
-        "grid_density": (lambda v: _is_int(v) and v >= 2, "an integer >= 2", 7)}),
+        "grid_density": (lambda v: _is_int(v) and v >= 2, "an integer >= 2",
+                         cr.GRID_DENSITY)}),
     "solver": ("solver setting", {
-        "r0": (*_POSITIVE, 1e-3),
+        "r0": (*_POSITIVE, fl.R0),
         "scan_density": (lambda v: v is None or _is_int(v) and v >= 8,
                          "an integer >= 8 or null", None),
         # the stabilizing term Q must be positive definite
@@ -476,10 +477,8 @@ def family_checks(run):
     w12, w23, w13 = (run.ext[pq] for pq in PAIRS)
     ext_resid = fam.check_exterior_linearity(seed=run.seed)
     jump = jump_identity_residual(w12, w23, w13, run.Q, fam, seed=run.seed)
-    grid = 7 if run.w.dim <= 5 else 5
-    floor = blend_annulus_floor(run.w, grid=grid)
-    qmin = run.Q.check_minimum(box=[[-1.5, 1.5]] * fam.N,
-                               rng=np.random.default_rng(run.seed))
+    floor = blend_annulus_floor(run.w)
+    qmin = run.Q.check_minimum(rng=np.random.default_rng(run.seed))
     return {
         "exterior_linearity_residual": ext_resid,
         "jump_identity_residual": jump,
@@ -534,9 +533,8 @@ def verify_run(config, jobs=1):
 # ---------------------------------------------------------------------------
 # Comparisons between runs
 
-def compare_runs(run_a, run_b, correspondence="by grading+value", tol_value=1e-6):
-    verdict = cx.compare_rings(run_a.ring, run_b.ring,
-                               correspondence=correspondence, tol_value=tol_value)
+def compare_runs(run_a, run_b):
+    verdict = cx.compare_rings(run_a.ring, run_b.ring)
     verdict["labels"] = [run_a.family.label, run_b.family.label]
     return _plain(verdict)
 

@@ -134,7 +134,7 @@ class TreeProblem:
     capture test tracks `criticals`, the critical points of h3.
     `seed_outcomes` holds each counted sink's seed histogram by its id."""
 
-    def __init__(self, fields, src1, src2, s, criticals=None, r0=1e-3,
+    def __init__(self, fields, src1, src2, s, criticals, r0=fl.R0,
                  tolerances=None, meeting_floor=None):
         self.h1, self.h2, self.h3 = fields
         self.src1, self.src2 = src1, src2
@@ -188,9 +188,6 @@ class TreeProblem:
                 % (sink.id, chart.k, self.pins,
                    [(np.round(v, 6) + 0.0).tolist() for v in missing],
                    self.D))
-        if self.criticals is None:
-            raise ValueError("the capture test into %s needs the critical "
-                             "points of h3" % sink.id)
         return chart
 
     # the ranked Newton seeds, tabulated on first read

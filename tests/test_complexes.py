@@ -148,7 +148,7 @@ def test_compare_rings_sees_differential_mismatches():
     verdict = cx.compare_rings(cx.cohomology(C1), cx.cohomology(C2))
     assert not verdict["pass"]
     assert not verdict["rank_equal"]
-    assert verdict["cochain_map_defects"]
+    assert verdict["cochain_map_defects"] == [{"generator": "x", "defect": ["y"]}]
 
 
 def test_compare_rings_sees_product_mismatches():

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gftrees import complexes as cx
 from gftrees import continuation as ct
 from gftrees import critical as cr
 from gftrees import flow as fl
@@ -63,10 +64,10 @@ def _searched_slices(path_args, monkeypatch):
     return path, seen
 
 
-def _every_slice_searched(run0, run1, t_samples=5):
+def _every_slice_searched(run0, run1):
     """rho_slices and value_drift with a search on every slice."""
     rho, drift = {}, 0.0
-    for t in np.linspace(0.0, 1.0, t_samples):
+    for t in np.linspace(0.0, 1.0, ct.T_SAMPLES):
         crits = cr.find_critical_points(
             ct.slice_field(run0.w, run1.w, t),
             grid_density=run0.config["seeds"]["grid_density"],
@@ -263,7 +264,8 @@ def test_diagram_check_reports_a_mixed_triple_entry_by_entry():
 def test_cochain_map_defects_name_the_dropped_target():
     run = t2_run()
     phi = t2_phi({g: g for g in T2_SWAP if g != "U"})
-    assert ct.cochain_map_defects(phi, run, run) == [
+    assert cx.cochain_map_defects(run.complex, run.complex,
+                                  ct.phi_table(phi)) == [
         {"generator": g, "defect": ["U"]} for g in "abc"]
 
 

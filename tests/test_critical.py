@@ -107,6 +107,13 @@ def test_degenerate_roots_are_a_hard_error():
         cr.find_critical_points(field)
 
 
+def test_a_field_without_an_inner_box_is_refused():
+    from gftrees import expr as ex
+    field = fa.ScalarField(1, ex.parse("x1^2 + 1", ex.VarLayout(1, 0)))
+    with pytest.raises(ValueError, match="carries no box"):
+        cr.find_critical_points(field)
+
+
 def test_a_cluster_mean_off_the_roots_is_refused():
     from gftrees import expr as ex
     # f' = x (x - 1) (x - 3)
@@ -269,14 +276,14 @@ def test_perturbation_bound_samples_the_gradient_in_row_blocks(multi_config,
     assert b.lipschitz_L == first.lipschitz_L == max(map(np.max, norms))
 
 
-def _newton_every_iteration(field, Z, box, iters=60, tol_grad=1e-9):
-    """_newton_polish without its fixed-point exit: all `iters` steps."""
+def _newton_every_iteration(field, Z, box, tol_grad=1e-9):
+    """_newton_polish without its fixed-point exit: all NEWTON_ITERS steps."""
     Z = np.array(Z, dtype=float)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
     span = np.max(hi - lo)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    for _ in range(iters):
+    for _ in range(cr.NEWTON_ITERS):
         if len(Z) == 0:
             break
         step = cr._solve_rows(field.hess_vec(Z), field.grad_vec(Z))

@@ -65,14 +65,15 @@ def test_grading_mismatch_is_rejected(morse_run):
     g_saddle = r.crits[1][1]      # grading 1
     h_saddle = r.crits[2][1]      # grading 1 != 2
     with pytest.raises(tr.DimensionError, match="expected dimension is -1"):
-        tr.solve_trees(tr.TreeProblem(tuple(r.fields), f_saddle, g_saddle, r.s),
-                       h_saddle)
+        tr.solve_trees(tr.TreeProblem(tuple(r.fields), f_saddle, g_saddle, r.s,
+                                      r.crits[2]), h_saddle)
 
 
 def test_zero_dimensional_charts_are_out_of_scope(morse_run):
     r = morse_run
     # pits have index 0, so the sink's stable chart would be 0-dimensional
-    problem = tr.TreeProblem(tuple(r.fields), r.crits[0][0], r.crits[1][0], r.s)
+    problem = tr.TreeProblem(tuple(r.fields), r.crits[0][0], r.crits[1][0], r.s,
+                             r.crits[2])
     with pytest.raises(tr.DimensionError, match="0-dimensional chart"):
         tr.solve_trees(problem, r.crits[2][0])
 
@@ -80,7 +81,7 @@ def test_zero_dimensional_charts_are_out_of_scope(morse_run):
 def test_nonzero_expected_dimension_is_rejected(morse_run):
     r = morse_run
     problem = tr.TreeProblem(tuple(r.fields), r.crits[0][1], r.crits[1][1],
-                             r.s)
+                             r.s, r.crits[2])
     # d = 1 - 2 = -1
     with pytest.raises(tr.DimensionError, match="expected dimension is -1"):
         tr.solve_trees(problem, r.crits[2][1])
@@ -171,13 +172,6 @@ def test_a_capture_run_that_times_out_refuses_the_count(morse_run):
                              tolerances={**r.tol, "t_max": 0.05})
     with pytest.raises(fl.AmbiguousCountError, match="into c3"):
         tr.solve_trees(problem, crits[2]["c3"])
-
-
-def test_a_basin_sink_needs_the_critical_points_it_is_tested_against(morse_run):
-    r = morse_run
-    problem = tr.TreeProblem(tuple(r.fields), r.crits[0][1], r.crits[1][1], r.s)
-    with pytest.raises(ValueError, match="critical points of h3"):
-        tr.solve_trees(problem, r.crits[2][3])
 
 
 def test_seed_outcomes_cover_every_seed_tried(morse_run, multi_run):

@@ -6,16 +6,20 @@ grading equal to the sum (counting trees).  Cohomology is plain Z2
 Gaussian elimination per grading; the induced product mu2 acts on classes
 by evaluating m2 on representatives and reducing modulo coboundaries.
 
-Every map of chains -- delta, a continuation matrix, a generator
-bijection -- goes one way: `table_matrix` turns it into a Z2 matrix,
+Every map of chains -- delta, m2, a continuation matrix, a generator
+bijection -- goes one way: `table_matrix` (and `pair_matrix` for m2)
+turns it into a Z2 matrix, so delta^2 and Leibniz are matrix products,
 `CohomologyRing.coords` solves for class coordinates, and `induced_map` /
-`push` carry class coordinates across; `product_squares` feeds both ring
-comparisons and the continuation product diagram.
+`push` carry class coordinates across.  mu2 on classes is `class_product`
+alone: the ring's product table, Morse cross products and the
+`product_squares` behind both ring comparisons and the continuation
+product diagram all read it, and an undefined product is None, never 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,6 +44,13 @@ def table_matrix(table, src, dst):
         for t in table.get(g.id, ()):
             M[pos[t], j] ^= 1
     return M
+
+
+def pair_matrix(m2, src1, src2, dst):
+    """`table_matrix` of an m2 table {(id1, id2): target ids} from the pairs
+    src1 x src2, first factor major, to the generators `dst`."""
+    pairs = [SimpleNamespace(id=(a.id, b.id)) for a in src1 for b in src2]
+    return table_matrix(m2, pairs, dst)
 
 
 class ChordComplex:
@@ -89,41 +100,34 @@ class ChordComplex:
         }
 
 
+def _ones(D, sources, dst):
+    """(source, target id) of each 1 of D, column by column, with the
+    targets of one column sorted by id."""
+    return [(src, t) for src, col in zip(sources, D.T)
+            for t in sorted(g.id for g, bit in zip(dst, col) if bit)]
+
+
 def delta_squared_defects(C):
-    """Entries of delta^2 that do not vanish over Z2."""
-    dd = []
-    for g in C.generators:
-        acc = {}
-        for t in C.delta.get(g.id, ()):
-            for tt in C.delta.get(t, ()):
-                acc[tt] = acc.get(tt, 0) ^ 1
-        for tt, bit in sorted(acc.items()):
-            if bit:
-                dd.append({"source": g.id, "target": tt})
-    return dd
+    """Entries of delta^2 = d d that do not vanish over Z2."""
+    G = C.generators
+    d = table_matrix(C.delta, G, G)
+    return [{"source": s, "target": t}
+            for s, t in _ones(d @ d % 2, [g.id for g in G], G)]
 
 
 def verify_algebra(C):
     """delta^2 = 0 and the Leibniz identity
-    delta(m2(a,b)) + m2(delta a, b) + m2(a, delta b) = 0, over Z2.
+    delta(m2(a,b)) + m2(delta a, b) + m2(a, delta b) = 0, over Z2, whose
+    matrix is d M + M (d x 1) + M (1 x d) on the pairs of generators.
     Violations are returned as data, not raised."""
+    G = C.generators
     dd = delta_squared_defects(C)
-    leib = []
-    for a in C.generators:
-        for b in C.generators:
-            acc = {}
-            for t in C.m2.get((a.id, b.id), ()):
-                for tt in C.delta.get(t, ()):
-                    acc[tt] = acc.get(tt, 0) ^ 1
-            for da in C.delta.get(a.id, ()):
-                for tt in C.m2.get((da, b.id), ()):
-                    acc[tt] = acc.get(tt, 0) ^ 1
-            for db in C.delta.get(b.id, ()):
-                for tt in C.m2.get((a.id, db), ()):
-                    acc[tt] = acc.get(tt, 0) ^ 1
-            for tt, bit in sorted(acc.items()):
-                if bit:
-                    leib.append({"pair": [a.id, b.id], "target": tt})
+    d = table_matrix(C.delta, G, G)
+    M = pair_matrix(C.m2, G, G, G)
+    one = np.eye(len(G), dtype=np.uint8)
+    defect = (d @ M + M @ np.kron(d, one) + M @ np.kron(one, d)) % 2
+    leib = [{"pair": list(pair), "target": t} for pair, t in
+            _ones(defect, [(a.id, b.id) for a in G for b in G], G)]
     return {
         "delta_squared_defects": dd,
         "leibniz_defects": leib,
@@ -167,18 +171,6 @@ class CohomologyRing:
                                "expressible in the class basis" % grading)
         return x[:reps.shape[1]]
 
-    def multiply(self, ga, x, gb, y):
-        """mu2 on class coordinates x (grading ga) and y (grading gb)."""
-        cs = self.classes.get(ga + gb, [])
-        index = {c.label: i for i, c in enumerate(cs)}
-        out = np.zeros(len(cs), dtype=np.uint8)
-        for ca, bit_a in zip(self.classes.get(ga, []), x):
-            for cb, bit_b in zip(self.classes.get(gb, []), y):
-                if bit_a and bit_b:
-                    for lb in self.products.get((ca.label, cb.label), ()):
-                        out[index[lb]] ^= 1
-        return out
-
     def as_dict(self):
         return {
             "ranks": {str(k): v for k, v in sorted(self.ranks.items())},
@@ -220,36 +212,37 @@ def cohomology(C):
     return ring
 
 
+def class_product(R1, R2, R3, m2, ga, x, gb, y, computed=None):
+    """mu2 on class coordinates: x (grading ga of R1) times y (grading gb
+    of R2) as coordinates in R3 of the m2 chain product of their
+    representatives.  None when that chain is not a cocycle, which only a
+    Leibniz failure of m2 can cause, or when it needs an (id1, id2) pair
+    outside `computed`, the pairs whose chain counts actually ran."""
+    B1, B2 = R1.complex.basis(ga), R2.complex.basis(gb)
+    a, b = R1.reps(ga) @ x % 2, R2.reps(gb) @ y % 2
+    if computed is not None and any(
+            (p.id, q.id) not in computed
+            for p, bit_p in zip(B1, a) if bit_p for q, bit_q in zip(B2, b) if bit_q):
+        return None
+    chain = pair_matrix(m2, B1, B2, R3.complex.basis(ga + gb)) @ np.kron(a, b) % 2
+    return R3.coords(ga + gb, chain)
+
+
 def cross_product_classes(R1, R2, R3, m2_table, computed=None):
     """Class-level product H(C1) x H(C2) -> H(C3) induced by a chain table
-    m2_table[(id1, id2)] = set of target ids in C3.
-
-    `computed`, when given, lists the (id1, id2) pairs whose chain counts
-    actually ran; a class product needing an uncomputed pair comes out as
-    None instead of a wrong value.  So does a chain product that is not a
-    cocycle, which only a Leibniz failure of the table can cause."""
-    C3 = R3.complex
+    m2_table[(id1, id2)] = set of target ids in C3, as label lists by
+    `class_product` on the class bases; None where that is undefined."""
     out = {}
     for ga, cas in R1.classes.items():
         for gb, cbs in R2.classes.items():
-            gt = ga + gb
-            basis3 = C3.basis(gt)
-            if not basis3:
+            cts = R3.classes.get(ga + gb)
+            if cts is None:
                 continue
-            pos = {g.id: i for i, g in enumerate(basis3)}
-            for ca in cas:
-                for cb in cbs:
-                    pairs = [(a, b) for a in ca.support for b in cb.support]
-                    if computed is not None and any(p not in computed for p in pairs):
-                        out[(ca.label, cb.label)] = None
-                        continue
-                    vec = np.zeros(len(basis3), dtype=np.uint8)
-                    for pair in pairs:
-                        for t in m2_table.get(pair, ()):
-                            vec[pos[t]] ^= 1
-                    coords = R3.coords(gt, vec)
-                    out[(ca.label, cb.label)] = None if coords is None else [
-                        c.label for c, bit in zip(R3.classes[gt], coords) if bit]
+            for x, ca in zip(np.eye(len(cas), dtype=np.uint8), cas):
+                for y, cb in zip(np.eye(len(cbs), dtype=np.uint8), cbs):
+                    z = class_product(R1, R2, R3, m2_table, ga, x, gb, y, computed)
+                    out[(ca.label, cb.label)] = None if z is None else [
+                        c.label for c, bit in zip(cts, z) if bit]
     return out
 
 
@@ -286,7 +279,8 @@ def push(fmap, grading, coords):
 
 def product_squares(ring0, ring1, f_a, f_b, f_t):
     """(ca, cb, f_t(mu0(a, b)), mu1(f_a a, f_b b)) over pairs of classes of
-    ring0 whose product grading exists in ring1; None stands for an image
+    ring0 whose product grading exists in ring1, each mu by
+    `class_product`; None stands for an undefined product or an image
     that is not a cocycle class."""
     for ga, cas in ring0.classes.items():
         for gb, cbs in ring0.classes.items():
@@ -294,11 +288,28 @@ def product_squares(ring0, ring1, f_a, f_b, f_t):
                 continue
             for x, ca in zip(np.eye(len(cas), dtype=np.uint8), cas):
                 for y, cb in zip(np.eye(len(cbs), dtype=np.uint8), cbs):
-                    lhs = push(f_t, ga + gb, ring0.multiply(ga, x, gb, y))
+                    mu0 = class_product(ring0, ring0, ring0, ring0.complex.m2,
+                                        ga, x, gb, y)
+                    lhs = None if mu0 is None else push(f_t, ga + gb, mu0)
                     fa, fb = push(f_a, ga, x), push(f_b, gb, y)
-                    rhs = None if fa is None or fb is None else \
-                        ring1.multiply(ga, fa, gb, fb)
+                    rhs = None if fa is None or fb is None else class_product(
+                        ring1, ring1, ring1, ring1.complex.m2, ga, fa, gb, fb)
                     yield ca, cb, lhs, rhs
+
+
+def square_defects(ring0, ring1, f_a, f_b, f_t, sides):
+    """The squares of `product_squares` that fail, as report entries with
+    the two sides under the names `sides`; an undefined side is a defect,
+    never compared as 0."""
+    defects = []
+    for ca, cb, lhs, rhs in product_squares(ring0, ring1, f_a, f_b, f_t):
+        if lhs is None or rhs is None:
+            defects.append({"pair": [ca.label, cb.label],
+                            "problem": "image not a cocycle class"})
+        elif not np.array_equal(lhs, rhs):
+            defects.append({"pair": [ca.label, cb.label],
+                            sides[0]: lhs.tolist(), sides[1]: rhs.tolist()})
+    return defects
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +392,8 @@ def compare_rings(R1, R2, correspondence="by grading+value"):
     product_defects = [{"class": c.label, "problem": "image is not a cocycle class"}
                        for g, cs in R1.classes.items()
                        for c, ok in zip(cs, f[g][1]) if not ok]
-    for ca, cb, lhs, rhs in product_squares(R1, R2, f, f, f):
-        if lhs is not None and rhs is not None and not np.array_equal(lhs, rhs):
-            product_defects.append({
-                "pair": [ca.label, cb.label],
-                "phi(mu2)": lhs.tolist(), "mu2(phi,phi)": rhs.tolist()})
+    product_defects += square_defects(R1, R2, f, f, f,
+                                      ("phi(mu2)", "mu2(phi,phi)"))
 
     verdict = {
         "rank_equal": rank_ok,

@@ -312,17 +312,8 @@ def diagram_check(run0, run1, phi12, phi23, phi13):
             "failed" % (r0, r1))
     f12, f23, f13 = (cx.induced_map(run0.ring, run1.ring, phi_table(phi))
                      for phi in (phi12, phi23, phi13))
-    defects = []
-    for ca, cb, lhs, rhs in cx.product_squares(run0.ring, run1.ring,
-                                               f12, f23, f13):
-        if lhs is None or rhs is None:
-            defects.append({"pair": [ca.label, cb.label],
-                            "problem": "image not a cocycle class"})
-        elif not np.array_equal(lhs, rhs):
-            defects.append({"pair": [ca.label, cb.label],
-                            "phi13(mu2)": lhs.tolist(),
-                            "mu2(phi12,phi23)": rhs.tolist()})
-    return defects
+    return cx.square_defects(run0.ring, run1.ring, f12, f23, f13,
+                             ("phi13(mu2)", "mu2(phi12,phi23)"))
 
 
 # ---------------------------------------------------------------------------

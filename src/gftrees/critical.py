@@ -10,8 +10,7 @@ is only sampled on a 7-point grid (`family.blend_annulus_floor`).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -270,15 +269,12 @@ def iota(p, pair, fam, ext_field, tolerances=None):
 # ---------------------------------------------------------------------------
 # rho and the admissible perturbation radius
 
-def rho_and_perturbation_bound(crits, fields, K, seed=0):
-    """rho = least positive critical value; L = max sampled |grad| of the
-    given fields over the box K; delta_pert = rho / (4 L), so any
+def perturbation_bound(rho, fields, K, seed=0):
+    """L = max |grad| of the given fields over a sample of the box K,
+    BOUND_SAMPLES uniform draws plus a BOUND_GRID grid (1 when every
+    sampled gradient vanishes), and delta_pert = rho / (4 L), so any
     perturbation of size < delta_pert moves field values by < rho/4 along
     the sampled Lipschitz bound."""
-    pos = [p.value for p in crits if p.value > 0]
-    if not pos:
-        raise NoChordsError("no Reeb chords: every critical value is <= 0")
-    rho = min(pos)
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in K])
     hi = np.array([b[1] for b in K])
@@ -295,3 +291,10 @@ def rho_and_perturbation_bound(crits, fields, K, seed=0):
         L = 1.0
     return RhoBound(rho=float(rho), lipschitz_L=L, delta_pert=float(rho / (4.0 * L)))
 
+
+def rho_and_perturbation_bound(crits, fields, K, seed=0):
+    """rho = least positive critical value, and `perturbation_bound`."""
+    pos = [p.value for p in crits if p.value > 0]
+    if not pos:
+        raise NoChordsError("no Reeb chords: every critical value is <= 0")
+    return perturbation_bound(min(pos), fields, K, seed)

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .expr import (Add, Call, Expr, Mul, Neg, Num, Sub, Var, VarLayout, Warp,
+from .expr import (Add, Call, Mul, Neg, Num, Sub, Var, VarLayout, Warp,
                    fold, parse, subst)
 
 

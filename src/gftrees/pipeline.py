@@ -24,7 +24,7 @@ from . import complexes as cx
 from . import critical as cr
 from . import flow as fl
 from . import trees as tr
-from .family import (GeneratingFamily, QuadraticLike, blend_annulus_floor,
+from .family import (QuadraticLike, blend_annulus_floor,
                      extend, family_from_config, jump_identity_residual,
                      morse_mode_fields)
 
@@ -181,17 +181,6 @@ def choose_lambda(fam, rho):
     return 0.9 * rho / (2.0 * m)
 
 
-def lipschitz_box(fam):
-    """Sampling box for the gradient bound: the escape region of the
-    extended domain."""
-    _, outer = fam.extended_boxes()
-    K = []
-    for lo, hi in outer:
-        mid, half = 0.5 * (lo + hi), 0.75 * (hi - lo)
-        K.append([mid - half, mid + half])
-    return K
-
-
 class GFRun:
     """One family's chords, differential, product and ring.  Tasks name
     spaces, each a (field, {id: critical point}, generators) triple:
@@ -236,7 +225,7 @@ class GFRun:
         self.ext = {pq: extend(self.family, pq, self.Q) for pq in PAIRS}
         self.bound = cr.rho_and_perturbation_bound(
             self.criticals, [self.ext[pq] for pq in PAIRS],
-            lipschitz_box(self.family), seed=self.seed)
+            fl.escape_box(self.family.extended_boxes()[1]), seed=self.seed)
         self.images = {pq: {p.id: cr.iota(p, pq, self.family, self.ext[pq],
                                           self.tol)
                             for p in self.criticals} for pq in PAIRS}
@@ -618,12 +607,8 @@ class MorseRun(GFRun):
             h, grid_density=self.config["seeds"]["grid_density"],
             tolerances=self.tol, exclude_zero_value=False) for h in self.fields]
         self.rho = morse_rho(self.crits)
-        rng = np.random.default_rng(self.seed)
-        P = rng.uniform(0.0, 1.0, (20000, n))
-        L = max(float(np.max(np.linalg.norm(h.grad_vec(P), axis=1)))
-                for h in self.fields)
-        self.bound = cr.RhoBound(rho=self.rho, lipschitz_L=L,
-                                 delta_pert=self.rho / (4.0 * L))
+        self.bound = cr.perturbation_bound(self.rho, self.fields,
+                                           [[0.0, 1.0]] * n, self.seed)
         self.s = tr.PerturbationTriple.sample(n, self.bound.delta_pert,
                                               self.seed)
         self.spaces = {k: (h, {p.id: p for p in crits}, crits)

@@ -64,6 +64,25 @@ def test_a_leibniz_failure_leaves_its_class_product_out():
     assert products[(hb.label, ha.label)] == []
 
 
+def test_an_undefined_product_is_a_defect_and_never_a_zero():
+    # as above, plus a grading-2 cocycle z, so H^2 has rank 1 and an
+    # undefined mu2(a, b) could pass for the zero class
+    gens = chain(("a", 1, 1.0), ("b", 1, 1.5), ("t", 2, 2.0), ("z", 2, 2.5),
+                 ("s", 3, 3.0))
+    bad = cx.ChordComplex(gens, {"t": {"s"}}, {("a", "b"): {"t"}})
+    ring = cx.cohomology(bad)
+    assert ring.ranks == {1: 2, 2: 1, 3: 0}
+    ha, hb = ring.classes[1]
+    f = cx.induced_map(ring, ring, {g.id: (g.id,) for g in gens})
+    squares = {(ca.label, cb.label): (lhs, rhs) for ca, cb, lhs, rhs
+               in cx.product_squares(ring, ring, f, f, f)}
+    assert squares[(ha.label, hb.label)] == (None, None)
+    verdict = cx.compare_rings(ring, ring)
+    assert {"pair": [ha.label, hb.label],
+            "problem": "image not a cocycle class"} in verdict["product_defects"]
+    assert not verdict["pass"]
+
+
 def test_acyclic_pair_has_no_cohomology():
     gens = chain(("a", 1, 1.0), ("b", 2, 2.0))
     C = cx.ChordComplex(gens, {"a": {"b"}}, {})

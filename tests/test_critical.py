@@ -253,10 +253,10 @@ def test_perturbation_bound_samples_the_gradient_in_row_blocks(multi_config,
     `VEC_ROWS` the peak is 2.9 MB, mostly the sample itself and the
     gradient rows.  The bound sits between the two.  The bound's L is
     still the largest norm of a scalar `grad` row of the sample."""
-    from gftrees.pipeline import lipschitz_box
+    from gftrees.flow import escape_box
     fam, crits, exts = embed_parts(multi_config)
     fields = [exts[pq] for pq in PAIRS]
-    K = lipschitz_box(fam)
+    K = escape_box(fam.extended_boxes()[1])
     samples = []
     grad_vec = fa.ScalarField.grad_vec
     monkeypatch.setattr(fa.ScalarField, "grad_vec",

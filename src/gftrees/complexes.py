@@ -147,7 +147,7 @@ class CohomologyRing:
     def __init__(self, ranks, classes, products, complex_):
         self.ranks = ranks                  # {grading: int}
         self.classes = classes              # {grading: [CohomologyClass]}
-        self.products = products            # {(label_a, label_b): [labels]}
+        self.products = products            # {(label_a, label_b): [labels] or None}
         self.complex = complex_
 
     def reps(self, grading):
@@ -177,13 +177,16 @@ class CohomologyRing:
             "classes": {str(g): [{"label": c.label, "support": c.support}
                                  for c in cs]
                         for g, cs in sorted(self.classes.items())},
-            "products": {"%s,%s" % k: sorted(v) for k, v in sorted(self.products.items())},
+            # null: an undefined product, which a Leibniz failure causes
+            "products": {"%s,%s" % k: None if v is None else sorted(v)
+                         for k, v in sorted(self.products.items())},
         }
 
 
 def cohomology(C):
     """Cohomology ring of the complex; requires delta^2 = 0.  A Leibniz
-    failure is not checked here: the products it breaks are left out."""
+    failure is not checked here: the products it breaks are kept as None,
+    apart from the zero products, which are left out."""
     dd = delta_squared_defects(C)
     if dd:
         raise ValueError("delta^2 != 0; cohomology is undefined: %r" % dd[:3])
@@ -208,7 +211,7 @@ def cohomology(C):
 
     ring = CohomologyRing(ranks, classes, {}, C)
     ring.products = {k: v for k, v in
-                     cross_product_classes(ring, ring, ring, C.m2).items() if v}
+                     cross_product_classes(ring, ring, ring, C.m2).items() if v != []}
     return ring
 
 

@@ -100,6 +100,8 @@ def _seed_grid(field, box, density):
 def _newton_polish(field, Z, box, tol_grad=1e-9):
     """Batched Newton on grad(field) = 0.  Returns converged points.
 
+    Each iteration, and the final |grad| filter, makes one `hess_vec`
+    call, whose one kernel returns the gradient and the Hessian rows.
     An iteration is a pure function of the whole batch Z, so once a full
     step (after the periodic wrap and the row filter) returns Z with the
     same bits, every later iteration would return it too: the loop stops
@@ -115,8 +117,7 @@ def _newton_polish(field, Z, box, tol_grad=1e-9):
     for _ in range(NEWTON_ITERS):
         if len(Z) == 0:
             break
-        G = field.grad_vec(Z)
-        H = field.hess_vec(Z)
+        G, H = field.hess_vec(Z)
         step = _solve_rows(H, G)
         norms = np.linalg.norm(step, axis=1)
         big = norms > 0.25 * span
@@ -133,7 +134,7 @@ def _newton_polish(field, Z, box, tol_grad=1e-9):
         Z = Z1
     if len(Z) == 0:
         return Z
-    G = field.grad_vec(Z)
+    G = field.hess_vec(Z)[0]
     good = np.linalg.norm(G, axis=1) < tol_grad
     inside = np.all((Z >= lo - 1e-6) & (Z <= hi + 1e-6), axis=1) | field.periodic
     return Z[good & inside]

@@ -884,6 +884,13 @@ def compile_value(node, dim, vector=False):
     return _build("_value", em, ["return %s" % result])
 
 
+def _grad_columns(dim, results):
+    """Vector flavour: the lines that write the emitted partials `results`
+    as the columns of G, (B, dim)."""
+    return (["G = np.zeros((Z.shape[0], %d))" % dim]
+            + ["G[:, %d] = %s" % (col, r) for col, r in enumerate(results)])
+
+
 def compile_grad(derivs, vector=False):
     """Compile the gradient over all dim coordinates from `derivs`, a
     Derivatives.
@@ -894,9 +901,7 @@ def compile_grad(derivs, vector=False):
     em = _Emitter(vector)
     results = [em.emit(p) for p in derivs.grad]
     if vector:
-        tail = ["G = np.zeros((Z.shape[0], %d))" % derivs.dim]
-        tail += ["G[:, %d] = %s" % (col, r) for col, r in enumerate(results)]
-        return _build("_grad", em, tail + ["return G"])
+        return _build("_grad", em, _grad_columns(derivs.dim, results) + ["return G"])
     return _build("_grad", em, ["return [%s]" % ", ".join(results)])
 
 
@@ -904,23 +909,29 @@ def compile_hess(derivs, vector=False):
     """Compile the symmetric Hessian over all dim coordinates from
     `derivs`, a Derivatives.
 
-    Scalar flavour returns a (dim, dim) nested list; vector flavour
-    (B, dim, dim).
+    Scalar flavour returns a (dim, dim) nested list.  Vector flavour
+    returns (G, H): the gradient, (B, dim), and the Hessian, (B, dim,
+    dim), written by one emitter, so the second partials reuse the
+    subexpressions of the first.  Every line computes what it computes in
+    `compile_grad` and alone, so both arrays keep the bits of the
+    separate kernels.
     """
     dim = derivs.dim
     em = _Emitter(vector)
+    grads = [em.emit(p) for p in derivs.grad] if vector else None
     emitted = {ij: em.emit(e) for ij, e in derivs.hess.items()
                if not (isinstance(e, Num) and e.v == 0.0)}
     if vector:
-        tail = ["H = np.zeros((Z.shape[0], %d, %d))" % (dim, dim)]
+        tail = _grad_columns(dim, grads)
+        tail.append("H = np.zeros((Z.shape[0], %d, %d))" % (dim, dim))
         for (a, b), r in emitted.items():
             tail.append("H[:, %d, %d] = %s" % (a, b, r))
             if a != b:
                 tail.append("H[:, %d, %d] = H[:, %d, %d]" % (b, a, a, b))
-    else:
-        tail = ["H = [[0.0] * %d for _ in range(%d)]" % (dim, dim)]
-        for (a, b), r in emitted.items():
-            tail.append("H[%d][%d] = %s" % (a, b, r))
-            if a != b:
-                tail.append("H[%d][%d] = H[%d][%d]" % (b, a, a, b))
+        return _build("_hess", em, tail + ["return G, H"])
+    tail = ["H = [[0.0] * %d for _ in range(%d)]" % (dim, dim)]
+    for (a, b), r in emitted.items():
+        tail.append("H[%d][%d] = %s" % (a, b, r))
+        if a != b:
+            tail.append("H[%d][%d] = H[%d][%d]" % (b, a, a, b))
     return _build("_hess", em, tail + ["return H"])

@@ -136,8 +136,10 @@ class ScalarField:
         fn = self._fn(kind)
         if len(Z) <= VEC_ROWS:
             return fn(Z)
-        return np.concatenate([fn(Z[a:a + VEC_ROWS])
-                               for a in range(0, len(Z), VEC_ROWS)])
+        blocks = [fn(Z[a:a + VEC_ROWS]) for a in range(0, len(Z), VEC_ROWS)]
+        if isinstance(blocks[0], tuple):
+            return tuple(np.concatenate(parts) for parts in zip(*blocks))
+        return np.concatenate(blocks)
 
     def value(self, z):
         v = self._fn("value")(z)
@@ -178,12 +180,15 @@ class ScalarField:
         return g
 
     def hess_vec(self, Z):
-        """`hess` of each row, (B, D, D), in row blocks as in `value_vec`."""
+        """(G, H): the `grad` and the `hess` of each row, (B, D) and
+        (B, D, D), from the one kernel of `compile_hess`, in row blocks as
+        in `value_vec`.  G has the bits of `grad_vec`."""
         Z = np.asarray(Z, dtype=float)
-        h = self._rows("hess_vec", Z)
+        g, h = self._rows("hess_vec", Z)
         for i, c in self.quad_blocks:
+            g[:, i] += 2.0 * c * Z[:, i]
             h[:, i, i] += 2.0 * c
-        return h
+        return g, h
 
     def __repr__(self):
         return "ScalarField(dim=%d, tag=%r)" % (self.dim, self.tag)

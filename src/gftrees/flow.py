@@ -28,12 +28,15 @@ scalar loop's order.  Below SCALAR_ROWS active rows a `grad_vec` call
 costs more than the scalar grads of its rows, so the batch hands its last
 few rows to the scalar loop, which resumes each from its step state; a
 batch that starts that small, like the two seeds of a k = 1 scan, runs on
-the scalar loop throughout.  The seeds that q captured form clusters on the seed
-neighbor graph (single seeds for k = 1, runs on the circle, components
-of the pairs within a few seed spacings for k >= 3), and each cluster is
-one line.  A target of positive coindex captures only a measure-zero set
-of directions; a scan that passes close to q without capture shows such
-a line as a wall it cannot resolve, and the count is refused with
+the scalar loop throughout and keeps each seed's recorded trajectory.
+The seeds that q captured form clusters on the seed neighbor graph
+(single seeds for k = 1, runs on the circle, components of the pairs
+within a few seed spacings for k >= 3), and each cluster is one line.
+A line's representative is its seed's kept trajectory; only a seed that
+ran in the numpy batch, which keeps no samples, is integrated again.  A
+target of positive coindex captures only a measure-zero set of
+directions; a scan that passes close to q without capture shows such a
+line as a wall it cannot resolve, and the count is refused with
 AmbiguousCountError rather than returned without it.  A seed that
 neither converged nor escaped is refused the same way.
 """
@@ -482,18 +485,20 @@ def integrate_batch(field, starts, stops, tolerances=None):
     of them resumes the scalar loop from its loop-top state (t, z, k1, h),
     the `start` of `_integrate_core`, with its approach so far and no step
     log; a batch of fewer rows runs each through `integrate` from its
-    start and never calls `grad_vec`.  Distances and the error norm square
-    with x * x and sum left to right, as the scalar loop does, and the
-    step-growth rule `err ** -0.2` runs on Python floats.  Every row
-    therefore takes the steps of `integrate(field, row, stops=stops)` and
-    ends with its Termination, t, final point and approach, bit for bit.
-    Returns one Trajectory per row, without samples.  `tolerances` that
-    disagree with `stops` raise ValueError, as in `integrate`.
+    start, samples included, and never calls `grad_vec`.  Distances and
+    the error norm square with x * x and sum left to right, as the scalar
+    loop does, and the step-growth rule `err ** -0.2` runs on Python
+    floats.  Every row therefore takes the steps of
+    `integrate(field, row, stops=stops)` and ends with its Termination, t,
+    final point and approach, bit for bit.  Returns one Trajectory per
+    row; only the rows of a batch of fewer than SCALAR_ROWS carry their
+    samples.  `tolerances` that disagree with `stops` raise ValueError,
+    as in `integrate`.
     """
     tol = _tolerances(tolerances, stops)
     if len(starts) < SCALAR_ROWS:
-        return [integrate(field, s, stops=stops, tolerances=tolerances,
-                          record_samples=False) for s in starts]
+        return [integrate(field, s, stops=stops, tolerances=tolerances)
+                for s in starts]
     rtol, atol, h_max = tol["rtol"], tol["atol"], tol["h_max"]
     f = field.grad_vec
     periodic = field.periodic
@@ -688,7 +693,9 @@ def chart_point(chart, u, t, tolerances=None, resume=None):
 @dataclass
 class LineCount:
     """A mod-2 line count.  Its `trajectories`, one recorded representative
-    per cluster, are launched by `representatives` on first read and kept."""
+    per cluster, come from `representatives` on first read and are kept:
+    the scan's own run of the representative seed when the scan kept its
+    trajectories, else a fresh `integrate` from that seed."""
     parity: int | None
     clusters: int
     note: str = ""
@@ -722,11 +729,14 @@ def sphere_dirs(k, m, seed):
 
 
 class _Scan:
-    def __init__(self, dirs, outcomes, approach_ids, approach):
+    def __init__(self, dirs, outcomes, approach_ids, approach, trajectories):
         self.dirs = dirs              # (m, k)
         self.outcomes = outcomes      # list of (kind, target)
         self.approach_ids = approach_ids
         self.approach = approach      # (m, len(ids))
+        # one recorded Trajectory per seed when the scan ran on the scalar
+        # loop throughout, else None
+        self.trajectories = trajectories
 
 
 def _flow_stops(field, criticals, source_value, tol):
@@ -758,7 +768,9 @@ def sphere_scan(field, p, criticals, r0=R0, m=None, tolerances=None):
     """Integrate from a dense sample of the coupled sub-sphere of p's
     unstable sphere, the part orthogonal to the field's `pinned_slots`;
     record each seed's outcome and its closest approach to every higher
-    critical point.  Returns (scan, chart)."""
+    critical point.  A scan of fewer than SCALAR_ROWS seeds, such as every
+    k = 1 scan, runs each seed once on the scalar loop and keeps its
+    recorded trajectory.  Returns (scan, chart)."""
     tol = {**FLOW_TOLERANCES, **(tolerances or {})}
     chart = build_chart(field, p, "unstable", r0, pins=pinned_slots(field))
     k = chart.k
@@ -772,7 +784,8 @@ def sphere_scan(field, p, criticals, r0=R0, m=None, tolerances=None):
     trajs = integrate_batch(field, [_seed_start(chart, u) for u in dirs], stops, tol)
     outcomes = [traj.termination.as_tuple() for traj in trajs]
     approach = np.array([[traj.approach[i] for i in ids] for traj in trajs])
-    return _Scan(dirs, outcomes, ids, approach.reshape(len(dirs), len(ids))), chart
+    kept = trajs if len(dirs) < SCALAR_ROWS else None
+    return _Scan(dirs, outcomes, ids, approach.reshape(len(dirs), len(ids)), kept), chart
 
 
 class LineSource:
@@ -799,8 +812,12 @@ def count_lines(source, q):
     there are the whole of p's unstable manifold that a line can leave by.
     Precondition |q| - |p| = 1; other gaps return parity None with an
     explanatory note (the moduli space is not 0-dimensional there), as a
-    target no higher than p does, before the source's scan is read.  Raises AmbiguousCountError when a seed timed out or when the scan
-    shows an unresolved wall (see `_refuse_walls`).
+    target no higher than p does, before the source's scan is read.
+    Raises AmbiguousCountError when a seed timed out or when the scan
+    shows an unresolved wall (see `_refuse_walls`).  Each cluster's
+    representative is its seed's trajectory as the scan kept it (see
+    `sphere_scan`); a seed of the numpy batch, which keeps no samples, is
+    integrated again on first read.
     """
     p, field, tol = source.p, source.field, source.tol
     if q.grading - p.grading != 1:
@@ -825,9 +842,11 @@ def count_lines(source, q):
     comps = _capture_clusters(is_q, neighbors)
 
     def representatives():
-        seeds = [scan.dirs[_representative(c, mlen, chart.k)] for c in comps]
-        return [integrate(field, _seed_start(chart, u), stops=stops, tolerances=tol)
-                for u in seeds]
+        seeds = [_representative(c, mlen, chart.k) for c in comps]
+        if scan.trajectories is not None:
+            return [scan.trajectories[i] for i in seeds]
+        return [integrate(field, _seed_start(chart, scan.dirs[i]), stops=stops,
+                          tolerances=tol) for i in seeds]
     return LineCount(len(comps) % 2, len(comps), representatives=representatives)
 
 

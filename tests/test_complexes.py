@@ -56,9 +56,11 @@ def test_a_leibniz_failure_leaves_its_class_product_out():
     assert not report["pass"]
     ring = cx.cohomology(bad)
     assert ring.ranks == {1: 2, 2: 0, 3: 0}
-    assert ring.products == {}
     ha, hb = ring.classes[1]
     assert (ha.support, hb.support) == (["a"], ["b"])
+    # undefined, not zero: the zero product (b, a) stays out
+    assert ring.products == {(ha.label, hb.label): None}
+    assert ring.as_dict()["products"] == {"%s,%s" % (ha.label, hb.label): None}
     products = cx.cross_product_classes(ring, ring, ring, bad.m2)
     assert products[(ha.label, hb.label)] is None
     assert products[(hb.label, ha.label)] == []

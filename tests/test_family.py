@@ -219,7 +219,9 @@ def _edge_grid(field, base=16, seed=0):
 def test_vector_flavours_return_the_scalar_rows(which, unknot_config,
                                                 unknot_moved_config):
     """Row for row, bit for bit, also past VEC_ROWS rows: the edge grid
-    tiled over two whole row blocks and a ragged third."""
+    tiled over two whole row blocks and a ragged third.  Both outputs of
+    `hess_vec` are checked, the gradient against the scalar `grad` rows;
+    w_{1,2;3} and W_{1,2;3} carry a quadratic block, added to both."""
     fam0 = fa.family_from_config(unknot_config["family"])
     fam1 = fa.family_from_config(unknot_moved_config["family"])
     Q = fa.QuadraticLike.scaled_identity(fam0.N, 0.15)
@@ -238,10 +240,12 @@ def test_vector_flavours_return_the_scalar_rows(which, unknot_config,
     reps = -(-(2 * fa.VEC_ROWS + 1) // len(Z))
     tiled = np.tile(Z, (reps, 1))[:2 * fa.VEC_ROWS + len(Z) // 2]
     assert len(tiled) % fa.VEC_ROWS != 0 and len(tiled) > 2 * fa.VEC_ROWS
+    assert (field.quad_blocks != ()) == (which in ("w_{1,2;3}", "W_{1,2;3}"))
     bits = lambda a: np.asarray(a, dtype=float).view(np.int64)
     for vec, scalar in ((field.value_vec, field.value),
                         (field.grad_vec, field.grad),
-                        (field.hess_vec, field.hess)):
+                        (lambda Z: field.hess_vec(Z)[0], field.grad),
+                        (lambda Z: field.hess_vec(Z)[1], field.hess)):
         want = bits([scalar(z) for z in rows])
         assert np.array_equal(bits(vec(Z)), want)
         got = bits(vec(tiled))

@@ -341,6 +341,60 @@ def test_a_k1_scan_runs_on_the_scalar_loop(well1d, monkeypatch):
         [[traj.approach[i] for i in scan.approach_ids] for traj in want]).tobytes()
 
 
+def _same_trajectory(a, b):
+    return (a.samples == b.samples and a.termination == b.termination
+            and a.t_final == b.t_final and a.final.tobytes() == b.final.tobytes()
+            and a.approach == b.approach)
+
+
+def test_a_k1_representative_is_the_scan_run_of_its_seed(well1d, monkeypatch):
+    """The two seeds of a k = 1 scan end differently (one escapes, one
+    reaches the peak).  Reading the count's representatives integrates
+    nothing: each is the recorded run its scan already made, equal in every
+    field to a fresh `integrate` from the captured seed, and unequal to the
+    other seed's."""
+    crits = cr.find_critical_points(well1d)
+    lo, hi = crits
+    source = fl.LineSource(well1d, lo, crits)
+    count = fl.count_lines(source, hi)
+    scan, chart = source.scan
+    assert chart.k == 1 and scan.trajectories is not None
+    stops = fl._flow_stops(well1d, crits, lo.value, source.tol)
+    fresh = [fl.integrate(well1d, fl._seed_start(chart, u), stops=stops,
+                          tolerances=source.tol) for u in scan.dirs]
+    ends = [traj.termination.as_tuple() for traj in fresh]
+    assert sorted(kind for kind, _ in ends) == ["converged", "escaped"]
+    hit = ends.index(("converged", hi.id))
+    calls = []
+    integrate = fl.integrate
+    monkeypatch.setattr(fl, "integrate",
+                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    (traj,) = count.trajectories
+    assert calls == []
+    assert len(traj.samples) > 2
+    assert _same_trajectory(traj, fresh[hit])
+    assert not _same_trajectory(traj, fresh[1 - hit])
+
+
+def test_a_batched_scan_integrates_its_representatives_again(torus_field,
+                                                             monkeypatch):
+    """A circle scan runs in the numpy batch, which keeps no samples, so
+    each representative is one fresh `integrate` from its seed."""
+    crits = cr.find_critical_points(torus_field)
+    pit, saddle = crits[0], crits[1]
+    source = fl.LineSource(torus_field, pit, crits)
+    count = fl.count_lines(source, saddle)
+    assert source.scan[1].k == 2 and source.scan[0].trajectories is None
+    calls = []
+    integrate = fl.integrate
+    monkeypatch.setattr(fl, "integrate",
+                        lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    trajs = count.trajectories
+    assert len(calls) == len(trajs) == count.clusters == 2
+    assert all(t.samples and t.termination.as_tuple() == ("converged", saddle.id)
+               for t in trajs)
+
+
 def linear_stops(coords_values, box, t_max=400.0):
     """Tracked points (id "c1", "c2", ...) at the given (coords, value)."""
     crits = []

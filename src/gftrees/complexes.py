@@ -90,15 +90,6 @@ class ChordComplex:
         """Image under delta of a Z2 vector in the grading basis."""
         return gf2.asmat(self.delta_matrix(grading) @ vec % 2)[0]
 
-    def as_dict(self):
-        return {
-            "label": self.label,
-            "generators": [{"id": g.id, "grading": g.grading, "value": round(g.value, 12)}
-                           for g in self.generators],
-            "delta": {k: sorted(v) for k, v in sorted(self.delta.items())},
-            "m2": {"%s,%s" % k: sorted(v) for k, v in sorted(self.m2.items())},
-        }
-
 
 def _ones(D, sources, dst):
     """(source, target id) of each 1 of D, column by column, with the

@@ -78,7 +78,10 @@ def slice_field(f0, f1, t):
 
 
 class FamilyPath:
-    """A convex path between two runs of families of identical shape."""
+    """A convex path between two prepared runs of families of identical
+    shape.  It reads only their prepared data (w, criticals, chords,
+    family, config, tol) and makes every refusal of the path, so a path
+    is refused before either run counts anything."""
 
     def __init__(self, run0, run1, eps=None):
         f0, f1 = run0.family, run1.family
@@ -96,6 +99,7 @@ class FamilyPath:
                             "the configs before comparing")
         self.run0, self.run1 = run0, run1
         self.constant = (f0.field.expr_part.key() == f1.field.expr_part.key())
+        _scope_gate(self)
         self.warnings = []
         self.rho_slices = self._sample_rho()
         rho_min = min(self.rho_slices.values())
@@ -226,7 +230,6 @@ def continuation_matrix(path, which="w"):
         all0 = [run0.images[pq][p.id] for p in run0.criticals]
         all1 = [run1.images[pq][p.id] for p in run1.criticals]
         tag = "W_{%d,%d;3}" % pq
-    _scope_gate(path)
     W = blend_field(f0, f1, path.eps, tag=tag)
     lift0 = {p.id: _lift(p, 0, W, path.eps, tol) for p in all0}
     lift1 = {q.id: _lift(q, 1, W, path.eps, tol) for q in all1}
@@ -320,7 +323,7 @@ def diagram_check(run0, run1, phi12, phi23, phi13):
 # Drivers
 
 def _aligned_runs(config0, config1, jobs=1):
-    """Execute both endpoint pipelines with one shared stabilizing-term
+    """Prepare both endpoint pipelines with one shared stabilizing-term
     coefficient, so the extended fields interpolate cleanly.  Only a run
     whose own coefficient is larger is prepared a second time."""
     runs = [GFRun(cfg, jobs=jobs).prepare() for cfg in (config0, config1)]
@@ -329,7 +332,7 @@ def _aligned_runs(config0, config1, jobs=1):
         if run.lam != lam:
             run.config["solver"]["lambda"] = lam
             run.prepare()
-    return tuple(run.execute() for run in runs)
+    return tuple(runs)
 
 
 def constant_path_check(config, jobs=1):
@@ -353,9 +356,12 @@ def constant_path_check(config, jobs=1):
 def isotopy_compare(config0, config1, jobs=1):
     """Full invariance check along a path of families: the three extended
     continuation maps, cochain-map identities, and the product diagram on
-    cohomology."""
+    cohomology.  The path is built, and refused if need be, from the
+    prepared runs before either is executed."""
     run0, run1 = _aligned_runs(config0, config1, jobs=jobs)
     path = FamilyPath(run0, run1)
+    run0.execute()
+    run1.execute()
     phi_w, diag_w = continuation_matrix(path, "w")
     phis = {}
     diags = {"w": diag_w}

@@ -72,10 +72,6 @@ class RhoBound:
     lipschitz_L: float
     delta_pert: float
 
-    def as_dict(self):
-        return {"rho": self.rho, "lipschitz_L": self.lipschitz_L,
-                "delta_pert": self.delta_pert}
-
 
 # ---------------------------------------------------------------------------
 # Root finding

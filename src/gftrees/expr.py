@@ -220,10 +220,6 @@ class VarLayout:
         self.names = ["x%d" % (i + 1) for i in range(self.n)] + \
                      ["e%d" % (k + 1) for k in range(self.N)]
 
-    @property
-    def dim(self):
-        return self.n + self.N
-
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>   \d+\.\d*(?:[eE][+-]?\d+)? | \.\d+(?:[eE][+-]?\d+)? | \d+(?:[eE][+-]?\d+)? )
@@ -541,7 +537,7 @@ def _fold_node(node, rec):
         a = rec(node.a)
         va = _num(a)
         if va is not None:
-            return Num(_CALL_EVAL[node.fn](va))
+            return Num(_SCALAR_ENV[node.fn](va))
         return Call(node.fn, a)
     if isinstance(node, (Warp, WarpSlope)):
         a = rec(node.a)
@@ -713,11 +709,6 @@ def _warpslope_np(c, il, ih, ol, oh):
     return np.where(c > ih, 1.0 / (oh - ih),
                     np.where(c < il, 1.0 / (il - ol), 2.0 / (ih - il)))
 
-
-_CALL_EVAL = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "bump": _bump, "dbump": _dbump, "d2bump": _d2bump,
-}
 
 _SCALAR_ENV = {
     "sin": math.sin, "cos": math.cos, "exp": math.exp,

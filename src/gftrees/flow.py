@@ -5,9 +5,10 @@ The ODE is z' = +grad(field) (or - for backward time), integrated with an
 adaptive Dormand-Prince 4(5) pair.  One scalar loop, `_integrate_core`,
 runs on plain floats; its step is a straight-line function compiled once
 per dimension D, each coordinate's stages written out with the operands
-of the formulas.  A trajectory stops when it enters the
-r_conv-ball of a known critical point with a matching value window, when it
-leaves the escape box, or at a time cap.  A terminal-mode path that is
+of the formulas.  An event-mode run's `Stops` says where it stops, at
+its tracked critical points and its escape box; its tolerance dict says
+how, with the capture radius r_conv, the value window and the time cap
+t_max, each stored there alone.  A terminal-mode path that is
 queried at many times, such as a tree chart's (chart, u), keeps a step
 log and resumes each query from the log instead of from t = 0, with a
 bit-identical result.
@@ -98,11 +99,10 @@ class Trajectory:
 
 @dataclass
 class Stops:
+    """Where an event-mode run stops: the tracked critical points and the
+    escape box (None on the torus); `flow_stops` builds it."""
     criticals: list
     escape_box: list | None
-    t_max: float
-    r_conv: float
-    value_window: float
 
 
 def escape_box(outer_box, factor=1.5):
@@ -365,7 +365,7 @@ def _integrate_core(f, z0, t_cap, rtol, atol, h0, h_max,
     return ("cap", t, z, None)
 
 
-def _inspector(field, stops, approach):
+def _inspector(field, stops, tol, approach):
     """The event rules of one trajectory, for `_integrate_core`: escape
     faces first, in coordinate order with - before +; then the tracked
     points in list order, lowering `approach` (critical id -> closest
@@ -373,8 +373,8 @@ def _inspector(field, stops, approach):
     # each point's coordinates as Python floats: the helpers run several
     # times faster on them than on numpy float64 scalars, to the same bits
     tracked = [(c, [float(v) for v in c.coords]) for c in stops.criticals]
-    r_conv = stops.r_conv
-    vwin = stops.value_window
+    r_conv = tol["r_conv"]
+    vwin = tol["value_window"]
     esc = stops.escape_box
     periodic = field.periodic
 
@@ -405,43 +405,39 @@ def _inspector(field, stops, approach):
     return inspector
 
 
-def _tolerances(tolerances, stops=None):
-    """FLOW_TOLERANCES updated by `tolerances`.  In event mode `stops` sets
-    t_max, r_conv and value_window, and `tolerances` may only repeat them."""
-    given = tolerances or {}
-    for key in ("t_max", "r_conv", "value_window"):
-        if stops is not None and given.get(key, getattr(stops, key)) != getattr(stops, key):
-            raise ValueError("tolerance %s = %r disagrees with the stop rule's %r"
-                             % (key, given[key], getattr(stops, key)))
-    return {**FLOW_TOLERANCES, **given}
+def _tolerances(tolerances):
+    """FLOW_TOLERANCES updated by `tolerances`."""
+    return {**FLOW_TOLERANCES, **(tolerances or {})}
 
 
 def integrate(field, start, direction="forward", stops=None, tolerances=None,
-              terminal_t=None, record_samples=True, resume=None):
-    """Integrate z' = +-grad(field) from `start`.
+              terminal_t=None, resume=None):
+    """Integrate z' = +-grad(field) from `start`, recording samples unless
+    it resumes from a step log.
 
-    Event mode (stops given): run until capture at a critical point, exit
-    from the escape box, or stops.t_max; `tolerances` that disagree with
-    `stops` raise ValueError.  Terminal mode (terminal_t given):
-    run for exactly that much time.  In terminal mode without samples,
-    `resume` is the StepLog of one (field, start, direction, tolerances)
-    path, which grows between calls: a later call at any time resumes
-    from the log instead of from t = 0 (see `_integrate_core`).
+    Event mode (stops given): run until capture at a tracked point within
+    r_conv and the value window, exit from the escape box, or t_max, all
+    three read from the merged `tolerances`.  Terminal mode (terminal_t
+    given): run for exactly that much time.  In terminal mode `resume` is
+    the StepLog of one (field, start, direction, tolerances) path, which
+    grows between calls: a later call at any time resumes from the log
+    instead of from t = 0 (see `_integrate_core`).
     """
     # on numpy float64 scalars the scalar loop takes about twice as long
     start = [float(v) for v in start]
-    tol = _tolerances(tolerances, stops)
+    tol = _tolerances(tolerances)
     sign = +1.0 if direction == "forward" else -1.0
     g = field.grad
     if sign > 0:
         f = g
     else:
         f = lambda z: [-v for v in g(z)]
-    record = [] if record_samples else None
+    # an empty StepLog is falsy, so a log is told by `is None`
+    record = [] if resume is None else None
     periodic = field.periodic
 
-    if resume is not None and (terminal_t is None or record_samples):
-        raise ValueError("resume needs terminal mode without samples")
+    if resume is not None and terminal_t is None:
+        raise ValueError("resume needs terminal mode")
     if terminal_t is not None:
         reason, t, z, _ = _integrate_core(
             f, start, terminal_t, tol["rtol"], tol["atol"], tol["h0"],
@@ -453,8 +449,8 @@ def integrate(field, start, direction="forward", stops=None, tolerances=None,
         raise ValueError("need either a stop rule or terminal_t")
     approach = {c.id: _dist(start, c.coords, periodic) for c in stops.criticals}
     reason, t, z, payload = _integrate_core(
-        f, start, stops.t_max, tol["rtol"], tol["atol"], tol["h0"],
-        tol["h_max"], inspector=_inspector(field, stops, approach), record=record,
+        f, start, tol["t_max"], tol["rtol"], tol["atol"], tol["h0"],
+        tol["h_max"], inspector=_inspector(field, stops, tol, approach), record=record,
         periodic=periodic)
     term = payload if reason == "stop" else Termination("timeout")
     return Trajectory(field.tag, record or [], term, t, np.array(z),
@@ -492,10 +488,10 @@ def integrate_batch(field, starts, stops, tolerances=None):
     `integrate(field, row, stops=stops)` and ends with its Termination, t,
     final point and approach, bit for bit.  Returns one Trajectory per
     row; only the rows of a batch of fewer than SCALAR_ROWS carry their
-    samples.  `tolerances` that disagree with `stops` raise ValueError,
-    as in `integrate`.
+    samples.  t_max, r_conv and the value window come from the merged
+    `tolerances`, as in `integrate`.
     """
-    tol = _tolerances(tolerances, stops)
+    tol = _tolerances(tolerances)
     if len(starts) < SCALAR_ROWS:
         return [integrate(field, s, stops=stops, tolerances=tolerances)
                 for s in starts]
@@ -504,7 +500,7 @@ def integrate_batch(field, starts, stops, tolerances=None):
     periodic = field.periodic
     tracked = stops.criticals
     esc = stops.escape_box
-    t_cap, r_conv, vwin = stops.t_max, stops.r_conv, stops.value_window
+    t_cap, r_conv, vwin = tol["t_max"], tol["r_conv"], tol["value_window"]
     limit = t_cap * (1.0 - 1e-15)
 
     Z = np.array(starts, dtype=float)
@@ -612,7 +608,7 @@ def integrate_batch(field, starts, stops, tolerances=None):
         z = Z[r].tolist()
         reason, t, z, payload = _integrate_core(
             field.grad, z, t_cap, rtol, atol, tol["h0"], h_max,
-            inspector=_inspector(field, stops, approach), periodic=periodic,
+            inspector=_inspector(field, stops, tol, approach), periodic=periodic,
             start=(float(T[r]), z, K1[r].tolist(), float(H[r])))
         if reason == "stop":
             ends[b] = payload
@@ -678,12 +674,12 @@ def chart_point(chart, u, t, tolerances=None, resume=None):
     `resume` is the StepLog of `integrate`, one per (chart, u)."""
     if t < 0:
         raise ValueError("chart time must be >= 0")
-    start = _seed_start(chart, np.asarray(u, dtype=float))
+    start = chart_start(chart, np.asarray(u, dtype=float))
     if t == 0.0:
         return start
     direction = "forward" if chart.side == "unstable" else "backward"
     traj = integrate(chart.field, start, direction, terminal_t=t,
-                     tolerances=tolerances, record_samples=False, resume=resume)
+                     tolerances=tolerances, resume=resume)
     return traj.final
 
 
@@ -729,7 +725,8 @@ def sphere_dirs(k, m, seed):
 
 
 class _Scan:
-    def __init__(self, dirs, outcomes, approach_ids, approach, trajectories):
+    def __init__(self, stops, dirs, outcomes, approach_ids, approach, trajectories):
+        self.stops = stops            # the stop rule every seed ran under
         self.dirs = dirs              # (m, k)
         self.outcomes = outcomes      # list of (kind, target)
         self.approach_ids = approach_ids
@@ -739,17 +736,19 @@ class _Scan:
         self.trajectories = trajectories
 
 
-def _flow_stops(field, criticals, source_value, tol):
+def flow_stops(field, criticals, source_value):
+    """The stop rule of a run from a point of value `source_value`: the
+    critical points above it, and the escape box off the torus."""
     tracked = [c for c in criticals if c.value > source_value + 1e-12]
     esc = None
     if not field.periodic:
         if field.outer_box is None:
             raise ValueError("field carries no outer box for the escape test")
         esc = escape_box(field.outer_box)
-    return Stops(tracked, esc, tol["t_max"], tol["r_conv"], tol["value_window"])
+    return Stops(tracked, esc)
 
 
-def _seed_start(chart, u):
+def chart_start(chart, u):
     """p + r0 * frame @ u, with exactly 0.0 in the chart's pinned slots,
     where the flow of a decoupled slot then stays."""
     start = chart.point.coords + chart.r0 * (chart.frame @ np.asarray(u))
@@ -770,22 +769,24 @@ def sphere_scan(field, p, criticals, r0=R0, m=None, tolerances=None):
     record each seed's outcome and its closest approach to every higher
     critical point.  A scan of fewer than SCALAR_ROWS seeds, such as every
     k = 1 scan, runs each seed once on the scalar loop and keeps its
-    recorded trajectory.  Returns (scan, chart)."""
-    tol = {**FLOW_TOLERANCES, **(tolerances or {})}
+    recorded trajectory.  The scan keeps the stop rule its seeds ran
+    under.  Returns (scan, chart)."""
+    tol = _tolerances(tolerances)
     chart = build_chart(field, p, "unstable", r0, pins=pinned_slots(field))
     k = chart.k
     if m is None:
         m = {1: 2, 2: 512}.get(k, 800)
-    stops = _flow_stops(field, criticals, p.value, tol)
+    stops = flow_stops(field, criticals, p.value)
     ids = [c.id for c in stops.criticals]
     dirs = sphere_dirs(k, m, 12345)
     logger.info("scan %s from %s: k = %d, pins %s, %d seeds",
                 field.tag, p.id, k, list(chart.pins), len(dirs))
-    trajs = integrate_batch(field, [_seed_start(chart, u) for u in dirs], stops, tol)
+    trajs = integrate_batch(field, [chart_start(chart, u) for u in dirs], stops, tol)
     outcomes = [traj.termination.as_tuple() for traj in trajs]
     approach = np.array([[traj.approach[i] for i in ids] for traj in trajs])
     kept = trajs if len(dirs) < SCALAR_ROWS else None
-    return _Scan(dirs, outcomes, ids, approach.reshape(len(dirs), len(ids)), kept), chart
+    return _Scan(stops, dirs, outcomes, ids, approach.reshape(len(dirs), len(ids)),
+                 kept), chart
 
 
 class LineSource:
@@ -795,7 +796,7 @@ class LineSource:
     def __init__(self, field, p, criticals, r0=R0, m=None, tolerances=None):
         self.field, self.p, self.criticals = field, p, criticals
         self.r0, self.m = r0, m
-        self.tol = {**FLOW_TOLERANCES, **(tolerances or {})}
+        self.tol = _tolerances(tolerances)
 
     @cached_property
     def scan(self):
@@ -814,10 +815,11 @@ def count_lines(source, q):
     explanatory note (the moduli space is not 0-dimensional there), as a
     target no higher than p does, before the source's scan is read.
     Raises AmbiguousCountError when a seed timed out or when the scan
-    shows an unresolved wall (see `_refuse_walls`).  Each cluster's
-    representative is its seed's trajectory as the scan kept it (see
-    `sphere_scan`); a seed of the numpy batch, which keeps no samples, is
-    integrated again on first read.
+    shows an unresolved wall (see `_refuse_walls`).  The wall floor and
+    the representatives read the stop rule the scan ran under.  Each
+    cluster's representative is its seed's trajectory as the scan kept it
+    (see `sphere_scan`); a seed of the numpy batch, which keeps no
+    samples, is integrated again on first read.
     """
     p, field, tol = source.p, source.field, source.tol
     if q.grading - p.grading != 1:
@@ -832,20 +834,19 @@ def count_lines(source, q):
             "%d of %d seeds neither converged nor escaped: suspected "
             "non-transverse configuration; perturb family or lower tolerances"
             % (n_timeout, mlen))
-    stops = _flow_stops(field, source.criticals, p.value, tol)
     is_q = [o == ("converged", q.id) for o in scan.outcomes]
     neighbors = _seed_neighbors(scan.dirs)
     # for k = 1 the two seeds are the whole coupled unstable manifold: no
     # direction lies between them to be missed
     if chart.k >= 2:
-        _refuse_walls(scan, q, is_q, neighbors, _wall_floor(chart, stops))
+        _refuse_walls(scan, q, is_q, neighbors, _wall_floor(chart, scan.stops))
     comps = _capture_clusters(is_q, neighbors)
 
     def representatives():
         seeds = [_representative(c, mlen, chart.k) for c in comps]
         if scan.trajectories is not None:
             return [scan.trajectories[i] for i in seeds]
-        return [integrate(field, _seed_start(chart, scan.dirs[i]), stops=stops,
+        return [integrate(field, chart_start(chart, scan.dirs[i]), stops=scan.stops,
                           tolerances=tol) for i in seeds]
     return LineCount(len(comps) % 2, len(comps), representatives=representatives)
 

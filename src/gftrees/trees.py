@@ -24,10 +24,10 @@ misses a coupled direction raises DimensionError.
 
 A solution's meeting point M is a tree into p0 when it passes the
 capture test: the forward h3 flow from q3 = M - s3, its pinned slots set
-to exactly 0 (the flow keeps them there), stopped in event mode at the
-escape box and at the critical points of h3 above h3(q3), converges to
-p0.  Converging elsewhere or escaping means M is no tree into p0; a flow
-that does neither by t_max refuses the count with AmbiguousCountError.
+to exactly 0 (the flow keeps them there), run in event mode under
+`flow.flow_stops` of h3(q3), converges to p0.  Converging elsewhere or
+escaping means M is no tree into p0; a flow that does neither by t_max
+refuses the count with AmbiguousCountError.
 A tree's gamma3 is the capture run reversed, so it ends at q3.
 
 Differences are taken mod 1 in torus mode.  The system is solved by
@@ -131,8 +131,10 @@ class TreeProblem:
 
     theta packs (u1, t1, u2, t2) of the two source edges.  `pins` are the
     quadratic slots of h3 that every sink's stable chart misses, and the
-    capture test tracks `criticals`, the critical points of h3.
-    `seed_outcomes` holds each counted sink's seed histogram by its id."""
+    capture test tracks `criticals`, the critical points of h3.  The
+    escape box, the plausibility box and the diameter of the charts'
+    domain are set once (no boxes on the torus).  `seed_outcomes` holds
+    each counted sink's seed histogram by its id."""
 
     def __init__(self, fields, src1, src2, s, criticals, r0=fl.R0,
                  tolerances=None, meeting_floor=None):
@@ -140,7 +142,6 @@ class TreeProblem:
         self.src1, self.src2 = src1, src2
         self.s = s
         self.criticals = criticals
-        self.r0 = float(r0)
         self.tolerances = dict(tolerances or {})
         self.meeting_floor = meeting_floor
         self.D = self.h1.dim
@@ -151,6 +152,12 @@ class TreeProblem:
         k1 = self.k[0]
         self.blocks = ((0, k1), (k1 + 1, k1 + 1 + self.k[1]))  # (first u, t) index
         self.periodic = self.h1.periodic
+        self.escape_box, self.plausible_box, self.diameter = None, None, 1.0
+        if not self.periodic:
+            outer = self.h1.outer_box
+            self.escape_box = fl.escape_box(outer)
+            self.plausible_box = fl.escape_box(outer, 2.5)
+            self.diameter = float(np.linalg.norm([hi - lo for lo, hi in outer]))
         self.seed_outcomes = {}
         self._memo = {}
         self._logs = {}
@@ -159,7 +166,7 @@ class TreeProblem:
         """The stable chart of `sink` under h3, once the count into it is
         defined: no 0-dimensional edge, expected dimension 0, the unknowns
         balanced, and only decoupled slots missing from the chart."""
-        chart = fl.build_chart(self.h3, sink, "stable", self.r0)
+        chart = fl.build_chart(self.h3, sink, "stable", self.charts[0].r0)
         k = self.k + (chart.k,)
         if min(k) == 0:
             raise DimensionError(
@@ -280,9 +287,9 @@ def _coupled_rate(chart):
     return min(rates)
 
 
-def _time_grid(chart, r0, diam):
+def _time_grid(chart, diam):
     rate = max(_coupled_rate(chart), 1e-3)
-    t_hi = min(18.0, math.log(max(4.0 * diam / r0, 10.0)) / rate)
+    t_hi = min(18.0, math.log(max(4.0 * diam / chart.r0, 10.0)) / rate)
     frac = (np.arange(TIME_POINTS) / (TIME_POINTS - 1.0)) ** 1.5
     return t_hi * frac
 
@@ -443,26 +450,16 @@ def solve_trees(problem, sink):
     return trees
 
 
-def _escape(problem):
-    """(escape box, plausibility box, diameter) of the source charts'
-    domain; no boxes on the torus."""
-    if problem.periodic:
-        return None, None, 1.0
-    outer = problem.h1.outer_box
-    return (fl.escape_box(outer), fl.escape_box(outer, 2.5),
-            float(np.linalg.norm([hi - lo for lo, hi in outer])))
-
-
 def _seeds(problem):
     """Packed Newton seeds, best first, ranked over a coarse product grid
     of the source charts' endpoints."""
-    esc, _, diam = _escape(problem)
+    esc = problem.escape_box
     tabs = []
     for which in (0, 1):
         chart = problem.charts[which]
         m = {2: 12, 3: 24}.get(chart.k, 48)
         dirs = fl.sphere_dirs(chart.k, m, 97 + chart.k + which)
-        times = _time_grid(chart, problem.r0, diam)
+        times = _time_grid(chart, problem.diameter)
         E, params = _tabulate(problem, which, dirs, times)
         if esc is not None:
             keep = np.all((E > np.array(esc)[:, 0]) & (E < np.array(esc)[:, 1]), axis=1)
@@ -475,7 +472,7 @@ def run_seed(problem, rank):
     """Damped Newton from `problem.seeds[rank]`, as picklable data:
     (rank, outcome, theta, res, J, meeting), the last four None unless
     the outcome is "converged"."""
-    end, got = _newton(problem, problem.seeds[rank], _escape(problem)[1])
+    end, got = _newton(problem, problem.seeds[rank], problem.plausible_box)
     if got is None:
         return rank, end, None, None, None, None
     theta, res, J = got
@@ -532,23 +529,23 @@ def _ranked_seeds(problem, tabs):
 
 def _capture(problem, sink, meeting):
     """The forward h3 flow from q3 = meeting - s3, with its pinned slots set
-    to exactly 0, stopped at the escape box or at a critical point of h3
-    above h3(q3).  A flow that does neither by t_max refuses the count."""
+    to exactly 0, under the stop rule `flow.flow_stops` builds from h3(q3).
+    A flow that ends neither at a critical point nor at the escape box
+    refuses the count."""
     q3 = meeting - problem.s.s3
     if problem.periodic:
         q3 = np.mod(q3, 1.0)
     q3[list(problem.pins)] = 0.0
-    tol = {**fl.FLOW_TOLERANCES, **problem.tolerances}
-    stops = fl._flow_stops(problem.h3, problem.criticals,
-                           problem.h3.value([float(v) for v in q3]), tol)
+    stops = fl.flow_stops(problem.h3, problem.criticals,
+                          problem.h3.value([float(v) for v in q3]))
     traj = fl.integrate(problem.h3, q3, "forward", stops=stops,
-                        tolerances=problem.tolerances, record_samples=True)
+                        tolerances=problem.tolerances)
     if traj.termination.kind == "timeout":
         raise fl.AmbiguousCountError(
             "the h3 flow from the tree meeting point %s neither reached a "
             "critical point nor escaped by t_max = %g, so whether it is a "
             "tree into %s is unknown; raise t_max"
-            % ([round(float(v), 6) for v in meeting], stops.t_max, sink.id))
+            % ([round(float(v), 6) for v in meeting], traj.t_final, sink.id))
     return traj
 
 
@@ -566,16 +563,14 @@ def _validate(problem, sol, capture):
         raise RuntimeError("accepted tree fails matching: %.3g > %.3g" % (match, TOL_MATCH))
     trajs = []
     for chart, (u, t) in zip(problem.charts, problem.split(theta)):
-        start = chart.point.coords + chart.r0 * (chart.frame @ u)
-        trajs.append(fl.integrate(chart.field, start, "forward",
+        trajs.append(fl.integrate(chart.field, fl.chart_start(chart, u), "forward",
                                   terminal_t=max(t, 1e-12),
-                                  tolerances=problem.tolerances,
-                                  record_samples=True))
+                                  tolerances=problem.tolerances))
     T = capture.t_final
     trajs.append(fl.Trajectory(
         capture.tag, [(T - t, pt) for t, pt in reversed(capture.samples)],
         fl.Termination("time"), T, np.array(capture.samples[0][1])))
-    esc = _escape(problem)[0]
+    esc = problem.escape_box
     if esc is not None:
         for traj in trajs:
             for _, pt in traj.samples:

@@ -230,6 +230,36 @@ def test_reseed_comparison_passes(tmp_path, capsys):
     assert "PASS" in err
 
 
+@pytest.mark.parametrize("name", ["unknot", "multichord"])
+def test_differential_reports_the_delta_of_the_cohomology_report(
+        name, tmp_path, capsys, request):
+    cfg, run = {"unknot": (UNKNOT, "unknot_run"),
+                "multichord": (MULTI, "multi_run")}[name]
+    want = request.getfixturevalue(run).report()
+    code, out, _ = run_cli(capsys, "differential", write_config(tmp_path, cfg))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["label"] == want["label"] == name
+    assert (rep["delta"], rep["delta_counts"]) == (want["delta"], want["delta_counts"])
+    assert rep["chords"] == want["chords"]
+
+
+def test_stabilize_comparison_reports_the_library_verdict(tmp_path, capsys):
+    path = write_config(tmp_path, MULTI)
+    code, out, err = run_cli(capsys, "compare", path, "--stabilize", "+")
+    _, _, verdict = pl.stabilization_compare(json.loads(json.dumps(MULTI)), ["+"])
+    verdict["comparison"] = {"kind": "stabilization", "signs": ["+"]}
+    assert out == pl.canonical_json(verdict) + "\n"
+    assert verdict["pass"] and code == 0 and "PASS" in err
+
+
+def test_stabilize_takes_only_signs(tmp_path, capsys):
+    path = write_config(tmp_path, UNKNOT)
+    code, out, err = run_cli(capsys, "compare", path, "--stabilize", "x")
+    assert code == 2 and out == ""
+    assert "--stabilize takes a comma list of + and -" in err
+
+
 def test_morse_torus_pool_matches_the_inline_run(morse_run, capsys):
     code, out, _ = run_cli(capsys, "morse-torus", "--jobs", "2")
     assert code == 0

@@ -188,7 +188,7 @@ def test_aligned_runs_reprepare_only_the_run_whose_lambda_moves(
         unknot_config, prepare_calls):
     wide = json.loads(json.dumps(unknot_config))
     wide["family"]["inner_box"][1] = [-2.5, 2.5]
-    run0, run1 = ct._aligned_runs(unknot_config, wide)
+    run0, run1 = (run.execute() for run in ct._aligned_runs(unknot_config, wide))
     assert len(prepare_calls) == 3
     assert run1.lam == pytest.approx(0.096) and run0.lam == run1.lam
     assert run1.config["solver"]["lambda"] is None
@@ -213,9 +213,30 @@ def test_reversing_a_path_inverts_the_class_map(unknot_config,
                                                 unknot_moved_config):
     run0, run1 = ct._aligned_runs(unknot_config, unknot_moved_config)
     path = ct.FamilyPath(run0, run1)
+    run0.execute()
+    run1.execute()
     report = ct.reversal_check(path)
     assert report["pass"]
     assert report["defects"] == []
+
+
+def test_a_path_with_a_positive_coindex_chord_is_refused_before_any_count(
+        multi_config, monkeypatch):
+    """On multichord translated by 0.05 the grading-1 chord c3 has coindex
+    1, so the nonconstant path is outside the validated scope: the compare
+    is refused from the prepared runs, before either run counts a line or
+    a tree."""
+    moved = json.loads(json.dumps(multi_config))
+    moved["family"]["core"] = moved["family"]["core"].replace("x1^2", "(x1 - 0.05)^2")
+    assert moved["family"]["core"] != multi_config["family"]["core"]
+
+    def execute(run):
+        raise AssertionError("%s counted before the path was checked"
+                             % run.family.label)
+    monkeypatch.setattr(pl.GFRun, "execute", execute)
+    with pytest.raises(ct.PathError, match="coindex 0") as info:
+        ct.isotopy_compare(multi_config, moved)
+    assert "('c3', 1)" in str(info.value)
 
 
 def test_diagram_check_requires_equal_graded_ranks(unknot_config,
@@ -320,12 +341,12 @@ def test_the_lifted_chord_scans_a_pinned_k1_chart(isotopy_counts, tag, pin):
     with exactly 0.0 in the slot, and its parity is that of the unpinned
     512-seed circle."""
     p, q, W, crits, kw = isotopy_counts[tag]
-    tol = {**fl.FLOW_TOLERANCES, **kw["tolerances"]}
+    tol = kw["tolerances"]
     scan, chart = fl.sphere_scan(W, p, crits, r0=kw["r0"], m=kw["m"],
                                  tolerances=kw["tolerances"])
     assert (p.coindex, chart.k, chart.pins) == (2, 1, (pin,))
     assert not chart.frame[pin].any()
-    assert all(fl._seed_start(chart, u)[pin] == 0.0 for u in scan.dirs)
+    assert all(fl.chart_start(chart, u)[pin] == 0.0 for u in scan.dirs)
     pinned = fl.count_lines(fl.LineSource(W, p, crits, **kw), q)
     full = fl.build_chart(W, p, "unstable", kw["r0"])
     assert full.k == 2
@@ -333,8 +354,8 @@ def test_the_lifted_chord_scans_a_pinned_k1_chart(isotopy_counts, tag, pin):
     both = np.column_stack([chart.frame, np.eye(W.dim)[:, [pin]]])
     assert np.allclose(both @ both.T, full.frame @ full.frame.T, atol=1e-12)
     dirs = fl.sphere_dirs(2, 512, 12345)
-    stops = fl._flow_stops(W, crits, p.value, tol)
-    trajs = fl.integrate_batch(W, [fl._seed_start(full, u) for u in dirs], stops, tol)
+    stops = fl.flow_stops(W, crits, p.value)
+    trajs = fl.integrate_batch(W, [fl.chart_start(full, u) for u in dirs], stops, tol)
     is_q = [t.termination.as_tuple() == ("converged", q.id) for t in trajs]
     circle = fl._capture_clusters(is_q, fl._seed_neighbors(dirs))
     assert len(circle) % 2 == pinned.parity == 1

@@ -63,6 +63,34 @@ def test_parse_errors_carry_position(bad, fragment):
     assert "position" in str(info.value)
 
 
+@pytest.mark.parametrize("bad, message, pos", [
+    ("x1^2.5", "exponent must be an integer, got '2.5'", 3),
+    ("tan(x1)", "unknown function 'tan'", 0),
+    ("sin(x1, e1)", "sin takes exactly one argument", 6),
+    ("x1)", "unexpected trailing input", 2),
+])
+def test_each_parse_check_names_its_fault_and_offset(bad, message, pos):
+    with pytest.raises(ex.ParseError) as info:
+        ex.parse(bad, LAY)
+    assert str(info.value) == "%s (at position %d)" % (message, pos)
+    assert info.value.pos == pos
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(x1 - 1)^-2", "zero base with negative exponent in: "),
+    ("1/(x1 - 1)", "division by zero in: "),
+])
+def test_a_zero_base_or_denominator_at_runtime_is_a_domain_error(text, message):
+    """Both flavours raise at x1 = 1; the vector one when any row is there."""
+    node = ex.parse(text, LAY)
+    with pytest.raises(ex.DomainError, match=message):
+        ex.compile_value(node, 4)([1.0, 0.0, 0.0, 0.0])
+    rows = np.array([[2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ex.DomainError, match=message):
+        ex.compile_value(node, 4, vector=True)(rows)
+    assert ex.compile_value(node, 4, vector=True)(rows[:1]).tolist() == [1.0]
+
+
 def test_division_by_zero_is_a_domain_error():
     f = ex.compile_value(ex.parse("1/x1", LAY), 4)
     assert f([2.0, 0.0, 0.0, 0.0]) == 0.5

@@ -62,7 +62,7 @@ def test_capture_at_a_critical_point(well1d):
     crits = cr.find_critical_points(well1d)
     assert [p.value for p in crits] == pytest.approx([-2 / 3, 2 / 3], abs=1e-9)
     lo, hi = crits
-    stops = fl.Stops(crits, fl.escape_box(well1d.outer_box), 400.0, 1e-4, 1e-7)
+    stops = fl.Stops(crits, fl.escape_box(well1d.outer_box))
     # inside (-1, 1) the gradient x^2 - 1 is negative: flow toward x = -1,
     # where the field value is the larger one
     traj = fl.integrate(well1d, [0.9], stops=stops)
@@ -74,7 +74,7 @@ def test_capture_at_a_critical_point(well1d):
 
 def test_escape_through_the_box_wall(well1d):
     crits = cr.find_critical_points(well1d)
-    stops = fl.Stops(crits, fl.escape_box(well1d.outer_box), 400.0, 1e-4, 1e-7)
+    stops = fl.Stops(crits, fl.escape_box(well1d.outer_box))
     traj = fl.integrate(well1d, [1.1], stops=stops)
     assert traj.termination.kind == "escaped"
     assert traj.termination.target.startswith(("+", "-"))
@@ -83,8 +83,8 @@ def test_escape_through_the_box_wall(well1d):
 
 def test_time_budget_exhaustion_is_reported(well1d):
     crits = cr.find_critical_points(well1d)
-    stops = fl.Stops(crits, fl.escape_box(well1d.outer_box), 0.05, 1e-4, 1e-7)
-    traj = fl.integrate(well1d, [0.9], stops=stops)
+    stops = fl.Stops(crits, fl.escape_box(well1d.outer_box))
+    traj = fl.integrate(well1d, [0.9], stops=stops, tolerances={"t_max": 0.05})
     assert traj.termination.kind == "timeout"
 
 
@@ -216,11 +216,11 @@ def test_a_source_whose_targets_lie_below_it_never_scans(torus_field,
     assert "scan" not in vars(source)
 
 
-def assert_batch_matches_the_scalar_loop(field, starts, stops):
+def assert_batch_matches_the_scalar_loop(field, starts, stops, tol=None):
     """integrate_batch against scalar event-mode integrate, row by row:
     the same termination, and bit-equal time, final point and approach."""
-    got = fl.integrate_batch(field, starts, stops)
-    want = [fl.integrate(field, list(s), stops=stops) for s in starts]
+    got = fl.integrate_batch(field, starts, stops, tol)
+    want = [fl.integrate(field, list(s), stops=stops, tolerances=tol) for s in starts]
     for b, s in zip(got, want):
         assert b.termination == s.termination
         assert b.t_final == s.t_final
@@ -233,8 +233,8 @@ def assert_batch_matches_the_scalar_loop(field, starts, stops):
 
 def scan_rows(field, p, crits, m):
     chart = fl.build_chart(field, p, "unstable")
-    stops = fl._flow_stops(field, crits, p.value, fl.FLOW_TOLERANCES)
-    return [fl._seed_start(chart, u) for u in fl.sphere_dirs(chart.k, m, 12345)], stops
+    stops = fl.flow_stops(field, crits, p.value)
+    return [fl.chart_start(chart, u) for u in fl.sphere_dirs(chart.k, m, 12345)], stops
 
 
 def test_batched_scans_match_the_scalar_loop_on_the_torus(torus_field):
@@ -265,7 +265,7 @@ def test_a_rejected_jump_and_an_escape_match_the_scalar_loop(monkeypatch):
     field = fa.ScalarField(1, ex.parse("x1", ex.VarLayout(1, 0)))
     c = cr.CriticalPoint(np.array([0.3]), 0.3, 0, 0, np.array([0.0]))
     c.id = "c"
-    stops = fl.Stops([c], [[-5.0, 5.0]], 400.0, 1e-4, 1e-3)
+    stops = fl.Stops([c], [[-5.0, 5.0]])
     segments = []
     seg = fl._segment_dist_rows
 
@@ -274,10 +274,10 @@ def test_a_rejected_jump_and_an_escape_match_the_scalar_loop(monkeypatch):
         return segments[-1]
     monkeypatch.setattr(fl, "_segment_dist_rows", recorded)
     starts = [[0.0], [-0.2], [0.5]] + [[-0.5 - 0.5 * i] for i in range(fl.SCALAR_ROWS)]
-    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops, LINEAR)
     assert [r.termination.as_tuple() for r in rows[:3]] == [
         ("converged", "c"), ("converged", "c"), ("escaped", "+z0")]
-    assert min(d.min() for d in segments if d.size) < stops.r_conv
+    assert min(d.min() for d in segments if d.size) < fl.FLOW_TOLERANCES["r_conv"]
 
 
 def test_a_shrinking_batch_resumes_its_last_rows_on_the_scalar_loop(torus_field, monkeypatch):
@@ -316,8 +316,8 @@ def test_a_scan_hand_off_grows_no_step_log(torus_field, monkeypatch):
     monkeypatch.setattr(fl, "_integrate_core", spied)
     scan, chart = fl.sphere_scan(torus_field, pit, crits, m=64)
     assert handed and all(log is None for log in handed)
-    stops = fl._flow_stops(torus_field, crits, pit.value, fl.FLOW_TOLERANCES)
-    want = [fl.integrate(torus_field, fl._seed_start(chart, u), stops=stops) for u in scan.dirs]
+    want = [fl.integrate(torus_field, fl.chart_start(chart, u), stops=scan.stops)
+            for u in scan.dirs]
     assert scan.outcomes == [traj.termination.as_tuple() for traj in want]
     assert scan.approach.tobytes() == np.array(
         [[traj.approach[i] for i in scan.approach_ids] for traj in want]).tobytes()
@@ -334,8 +334,8 @@ def test_a_k1_scan_runs_on_the_scalar_loop(well1d, monkeypatch):
     monkeypatch.setattr(well1d, "grad_vec", grad_vec)
     scan, chart = fl.sphere_scan(well1d, lo, crits)
     assert chart.k == 1
-    stops = fl._flow_stops(well1d, crits, lo.value, fl.FLOW_TOLERANCES)
-    want = [fl.integrate(well1d, fl._seed_start(chart, u), stops=stops) for u in scan.dirs]
+    want = [fl.integrate(well1d, fl.chart_start(chart, u), stops=scan.stops)
+            for u in scan.dirs]
     assert scan.outcomes == [traj.termination.as_tuple() for traj in want]
     assert scan.approach.tobytes() == np.array(
         [[traj.approach[i] for i in scan.approach_ids] for traj in want]).tobytes()
@@ -359,8 +359,7 @@ def test_a_k1_representative_is_the_scan_run_of_its_seed(well1d, monkeypatch):
     count = fl.count_lines(source, hi)
     scan, chart = source.scan
     assert chart.k == 1 and scan.trajectories is not None
-    stops = fl._flow_stops(well1d, crits, lo.value, source.tol)
-    fresh = [fl.integrate(well1d, fl._seed_start(chart, u), stops=stops,
+    fresh = [fl.integrate(well1d, fl.chart_start(chart, u), stops=scan.stops,
                           tolerances=source.tol) for u in scan.dirs]
     ends = [traj.termination.as_tuple() for traj in fresh]
     assert sorted(kind for kind, _ in ends) == ["converged", "escaped"]
@@ -395,7 +394,12 @@ def test_a_batched_scan_integrates_its_representatives_again(torus_field,
                for t in trajs)
 
 
-def linear_stops(coords_values, box, t_max=400.0):
+# the value window of the linear fields below, whose values move at unit
+# speed across a capture ball
+LINEAR = {"value_window": 1e-3}
+
+
+def linear_stops(coords_values, box):
     """Tracked points (id "c1", "c2", ...) at the given (coords, value)."""
     crits = []
     for j, (coords, value) in enumerate(coords_values, 1):
@@ -403,24 +407,24 @@ def linear_stops(coords_values, box, t_max=400.0):
                              np.zeros(len(coords)))
         c.id = "c%d" % j
         crits.append(c)
-    return fl.Stops(crits, box, t_max, 1e-4, 1e-3)
+    return fl.Stops(crits, box)
 
 
-@pytest.mark.parametrize("key, other", [("t_max", 1.0), ("r_conv", 1e-3),
-                                        ("value_window", 1e-4)])
-def test_event_mode_refuses_a_stop_setting_that_disagrees_with_its_stops(key, other):
-    """In event mode `stops` is the one source of t_max, r_conv and the
-    value window.  A `tolerances` entry that disagrees raises instead of
-    being ignored: {"t_max": 1.0} used to run on to the escape at t = 20."""
+def test_an_event_run_stops_at_the_time_cap_of_its_tolerances():
+    """In event mode the tolerance dict is the one source of t_max: on
+    f = x1 at unit speed {"t_max": 1.0} ends the run at t = 1 on the scalar
+    and the batched loop, and the default t_max runs on to the escape at
+    t = 20."""
     field = fa.ScalarField(1, ex.parse("x1", ex.VarLayout(1, 0)))
     stops = linear_stops([], [[-20.0, 20.0]])
     for n in (1, fl.SCALAR_ROWS):
-        with pytest.raises(ValueError, match="tolerance %s" % key):
-            fl.integrate_batch(field, [[0.0]] * n, stops, {key: other})
-    with pytest.raises(ValueError, match="tolerance %s" % key):
-        fl.integrate(field, [0.0], stops=stops, tolerances={key: other})
-    traj = fl.integrate(field, [0.0], stops=stops,
-                        tolerances={key: getattr(stops, key)})
+        for traj in fl.integrate_batch(field, [[0.0]] * n, stops, {"t_max": 1.0}):
+            assert traj.termination.as_tuple() == ("timeout", "")
+            assert traj.t_final == pytest.approx(1.0, abs=1e-12)
+    traj = fl.integrate(field, [0.0], stops=stops, tolerances={"t_max": 1.0})
+    assert traj.termination.as_tuple() == ("timeout", "")
+    assert traj.t_final == pytest.approx(1.0, abs=1e-12)
+    traj = fl.integrate(field, [0.0], stops=stops)
     assert traj.termination.as_tuple() == ("escaped", "+z0")
     assert 20.0 < traj.t_final < 21.0
 
@@ -436,7 +440,7 @@ def test_a_step_that_passes_one_point_and_jumps_the_next_lowers_both_approaches(
     stops = linear_stops([([1.1, 0.01], 1.1), ([1.0, 0.0], 1.0), ([1.1, -0.02], 1.1)],
                          [[-20.0, 20.0]] * 2)
     starts = [[0.0, 0.0]] + [[-2.0 - 0.5 * i, 0.0] for i in range(fl.SCALAR_ROWS)]
-    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops, LINEAR)
     assert {r.termination.as_tuple() for r in rows} == {("converged", "c2")}
     assert rows[0].approach["c1"] == pytest.approx(0.01, rel=1e-9)
     assert rows[0].approach["c3"] > 0.09
@@ -450,13 +454,14 @@ def test_a_step_into_a_ball_outside_its_value_window_then_rejects_at_the_next_po
     row then converges at c2, short of c1, with its approach to c1 at 0."""
     field = fa.ScalarField(1, ex.parse("x1", ex.VarLayout(1, 0)))
     box = [[-20.0, 20.0]]
-    free = fl.integrate(field, [0.0], stops=linear_stops([], box, t_max=1.0))
+    free = fl.integrate(field, [0.0], stops=linear_stops([], box),
+                        tolerances={**LINEAR, "t_max": 1.0})
     (_, (z0,)), (_, (z1,)) = free.samples[3:5]
     assert z1 - z0 > 4 * 1e-4
     mid = 0.5 * (z0 + z1)
     stops = linear_stops([([z1], z1 + 1.0), ([mid], mid)], box)
     starts = [[0.0]] + [[-1.0 - 0.5 * i] for i in range(fl.SCALAR_ROWS)]
-    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops, LINEAR)
     assert {r.termination.as_tuple() for r in rows} == {("converged", "c2")}
     assert rows[0].approach["c1"] == 0.0
     assert rows[0].final[0] < z1
@@ -473,7 +478,7 @@ def test_a_step_out_through_two_faces_reports_the_first_in_coordinate_order(text
     starts = [[0.0, 0.0]] + [[0.1 * i, -0.1 * i] for i in range(1, fl.SCALAR_ROWS + 2)]
     if face == "-z0":
         starts = [[-a, -b] for a, b in starts]
-    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops, LINEAR)
     assert {r.termination.as_tuple() for r in rows} == {("escaped", face)}
     assert all(abs(r.final[0]) > 1.0 and abs(r.final[1]) > 1.0 for r in rows)
 
@@ -485,7 +490,7 @@ def test_a_step_that_fails_the_tolerance_is_not_inspected(monkeypatch):
     measures every row's endpoint but lowers only the approach of rows
     whose step met the tolerance, as the scalar loop does."""
     field = fa.ScalarField(1, ex.parse("x1 + 0.005*sin(100*x1)", ex.VarLayout(1, 0)))
-    stops = linear_stops([([10.0], 10.0)], [[-50.0, 50.0]], t_max=1.0)
+    stops = linear_stops([([10.0], 10.0)], [[-50.0, 50.0]])
     measured = []
     dist = fl._dist_rows
 
@@ -494,7 +499,8 @@ def test_a_step_that_fails_the_tolerance_is_not_inspected(monkeypatch):
         return measured[-1]
     monkeypatch.setattr(fl, "_dist_rows", recorded)
     starts = [[-0.1 * i] for i in range(fl.SCALAR_ROWS + 2)]
-    rows = assert_batch_matches_the_scalar_loop(field, starts, stops)
+    rows = assert_batch_matches_the_scalar_loop(field, starts, stops,
+                                                {**LINEAR, "t_max": 1.0})
     assert {r.termination.as_tuple() for r in rows} == {("timeout", "")}
     assert min(d.min() for d in measured) < min(r.approach["c1"] for r in rows)
 
@@ -599,10 +605,10 @@ def test_a_batched_scan_through_adversarial_squares_matches_the_scalar_loop():
     field = fa.ScalarField(2, ex.parse("x1^2/2", ex.VarLayout(2, 0)))
     c = cr.CriticalPoint(np.array([0.3, 0.6]), 0.045, 0, 0, np.array([0.0, 0.0]))
     c.id = "c"
-    stops = fl.Stops([c], [[-5.0, 5.0], [-5.0, 5.0]], 400.0, 1e-4, 1e-3)
+    stops = fl.Stops([c], [[-5.0, 5.0], [-5.0, 5.0]])
     starts = adversarial_deltas(np.random.default_rng(1), c.coords, 40000, 0.05)
     assert len(starts) >= fl.SCALAR_ROWS
-    rows = assert_batch_matches_the_scalar_loop(field, starts.tolist(), stops)
+    rows = assert_batch_matches_the_scalar_loop(field, starts.tolist(), stops, LINEAR)
     assert {r.termination.as_tuple() for r in rows} == {("escaped", "+z0")}
     assert [r.approach["c"] for r in rows] == fl._dist_rows(starts, c.coords, False).tolist()
 
@@ -754,16 +760,17 @@ def test_the_generated_step_matches_the_list_comprehension_loop(D):
                               D - 1, D - 1, np.zeros(D))
     saddle.id = "saddle"
     for field, stops, kind in (
-            (torus, fl.Stops([saddle, peak], None, 400.0, 1e-4, 1e-7), "converged"),
-            (quad, fl.Stops([], [[-3.0, 3.0]] * D, 400.0, 1e-4, 1e-7), "escaped")):
+            (torus, fl.Stops([saddle, peak], None), "converged"),
+            (quad, fl.Stops([], [[-3.0, 3.0]] * D), "escaped")):
         start = starts[field]
 
         def event(core):
             approach = {c.id: fl._dist(start, c.coords, field.periodic)
                         for c in stops.criticals}
             record = []
-            out = core(field.grad, start, stops.t_max, *TOL,
-                       inspector=fl._inspector(field, stops, approach), record=record,
+            out = core(field.grad, start, fl.FLOW_TOLERANCES["t_max"], *TOL,
+                       inspector=fl._inspector(field, stops, fl.FLOW_TOLERANCES, approach),
+                       record=record,
                        periodic=field.periodic)
             return out, record, approach
         got, want = both_loops(event)
@@ -963,8 +970,8 @@ def test_a_scan_pins_a_growing_slot_and_starts_its_seeds_there_at_zero(
     full = fl.build_chart(stabilized_well, off, "unstable")
     assert full.k == 2 and full.pins == ()
     dirs = fl.sphere_dirs(2, 512, 12345)
-    stops = fl._flow_stops(stabilized_well, crits, off.value, fl.FLOW_TOLERANCES)
-    trajs = batch(stabilized_well, [fl._seed_start(full, u) for u in dirs], stops)
+    stops = fl.flow_stops(stabilized_well, crits, off.value)
+    trajs = batch(stabilized_well, [fl.chart_start(full, u) for u in dirs], stops)
     is_q = [t.termination.as_tuple() == ("converged", hi.id) for t in trajs]
     assert len(fl._capture_clusters(is_q, fl._seed_neighbors(dirs))) % 2 == count.parity
 

@@ -22,7 +22,7 @@ from . import flow as fl
 from . import gf2
 from .expr import Add, Call, Mul, Num, Pow, Sub, Var
 from .family import ScalarField
-from .pipeline import GFRun, PAIRS, _plain
+from .pipeline import GFRun, _plain
 
 
 log = logging.getLogger(__name__)
@@ -175,40 +175,35 @@ class FamilyPath:
 
 def _lift(p, t_end, W, eps, tol):
     """The chord p as a critical point of W at the t = 0 or t = 1 end."""
-    coords = np.concatenate([p.coords, [float(t_end)]])
-    zf = [float(v) for v in coords]
-    g = float(np.linalg.norm(W.grad(zf)))
-    eigs = np.linalg.eigvalsh(W.hess(zf))
-    index = int(np.sum(eigs < 0))
-    value = float(W.value(zf))
-    want_index = p.morse_index + (1 if t_end else 0)
+    lp, g = cr.classify(W, np.append(p.coords, float(t_end)),
+                        id="%d:%s" % (t_end, p.id))
+    want_index = p.morse_index + t_end
     want_value = p.value + (eps / 4.0 if t_end else 0.0)
-    if g > 10 * tol["tol_grad"] or index != want_index \
-            or abs(value - want_value) > 1e-8:
+    if g > 10 * tol["tol_grad"] or lp.morse_index != want_index \
+            or abs(lp.value - want_value) > 1e-8:
         raise RuntimeError(
             "lift of %s to t=%d is inconsistent: |grad|=%.3g, index %d vs %d, "
             "value %.9g vs %.9g (interpolant and endpoint bookkeeping disagree)"
-            % (p.id, t_end, g, index, want_index, value, want_value))
-    grading = p.grading + (1 if t_end else 0)
-    return cr.CriticalPoint(coords, value, index, grading, eigs,
-                            id="%d:%s" % (t_end, p.id))
+            % (p.id, t_end, g, lp.morse_index, want_index, lp.value, want_value))
+    return lp
 
 
 def _scope_gate(path):
-    if path.constant:
-        return
-    bad = [(p.id, p.coindex)
-           for p in path.run0.chords + path.run1.chords if p.coindex > 0]
+    # a constant path lifts a positive-coindex chord with the same
+    # zero-width wall as a moving one, so it gets no exemption
+    bad = sorted({(p.id, p.coindex) for p in path.run0.chords + path.run1.chords
+                  if p.coindex > 0})
     if bad:
         raise PathError(
-            "continuation along a nonconstant path is validated only when "
-            "every chord has coindex 0 in its difference function; got %r. "
-            "The moving zero-width walls of positive-coindex chords are "
-            "outside the shooting scan's validated scope." % (bad,))
+            "continuation is validated only when every chord has coindex 0 "
+            "in its difference function; got %r. The zero-width walls of "
+            "positive-coindex chords are outside the shooting scan's "
+            "validated scope." % (bad,))
 
 
 def continuation_matrix(path, which="w"):
-    """Z2 matrix of the continuation map for w or an extended pair.
+    """Z2 matrix of the continuation map in the space `which` of both runs'
+    `spaces`: "w" or an extended pair.
 
     Returns (matrix dict {(src_id, dst_id): parity over equal-grading
     pairs}, diagnostics).  Monotone-t along every counted line is checked
@@ -217,22 +212,13 @@ def continuation_matrix(path, which="w"):
     run0, run1 = path.run0, path.run1
     tol = run0.tol
     solver = run0.config["solver"]
-    if which == "w":
-        f0, f1 = run0.w, run1.w
-        gens0, gens1 = run0.chords, run1.chords
-        all0, all1 = run0.criticals, run1.criticals
-        tag = "W"
-    else:
-        pq = tuple(which)
-        f0, f1 = run0.ext[pq], run1.ext[pq]
-        gens0 = [run0.images[pq][p.id] for p in run0.chords]
-        gens1 = [run1.images[pq][p.id] for p in run1.chords]
-        all0 = [run0.images[pq][p.id] for p in run0.criticals]
-        all1 = [run1.images[pq][p.id] for p in run1.criticals]
-        tag = "W_{%d,%d;3}" % pq
-    W = blend_field(f0, f1, path.eps, tag=tag)
-    lift0 = {p.id: _lift(p, 0, W, path.eps, tol) for p in all0}
-    lift1 = {q.id: _lift(q, 1, W, path.eps, tol) for q in all1}
+    (f0, all0, gens0), (f1, all1, gens1) = (run0.spaces[which],
+                                            run1.spaces[which])
+    # the field's tag with a capital: "W" or "W_{i,j;3}"
+    W = blend_field(f0, f1, path.eps, tag="W" + f0.tag[1:])
+    lift0 = {i: _lift(p, 0, W, path.eps, tol) for i, p in all0.items()}
+    lift1 = {i: _lift(q, 1, W, path.eps, tol) for i, q in all1.items()}
+    # the generators are w's chords, whose ids and gradings every space keeps
     lifted0 = [lift0[p.id] for p in gens0]
     lifted1 = [lift1[q.id] for q in gens1]
     # the stops list carries every lifted critical point, so a trajectory
@@ -264,7 +250,7 @@ def continuation_matrix(path, which="w"):
                 drops = sum(1 for a, b in zip(ts, ts[1:]) if b < a - 1e-9)
                 t_checks.append({"line": "%s->%s" % (lp.id, lq.id),
                                  "t_monotone": drops == 0})
-    log.info("continuation matrix %s: %d entries, %d odd", tag, len(phi),
+    log.info("continuation matrix %s: %d entries, %d odd", W.tag, len(phi),
              sum(phi.values()))
     diag = {"eps": path.eps, "rho_slices": path.rho_slices,
             "warnings": list(path.warnings), "t_monotone": t_checks,
@@ -362,23 +348,23 @@ def isotopy_compare(config0, config1, jobs=1):
     path = FamilyPath(run0, run1)
     run0.execute()
     run1.execute()
-    phi_w, diag_w = continuation_matrix(path, "w")
-    phis = {}
-    diags = {"w": diag_w}
-    for pq in PAIRS:
-        phis[pq], diags["%d%d" % pq] = continuation_matrix(path, pq)
+    # one map per space, reported under "w", "12", "23" and "13"
+    phis, diags = {}, {}
+    for key in run0.spaces:
+        name = "".join(map(str, key))
+        phis[name], diags[name] = continuation_matrix(path, key)
     chain_defects = {
-        key: cx.cochain_map_defects(run0.complex, run1.complex, phi_table(phi))
-        for key, phi in (("w", phi_w), ("12", phis[(1, 2)]),
-                         ("23", phis[(2, 3)]), ("13", phis[(1, 3)]))}
-    product_defects = diagram_check(run0, run1, phis[(1, 2)], phis[(2, 3)],
-                                    phis[(1, 3)])
-    inv = invertible_by_grading(phi_w, run0, run1)
+        name: cx.cochain_map_defects(run0.complex, run1.complex, phi_table(phi))
+        for name, phi in phis.items()}
+    product_defects = diagram_check(run0, run1, *(
+        phis["".join(map(str, pq))] for pq in run0.TREE_SPACES))
+    inv = invertible_by_grading(phis["w"], run0, run1)
     verdict = {
         "labels": [run0.family.label, run1.family.label],
         "eps": path.eps,
         "constant_path": path.constant,
-        "phi": {"w": {"%s->%s" % k: v for k, v in sorted(phi_w.items())}},
+        "phi": {name: {"%s->%s" % k: v for k, v in sorted(phi.items())}
+                for name, phi in phis.items()},
         "cochain_defects": chain_defects,
         "product_defects": product_defects,
         "invertible": {str(g): ok for g, ok in sorted(inv.items())},
@@ -388,9 +374,6 @@ def isotopy_compare(config0, config1, jobs=1):
                              for d in diags.values()),
         "warnings": path.warnings,
     }
-    for pq in PAIRS:
-        verdict["phi"]["%d%d" % pq] = {"%s->%s" % k: v
-                                       for k, v in sorted(phis[pq].items())}
     verdict["pass"] = bool(
         not any(chain_defects.values()) and not product_defects
         and all(inv.values()) and verdict["t_monotone_ok"])

@@ -73,6 +73,22 @@ class RhoBound:
     delta_pert: float
 
 
+def _tolerances(given):
+    return {**TOLERANCES, **(given or {})}
+
+
+def classify(field, coords, id=""):
+    """The point `coords` of `field` as a CriticalPoint (value, Hessian
+    eigenvalues, Morse index, grading index - field.shift), with |grad|
+    there; each caller applies its own acceptance test."""
+    zf = [float(c) for c in coords]
+    eigs = np.linalg.eigvalsh(field.hess(zf))
+    index = int(np.sum(eigs < 0))
+    point = CriticalPoint(np.array(zf), float(field.value(zf)), index,
+                          index - field.shift, eigs, id=id)
+    return point, float(np.linalg.norm(field.grad(zf)))
+
+
 # ---------------------------------------------------------------------------
 # Root finding
 
@@ -188,9 +204,7 @@ def find_critical_points(field, grid_density=GRID_DENSITY, tolerances=None,
     magnitude <= tol_degenerate is a hard error.  Result is sorted by
     value, then lexicographically, and labelled c0, c1, ...
     """
-    tol = dict(TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = _tolerances(tolerances)
     box = field.inner_box
     if box is None:
         raise ValueError("field carries no box to search")
@@ -199,25 +213,21 @@ def find_critical_points(field, grid_density=GRID_DENSITY, tolerances=None,
     roots = _dedup(roots, tol["tol_dedup"], field.periodic)
     out = []
     for z in roots:
-        zf = [float(c) for c in z]
+        p, g = classify(field, z)
         # a cluster that merged distinct roots returns their mean, no root
-        g = float(np.linalg.norm(field.grad(zf)))
         if g >= tol["tol_grad"]:
             raise RuntimeError(
                 "deduplicated critical point %r has |grad| %.3g >= tol_grad %.3g: "
                 "its cluster merged distinct roots (lower tol_dedup)"
-                % (zf, g, tol["tol_grad"]))
-        v = field.value(zf)
-        if exclude_zero_value and abs(v) < tol["tol_value"]:
+                % (p.coords.tolist(), g, tol["tol_grad"]))
+        if exclude_zero_value and abs(p.value) < tol["tol_value"]:
             continue
-        eigs = np.linalg.eigvalsh(field.hess(zf))
-        if np.min(np.abs(eigs)) <= tol["tol_degenerate"]:
+        least = float(np.min(np.abs(p.hess_eigs)))
+        if least <= tol["tol_degenerate"]:
             raise DegenerateRootError(
                 "near-degenerate critical point at %r (value %.6g, |eig|min %.3g): "
-                "family is not generic here" % (zf, v, float(np.min(np.abs(eigs)))))
-        index = int(np.sum(eigs < 0))
-        out.append(CriticalPoint(np.array(zf), float(v), index,
-                                 index - field.shift, eigs))
+                "family is not generic here" % (p.coords.tolist(), p.value, least))
+        out.append(p)
     out.sort(key=lambda p: (round(p.value, 9),) + tuple(np.round(p.coords, 9)))
     for i, p in enumerate(out):
         p.id = "c%d" % i
@@ -236,31 +246,23 @@ def iota(p, pair, fam, ext_field, tolerances=None):
     unused fiber slot.  Asserts the image really is critical with the same
     value and the expected index shift; failure means family and critical
     bookkeeping disagree (internal error)."""
-    tol = dict(TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = _tolerances(tolerances)
     i, j = pair
     (k,) = set((1, 2, 3)) - {i, j}
     n, N = fam.n, fam.N
-    x = p.coords[:n]
-    e = p.coords[n:n + N]
-    ep = p.coords[n + N:]
-    slots = {i: e, j: ep, k: np.zeros(N)}
-    coords = np.concatenate([x, slots[1], slots[2], slots[3]])
-    zf = [float(c) for c in coords]
-    g = np.linalg.norm(ext_field.grad(zf))
-    v = ext_field.value(zf)
-    eigs = np.linalg.eigvalsh(ext_field.hess(zf))
-    index = int(np.sum(eigs < 0))
+    slots = {i: p.coords[n:n + N], j: p.coords[n + N:], k: np.zeros(N)}
+    image, g = classify(ext_field, np.concatenate(
+        [p.coords[:n], slots[1], slots[2], slots[3]]), id=p.id)
     expected_index = p.morse_index + ((j - i) - 1) * N
-    if g > 10 * tol["tol_grad"] or abs(v - p.value) > 1e-10 or index != expected_index:
+    if g > 10 * tol["tol_grad"] or abs(image.value - p.value) > 1e-10 \
+            or image.morse_index != expected_index:
         raise RuntimeError(
             "iota image of %s under pair (%d,%d) is inconsistent: "
             "|grad|=%.3g, value %.12g vs %.12g, index %d vs %d "
             "(family and critical-point bookkeeping disagree)"
-            % (p.id, i, j, g, v, p.value, index, expected_index))
-    return CriticalPoint(coords, float(v), index, index - ext_field.shift,
-                         eigs, id=p.id)
+            % (p.id, i, j, g, image.value, p.value, image.morse_index,
+               expected_index))
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,12 @@ class Num(Expr):
 
 
 class Var(Expr):
-    __slots__ = ("i",)
+    # `name` is the name the parser read, for messages; key() ignores it
+    __slots__ = ("i", "name")
 
     def __init__(self, i):
         self.i = int(i)
+        self.name = None
 
     def _make_key(self):
         return ("var", self.i)
@@ -339,7 +341,7 @@ class _Parser:
                 self.expect_op(")")
                 return Call(text, arg)
             if text in self.index_of:
-                return Var(self.index_of[text])
+                return _named(self.index_of[text], text)
             raise ParseError("unknown identifier %r" % text, pos)
         raise ParseError("expected a value", pos)
 
@@ -378,7 +380,7 @@ def _to_str(node, parent_prec):
             s = repr(node.v)
         return "(%s)" % s if node.v < 0 and parent_prec > 1 else s
     if isinstance(node, Var):
-        return "@%d" % node.i  # overridden by callers that know names
+        return node.name or "@%d" % node.i
     if isinstance(node, Neg):
         inner = _to_str(node.a, _PREC["neg"])
         s = "-%s" % inner
@@ -404,7 +406,7 @@ def _to_str(node, parent_prec):
 
 
 def to_named_str(node, names):
-    """to_str with variable indices replaced by their names."""
+    """to_str with each unnamed variable's index replaced by its name."""
     s = to_str(node)
     # replace in reverse index order so @12 is not clobbered by @1
     for i in sorted({v.i for v in iter_nodes(node) if isinstance(v, Var)}, reverse=True):
@@ -434,7 +436,10 @@ def subst(node, mapping):
     """Replace Var(i) by mapping[i] (an Expr) where present."""
     if isinstance(node, Var):
         repl = mapping.get(node.i)
-        return repl if repl is not None else node
+        if repl is None:
+            return node
+        # a relabelled variable keeps the name it was parsed under
+        return _named(repl.i, node.name) if type(repl) is Var else repl
     if isinstance(node, Num):
         return node
     if isinstance(node, Neg):
@@ -448,6 +453,12 @@ def subst(node, mapping):
     if isinstance(node, (Warp, WarpSlope)):
         return type(node)(subst(node.a, mapping), node.il, node.ih, node.ol, node.oh)
     raise TypeError("unknown node %r" % (node,))
+
+
+def _named(i, name):
+    var = Var(i)
+    var.name = name
+    return var
 
 
 def shift_vars(node, offset_map):

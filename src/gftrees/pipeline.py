@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import json
 import logging
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -421,6 +419,9 @@ def _run_units(unit, units, jobs):
     than the units.  The first unit to raise, in unit order, raises here."""
     if jobs == 1 or len(units) <= 1:
         return [unit(*u) for u in units]
+    # imported here, off the set-up path of every run that needs no pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     # forked workers inherit `unit` with the prepared run and the tabulated
     # pairs (fork pickles no initargs) and all start at the first submit, so
     # a pool wider than the units would only start idle interpreters

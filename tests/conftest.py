@@ -5,6 +5,7 @@ the whole suite pays for each of them once.  Config fixtures hand out deep
 copies, so tests may mutate them freely.
 """
 
+import concurrent.futures
 import copy
 import json
 import os
@@ -181,6 +182,8 @@ def inline_pool(monkeypatch):
 
         def shutdown(self, wait=True, cancel_futures=False):
             pass
-    monkeypatch.setattr(pl, "ProcessPoolExecutor", InlinePool)
+    # `pl._run_units` imports the pool class from concurrent.futures at
+    # each call, so the fake replaces it there
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(pl, "_worker_unit", None)  # the fake sets it here
     return seen

@@ -294,10 +294,12 @@ def test_morse_torus_demo_passes(capsys):
     assert rep["ranks"] == [{"0": 1, "1": 2, "2": 1}] * 3
 
 
-@pytest.mark.parametrize("module", ["scipy", "jsonschema"])
+@pytest.mark.parametrize("module", ["scipy", "jsonschema", "multiprocessing",
+                                    "concurrent"])
 def test_importing_the_cli_loads_no(module):
     """scipy.spatial alone took about half of the CLI's start-up, and
-    jsonschema about 0.09 s of it."""
+    jsonschema about 0.09 s of it; the process pool's modules load only
+    when a run starts a pool."""
     src = os.path.dirname(os.path.dirname(gftrees.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -315,6 +317,43 @@ def test_an_expression_outside_its_domain_exits_2(tmp_path, capsys, term):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_domain_error_names_the_variables(tmp_path, capsys):
+    bad = json.loads(json.dumps(UNKNOT))
+    bad["family"]["core"] += " + 1/(x1 - 1)"
+    code, out, err = run_cli(capsys, "chords", write_config(tmp_path, bad))
+    assert (code, out) == (2, "")
+    assert err == "error: division by zero in: 1 / (x1 - 1)\n"
+
+
+def test_a_constant_path_with_a_positive_coindex_chord_exits_1(
+        tmp_path, capsys, monkeypatch):
+    """multichord's grading-1 chord c3 has coindex 1; its lifted chord has
+    the same zero-width wall on a constant path as on a moving one, so the
+    compare is refused before either run counts anything."""
+    def execute(run):
+        raise AssertionError("%s counted before the path was checked"
+                             % run.family.label)
+    monkeypatch.setattr(pl.GFRun, "execute", execute)
+    path = write_config(tmp_path, MULTI)
+    code, out, err = run_cli(capsys, "compare", path, "--isotopy", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("PathError: ") and "coindex 0" in err
+    assert "[('c3', 1)]" in err
+
+
+@pytest.mark.parametrize("strict, code, verdict", [
+    (False, 0, "PASS"), (True, 1, "FAIL (strict: 1 warnings)")])
+def test_strict_fails_a_passing_report_that_carries_a_warning(
+        capsys, strict, code, verdict):
+    import argparse
+    args = argparse.Namespace(json=None, strict=strict)
+    report = {"pass": True, "warnings": ["slice t=0.25 is degenerate"]}
+    assert cli._finish(report, args, passed=True) == code
+    out, err = capsys.readouterr()
+    assert json.loads(out) == report
+    assert err == verdict + "\n"
 
 
 def test_info_logging_names_each_prepare_and_task(tmp_path, capsys, caplog):

@@ -239,6 +239,19 @@ def test_a_path_with_a_positive_coindex_chord_is_refused_before_any_count(
     assert "('c3', 1)" in str(info.value)
 
 
+def test_a_lift_with_the_wrong_eps_is_refused(unknot_config,
+                                              unknot_moved_config):
+    run0, run1 = prepared(unknot_config), prepared(unknot_moved_config)
+    path = ct.FamilyPath(run0, run1)
+    W = ct.blend_field(run0.w, run1.w, path.eps)
+    q = run1.chords[0]
+    lq = ct._lift(q, 1, W, path.eps, run0.tol)
+    assert (lq.id, lq.morse_index, lq.grading) == ("1:c1", q.morse_index + 1,
+                                                   q.grading + 1)
+    with pytest.raises(RuntimeError, match="lift of c1 to t=1 is inconsistent"):
+        ct._lift(q, 1, W, 2 * path.eps, run0.tol)
+
+
 def test_diagram_check_requires_equal_graded_ranks(unknot_config,
                                                    twowell_config):
     a = pl.gf_run(unknot_config)

@@ -123,8 +123,25 @@ def test_a_cluster_mean_off_the_roots_is_refused():
     assert [p.coords[0] for p in roots] == pytest.approx([3.0, 0.0, 1.0], abs=1e-9)
     # a dedup radius of 1.5 merges the roots 0 and 1 into their mean 0.5,
     # a regular point of nonzero value and nonzero curvature
-    with pytest.raises(RuntimeError, match=r"\[0\.5\] has \|grad\| 0\.625 "):
+    with pytest.raises(RuntimeError, match=r"\[0\.5\] has \|grad\| 0\.625 >= tol_grad "
+                       r"1e-09: its cluster merged distinct roots \(lower tol_dedup\)"):
         cr.find_critical_points(field, tolerances={"tol_dedup": 1.5})
+
+
+def test_classify_reports_the_point_and_its_gradient():
+    from gftrees import expr as ex
+    # f' = x (x - 1) (x - 3), f'' = 3 x^2 - 8 x + 3
+    node = ex.parse("x1^4/4 - 4*x1^3/3 + 3*x1^2/2 + 1", ex.VarLayout(1, 0))
+    field = fa.ScalarField(1, node, inner_box=[[-1, 4]], outer_box=[[-2, 5]])
+    p, g = cr.classify(field, np.array([1.0]), id="m")
+    assert (p.id, p.morse_index, p.grading, g) == ("m", 1, 1, 0.0)
+    assert p.value == pytest.approx(1.25 - 4 / 3 + 1.5, abs=1e-15)
+    assert p.hess_eigs.tolist() == [-2.0] and p.coords.tolist() == [1.0]
+    # a regular point is classified too; its caller refuses it by |grad|
+    q, g = cr.classify(field, [0.5])
+    assert (q.id, q.morse_index, g) == ("", 1, 0.625)
+    shifted = fa.ScalarField(1, node, shift=1, inner_box=[[-1, 4]])
+    assert cr.classify(shifted, [1.0])[0].grading == 0
 
 
 def test_no_chords_is_a_named_error():
@@ -234,6 +251,14 @@ def test_embedding_images_are_all_critical_points(multi_config):
         images = sorted(round(cr.iota(p, pair, fam, exts[pair]).value, 8)
                         for p in crits)
         assert sorted(round(q.value, 8) for q in found) == images
+
+
+def test_an_image_in_the_wrong_extended_field_is_refused(unknot_config):
+    fam, crits, exts = embed_parts(unknot_config)
+    p = cr.positive_points(crits)[0]
+    with pytest.raises(RuntimeError,
+                       match=r"iota image of c1 under pair \(1,2\) is inconsistent"):
+        cr.iota(p, (1, 2), fam, exts[(1, 3)])
 
 
 def test_perturbation_bound_scales_with_the_gradient(unknot_config):
